@@ -7,6 +7,7 @@ on ties) makes the transform matrices reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .presentations import FinitePresentation, presentation_of, word_exponent_sums
@@ -203,18 +204,20 @@ class AbelianGroup:
 
 
 def divisor_chain(values) -> tuple[int, ...]:
-    """Divisor-chain normal form of a product of cyclic groups Z_v."""
-    values = [int(v) for v in values if int(v) != 1]
-    if not values:
-        return ()
+    """Divisor-chain normal form of a product of cyclic groups Z_v: each v
+    enters the chain by Z_d + Z_v = Z_gcd(d,v) + Z_lcm(d,v), carrying the
+    lcm upward, which keeps every prime's exponents sorted."""
+    values = [abs(int(v)) for v in values if int(v) != 1]
     if any(v == 0 for v in values):
         raise ValueError("divisor_chain expects finite orders")
-    n = len(values)
-    diag = IntMatrix(n, n, tuple(
-        values[i] if i == j else 0 for i in range(n) for j in range(n)
-    ))
-    D, _, _ = smith_normal_form(diag)
-    return tuple(d for d in D.diagonal() if d >= 2)
+    chain: list[int] = []
+    for v in values:
+        inserted = []
+        for d in chain:
+            inserted.append(math.gcd(d, v))
+            v = math.lcm(d, v)
+        chain = inserted + [v]
+    return tuple(d for d in chain if d >= 2)
 
 
 def cokernel(M: IntMatrix) -> AbelianGroup:

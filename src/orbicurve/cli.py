@@ -305,6 +305,7 @@ def cmd_triangle_rep(args) -> int:
         "pass": checks.passed,
         "product_deviation": checks.product_deviation,
         "order_deviations": list(checks.order_deviations),
+        "order_resolutions": list(checks.order_resolutions),
         "premature_closeness": list(checks.premature_closeness),
     }
     _emit(args, payload, [f"triangle {m}: " + ("PASS" if checks.passed else "FAIL"),

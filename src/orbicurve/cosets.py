@@ -9,6 +9,7 @@ in the live-coset count.  Everything is deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ArityMismatch, IncompleteTable
@@ -242,21 +243,21 @@ def perm_inverse(p) -> tuple[int, ...]:
 
 
 def perm_order(p) -> int:
-    order = 1
-    q = p
-    ident = identity_perm(len(p))
-    while q != ident:
-        q = perm_mul(q, p)
-        order += 1
-    return order
+    """The lcm of the cycle lengths."""
+    return math.lcm(*(len(c) for c in cycles_of(p)))
 
 
 def perm_power(p, e: int) -> tuple[int, ...]:
+    """p^e for any integer e, by repeated squaring."""
     if e < 0:
-        return perm_power(perm_inverse(p), -e)
+        p, e = perm_inverse(p), -e
     out = identity_perm(len(p))
-    for _ in range(e):
-        out = perm_mul(out, p)
+    while e:
+        if e & 1:
+            out = perm_mul(out, p)
+        e >>= 1
+        if e:
+            p = perm_mul(p, p)
     return out
 
 

@@ -19,6 +19,7 @@ from .cosets import Exceeded, group_order
 from .errors import BadParameters, NotHyperbolic, UnknownExample
 from .presentations import FinitePresentation, Word, presentation_of
 from .signature import OrbSignature
+from .wallpaper import mat_mul
 
 DEFAULT_ORDER_BOUND = 10_000
 DEFAULT_COMPARE_BOUND = 3_000
@@ -300,13 +301,6 @@ class TriangleRep:
     tolerance: float
 
 
-def _mat_mul(m: Mat2f, n: Mat2f) -> Mat2f:
-    return (
-        (m[0][0] * n[0][0] + m[0][1] * n[1][0], m[0][0] * n[0][1] + m[0][1] * n[1][1]),
-        (m[1][0] * n[0][0] + m[1][1] * n[1][0], m[1][0] * n[0][1] + m[1][1] * n[1][1]),
-    )
-
-
 def _det(m: Mat2f) -> float:
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
@@ -352,7 +346,7 @@ def triangle_representation(
         (math.cos(beta), e_t * math.sin(beta)),
         (-math.sin(beta) / e_t, math.cos(beta)),
     )
-    prod = _mat_mul(x1, x2)
+    prod = mat_mul(x1, x2)
     # adjugate = inverse, since det = 1
     x3: Mat2f = ((prod[1][1], -prod[0][1]), (-prod[1][0], prod[0][0]))
     return TriangleRep((m1, m2, m3), (x1, x2, x3), tolerance)
@@ -362,43 +356,57 @@ def triangle_representation(
 class TriangleRepChecks:
     product_deviation: float
     det_deviations: tuple[float, float, float]
-    order_deviations: tuple[float, float, float]  # at the full power
-    premature_closeness: tuple[float, float, float]  # min over smaller powers
+    order_deviations: tuple[float, float, float]  # |rotation angle - pi/m|
+    order_resolutions: tuple[float, float, float]  # pi/(2m(m+1)), above the tolerance
+    premature_closeness: tuple[float, float, float]  # <= distance of x^j to +-I, 0<j<m
     passed: bool
 
 
-def check_triangle_rep(rep: TriangleRep, reject_margin: float = 1e-6) -> TriangleRepChecks:
-    """Certify generator orders and the product relation.
+def _order_checks(mat: Mat2f, m: int) -> tuple[float, float]:
+    """|theta - pi/m|, where theta in [0, pi/2] has 2 cos(theta) = |tr x| /
+    sqrt(det x) (0 if x is not elliptic), and a lower bound on the largest
+    off-diagonal entry of x^j over 0 < j < m.  By Cayley-Hamilton it is
+    det^((j-1)/2) sin(j theta)/sin(theta) times x's."""
+    det = _det(mat)
+    if det <= 0.0:
+        return math.pi / m, 0.0
+    cos_theta = min(abs(mat[0][0] + mat[1][1]) / (2.0 * math.sqrt(det)), 1.0)
+    theta = math.acos(cos_theta)
+    scale = min(1.0, det) ** ((m - 2) / 2)
+    if theta > 0.0:  # |sin| on [theta, (m-1) theta] inside (0, pi) is least at an end
+        inside = (m - 1) * theta < math.pi
+        scale *= min(1.0, math.sin((m - 1) * theta) / math.sin(theta)) if inside else 0.0
+    return abs(theta - math.pi / m), scale * max(abs(mat[0][1]), abs(mat[1][0]))
 
-    Passing means: each x_i^{m_i} is within `rep.tolerance` of plus or minus
-    the identity, no smaller positive power comes within `reject_margin` of
-    it, determinants are 1 within tolerance, and x1*x2*x3 is the identity
-    projectively within tolerance.
+
+def check_triangle_rep(rep: TriangleRep, reject_margin: float = 1e-6) -> TriangleRepChecks:
+    """Certify generator orders and the product relation, in constant time.
+
+    Passing means, within `rep.tolerance`: x1*x2*x3 = +-I, each det x_i = 1,
+    and the rotation angle theta_i of x_i (2 cos theta_i = |tr x_i| /
+    sqrt(det x_i)) is pi/m_i, with the tolerance below half the gap
+    pi/m_i - pi/(m_i + 1), so that no rotation by another pi/n, and no
+    parabolic, is as close.  A rotation by pi/m has x^m = -I.  Also, no
+    x_i^j with 0 < j < m_i comes within `reject_margin` of +-I.  At tolerance
+    1e-9 the gap condition holds up to m = 39,632 and fails above.
     """
-    product = _mat_mul(_mat_mul(rep.matrices[0], rep.matrices[1]), rep.matrices[2])
+    product = mat_mul(mat_mul(rep.matrices[0], rep.matrices[1]), rep.matrices[2])
     product_dev = projective_distance(product)
     det_devs = tuple(abs(_det(m) - 1.0) for m in rep.matrices)
-    order_devs = []
-    premature = []
-    for m, mat in zip(rep.orders, rep.matrices):
-        power = _IDENTITY
-        closest_small = math.inf
-        for _ in range(m - 1):
-            power = _mat_mul(power, mat)
-            closest_small = min(closest_small, projective_distance(power))
-        order_devs.append(projective_distance(_mat_mul(power, mat)))
-        premature.append(closest_small)
+    order_devs, premature = zip(*(_order_checks(x, m) for x, m in zip(rep.matrices, rep.orders)))
+    resolutions = tuple(math.pi / (2 * m * (m + 1)) for m in rep.orders)
     tol = rep.tolerance
     passed = (
         product_dev <= tol
         and all(d <= tol for d in det_devs)
-        and all(d <= tol for d in order_devs)
+        and all(d <= tol < r for d, r in zip(order_devs, resolutions))
         and all(c > reject_margin for c in premature)
     )
     return TriangleRepChecks(
         product_deviation=product_dev,
-        det_deviations=tuple(det_devs),
-        order_deviations=tuple(order_devs),
-        premature_closeness=tuple(premature),
+        det_deviations=det_devs,
+        order_deviations=order_devs,
+        order_resolutions=resolutions,
+        premature_closeness=premature,
         passed=passed,
     )

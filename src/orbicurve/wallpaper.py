@@ -127,49 +127,50 @@ class TorusPoint:
         return cls(CycloElement.of(s), CycloElement.of(t))
 
 
+def _powers(x: CycloElement, top: int) -> dict[int, CycloElement]:
+    """x^e for |e| <= top."""
+    out = {0: ONE, 1: x, -1: x.inverse()}
+    for e in range(2, top + 1):
+        out[e] = out[e - 1] * x
+        out[-e] = out[1 - e] * out[-1]
+    return out
+
+
+def _monomials(p: TorusPoint, exponents) -> list[CycloElement]:
+    """s^i t^j at p for each (i, j), all from one table of powers."""
+    top = max(abs(e) for pair in exponents for e in pair)
+    s, t = _powers(p.s, top), _powers(p.t, top)
+    return [s[i] if not j else t[j] if not i else s[i] * t[j] for i, j in exponents]
+
+
 def apply_sigma(k: int, p: TorusPoint) -> TorusPoint:
-    """One step of the order-k automorphism."""
-    _check_k(k)
-    s, t = p.s, p.t
-    if k == 2:
-        return TorusPoint(ONE / s, ONE / t)
-    if k == 3:
-        return TorusPoint(ONE / t, s / t)
-    if k == 4:
-        return TorusPoint(ONE / t, s)
-    return TorusPoint(s * t, ONE / s)
+    """One step of the order-k automorphism: the monomial map whose
+    exponent matrix is h_matrix(k), (s, t) -> (s^a t^b, s^c t^d)."""
+    return TorusPoint(*_monomials(p, h_matrix(k)))
+
+
+# Each coordinate of pibar_k is the orbit sum of one seed monomial s^i t^j:
+# composing with sigma sends the exponent row (i, j) to (i, j) * h_matrix(k).
+# For k = 6 the (3, 2) orbit is one of the two roots of the quintic
+# (quadratic in z); the mirror choice, the (3, 1) orbit, is the other root.
+_PIBAR_SEEDS = {
+    2: ((1, 0), (0, 1), (1, 1)),
+    3: ((1, 0), (0, 1), (1, 1)),
+    4: ((1, 0), (1, 1), (2, 1)),
+    6: ((1, 0), (2, 1), (3, 2)),
+}
 
 
 def apply_pibar(k: int, p: TorusPoint) -> tuple[CycloElement, CycloElement, CycloElement]:
     """The invariant map onto the quotient surface, evaluated exactly."""
-    _check_k(k)
-    s, t = p.s, p.t
-    if k == 2:
-        return (
-            (s * s + 1) / s,
-            (t * t + 1) / t,
-            (s * s * t * t + 1) / (s * t),
-        )
-    if k == 3:
-        return (
-            (s * s * t + s + t * t) / (s * t),
-            (s * t * t + t + s * s) / (s * t),
-            (s**3 * t**3 + s**3 + t**3) / (s * s * t * t),
-        )
-    if k == 4:
-        return (
-            (s * t + 1) * (s + t) / (s * t),
-            (s * s + 1) * (t * t + 1) / (s * t),
-            (s * t**3 + 1) * (s**3 + t) / (s * s * t * t),
-        )
-    # k = 6: orbit sums of s, s^2 t and s^3 t^2 under the order-6 action.
-    # The s^3 t^2 orbit is one of the two roots of the quintic (quadratic in
-    # z); the mirror choice, the s^3 t orbit, is the other root.
-    return (
-        (s**2 * t**2 + s**2 * t + s * t**2 + s + t + 1) / (s * t),
-        (s**4 * t**3 + s**3 * t**4 + s**3 * t + s * t**3 + s + t) / (s**2 * t**2),
-        (s**6 * t**5 + s**5 * t**2 + s**4 * t**6 + s * t**4 + s**2 + t) / (s**3 * t**3),
-    )
+    (a, b), (c, d) = h_matrix(k)
+    exponents = []
+    for i, j in _PIBAR_SEEDS[k]:
+        for _ in range(k):
+            exponents.append((i, j))
+            i, j = i * a + j * c, i * b + j * d
+    terms = _monomials(p, exponents)
+    return tuple(sum(terms[n + 1 : n + k], terms[n]) for n in range(0, len(terms), k))
 
 
 def surface_residual(k: int, q) -> CycloElement:

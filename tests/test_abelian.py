@@ -127,6 +127,16 @@ class TestAbelianGroup:
         assert divisor_chain((6, 10, 15)) == (30, 30)
         assert divisor_chain((1, 1)) == ()
 
+    @settings(max_examples=60)
+    @given(st.lists(st.integers(2, 60), max_size=8))
+    def test_divisor_chain_matches_diagonal_snf(self, orders):
+        n = len(orders)
+        diagonal = IntMatrix(n, n, tuple(
+            orders[i] if i == j else 0 for i in range(n) for j in range(n)
+        ))
+        D, _, _ = smith_normal_form(diagonal)
+        assert divisor_chain(orders) == tuple(d for d in D.diagonal() if d >= 2)
+
 
 # rows of the abelianization table for the non-realizable compact groups
 TABLE = [

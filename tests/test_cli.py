@@ -246,6 +246,16 @@ class TestTriangleRep:
         assert code == EXIT_OK and data["pass"] is True
         assert len(data["matrices"]) == 3
 
+    def test_huge_order_not_certified(self, capsys):
+        # the tolerance cannot separate pi/m from pi/(m+1), so it cannot certify m
+        code, data = out_json(capsys, "triangle-rep", "--m", "2,3,1000000000")
+        assert code == EXIT_VERIFY_FAILED and data["pass"] is False
+        assert data["order_resolutions"][2] < 1e-9
+
+    def test_large_order_certified_at_finer_tolerance(self, capsys):
+        code, data = out_json(capsys, "triangle-rep", "--m", "2,3,100000", "--tol", "1e-11")
+        assert code == EXIT_OK and data["pass"] is True
+
     def test_not_hyperbolic_exits_1(self, capsys):
         code, _, err = invoke(capsys, "triangle-rep", "--m", "2,3,6")
         assert code == EXIT_DOMAIN_ERROR

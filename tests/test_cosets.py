@@ -27,6 +27,7 @@ from orbicurve.cosets import (
     perm_inverse,
     perm_mul,
     perm_order,
+    perm_power,
 )
 
 METACYCLIC12 = FinitePresentation(
@@ -230,6 +231,34 @@ def test_perm_inverse_round_trip(p):
 @given(perms_st)
 def test_cycle_format_round_trip(p):
     assert parse_cycles(format_cycles(p), len(p)) == p
+
+
+def reference_order(p):
+    order, q = 1, p
+    while q != identity_perm(len(p)):
+        q = perm_mul(q, p)
+        order += 1
+    return order
+
+
+def reference_power(p, e):
+    base = p if e >= 0 else perm_inverse(p)
+    out = identity_perm(len(p))
+    for _ in range(abs(e)):
+        out = perm_mul(out, base)
+    return out
+
+
+wide_perms_st = st.integers(1, 30).flatmap(
+    lambda n: st.permutations(list(range(n)))
+).map(tuple)
+
+
+@settings(max_examples=60)
+@given(wide_perms_st, st.integers(-50, 50))
+def test_order_and_power_match_repeated_products(p, e):
+    assert perm_order(p) == reference_order(p)
+    assert perm_power(p, e) == reference_power(p, e)
 
 
 @settings(max_examples=30)

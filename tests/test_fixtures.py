@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -16,7 +17,8 @@ from orbicurve import (
     triangle_representation,
     verify_example,
 )
-from orbicurve.fixtures import AbelianizationFact, projective_distance
+from orbicurve.fixtures import AbelianizationFact, TriangleRep, projective_distance
+from orbicurve.wallpaper import mat_mul
 
 
 class TestQuotientByRelators:
@@ -185,3 +187,77 @@ class TestTriangleRepresentation:
         rep = triangle_representation(2, 3, 7)
         for m, mat in zip(rep.orders, rep.matrices):
             assert abs(abs(mat[0][0] + mat[1][1]) - 2 * math.cos(math.pi / m)) < 1e-12
+
+    def test_orders_within_resolution_certified_quickly(self):
+        # at 1e-9 the angle gap pi/m - pi/(m+1) exceeds twice the tolerance up to m = 39632
+        start = time.perf_counter()
+        for m in (470, 2895, 3000, 10**4, 3 * 10**4, 39632):
+            checks = check_triangle_rep(triangle_representation(2, 3, m))
+            assert checks.passed, (m, checks)
+        assert time.perf_counter() - start < 1.0
+
+    def test_orders_beyond_resolution_not_certified(self):
+        for m in (39633, 10**5, 10**9):
+            checks = check_triangle_rep(triangle_representation(2, 3, m))
+            assert not checks.passed, m
+            assert checks.order_resolutions[2] < 1e-9
+        # a finer tolerance resolves m = 10^5 again
+        assert check_triangle_rep(triangle_representation(2, 3, 10**5, tolerance=1e-11)).passed
+
+    def test_wrong_order_label_rejected(self):
+        rep = triangle_representation(2, 3, 7)
+        relabelled = TriangleRep((2, 3, 8), rep.matrices, rep.tolerance)
+        checks = check_triangle_rep(relabelled)
+        assert not checks.passed
+        assert checks.order_deviations[2] > 1e-2
+        for m in (3000, 30000, 10**9):
+            rep = triangle_representation(2, 3, m)
+            for label in (m - 1, m + 1):
+                checks = check_triangle_rep(TriangleRep((2, 3, label), rep.matrices, 1e-9))
+                assert not checks.passed and checks.order_deviations[2] > 1e-9, (m, label)
+
+    def test_parabolic_generator_rejected(self):
+        parabolic = ((1.0, 1.0), (0.0, 1.0))
+        for m in (7, 3000, 10**9):
+            x1, x2, _ = triangle_representation(2, 3, m).matrices
+            checks = check_triangle_rep(TriangleRep((2, 3, m), (x1, x2, parabolic), 1e-9))
+            assert not checks.passed and checks.order_deviations[2] > 1e-9, m
+
+    def test_perturbed_generator_rejected(self):
+        rep = triangle_representation(2, 3, 7)
+        x1, x2, x3 = rep.matrices
+        bumped = ((x2[0][0] + 1e-6, x2[0][1]), x2[1])
+        checks = check_triangle_rep(TriangleRep(rep.orders, (x1, bumped, x3), rep.tolerance))
+        assert not checks.passed
+
+
+    def test_scaled_generators_keep_their_angle(self):
+        # x / sqrt(det x) carries the angle: a scalar within tolerance changes no order
+        x1, x2, x3 = triangle_representation(2, 3, 30000).matrices
+        c = 1.0 + 2.5e-10
+        scaled = tuple(tuple(c * v for v in row) for row in x3)
+        checks = check_triangle_rep(TriangleRep((2, 3, 30000), (x1, x2, scaled), 1e-9))
+        assert checks.passed, checks
+        assert checks.order_deviations[2] < 1e-11
+        # far outside the tolerance, and so large a power would overflow a float
+        doubled = tuple(tuple(2.0 * v for v in row) for row in x3)
+        assert not check_triangle_rep(TriangleRep((2, 3, 10**9), (x1, x2, doubled), 1e-9)).passed
+
+    def test_premature_closeness_bounds_smaller_powers(self):
+        # against the distance of every x^j, 0 < j < m, from +-I; exact at det 1
+        def rotation(theta, c):
+            return ((c * math.cos(theta), c * math.sin(theta)),
+                    (-c * math.sin(theta), c * math.cos(theta)))
+
+        rep = triangle_representation(2, 3, 7)
+        cases = [(x, m, True) for x, m in zip(rep.matrices, rep.orders)]
+        cases += [(rotation(math.pi / m + delta, c), m, c == 1.0)
+                  for m in (5, 7, 12) for delta in (-0.01, 0.0, 0.01) for c in (1.0, 0.97)]
+        for x, m, unit_det in cases:
+            power, closest = x, math.inf
+            for _ in range(m - 1):
+                closest = min(closest, projective_distance(power))
+                power = mat_mul(power, x)
+            bound = check_triangle_rep(TriangleRep((m, m, m), (x, x, x), 1e-9)).premature_closeness
+            assert bound[0] <= closest + 1e-12, (m, bound[0], closest)
+            assert not unit_det or bound[0] >= closest - 1e-9, (m, bound[0], closest)

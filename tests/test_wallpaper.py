@@ -235,3 +235,62 @@ class TestSuite:
 
 def test_mat_identity_order():
     assert mat_order(MAT_IDENTITY) == 1
+
+
+# ---------------------------------------------------------------------------
+# reference transcription: sigma_k and pibar_k as hand-written formulas, to
+# check the monomial-map and orbit-sum forms against
+
+
+def reference_sigma(k, p):
+    s, t = p.s, p.t
+    if k == 2:
+        return TorusPoint(ONE / s, ONE / t)
+    if k == 3:
+        return TorusPoint(ONE / t, s / t)
+    if k == 4:
+        return TorusPoint(ONE / t, s)
+    return TorusPoint(s * t, ONE / s)
+
+
+def reference_pibar(k, p):
+    s, t = p.s, p.t
+    if k == 2:
+        return (
+            (s * s + 1) / s,
+            (t * t + 1) / t,
+            (s * s * t * t + 1) / (s * t),
+        )
+    if k == 3:
+        return (
+            (s * s * t + s + t * t) / (s * t),
+            (s * t * t + t + s * s) / (s * t),
+            (s**3 * t**3 + s**3 + t**3) / (s * s * t * t),
+        )
+    if k == 4:
+        return (
+            (s * t + 1) * (s + t) / (s * t),
+            (s * s + 1) * (t * t + 1) / (s * t),
+            (s * t**3 + 1) * (s**3 + t) / (s * s * t * t),
+        )
+    return (
+        (s**2 * t**2 + s**2 * t + s * t**2 + s + t + 1) / (s * t),
+        (s**4 * t**3 + s**3 * t**4 + s**3 * t + s * t**3 + s + t) / (s**2 * t**2),
+        (s**6 * t**5 + s**5 * t**2 + s**4 * t**6 + s * t**4 + s**2 + t) / (s**3 * t**3),
+    )
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_closed_forms_match_transcription(k):
+    points = sample_points(50, seed=k) + list(fixed_point_set(k))
+    for p in points:
+        assert apply_sigma(k, p) == reference_sigma(k, p), p
+        assert apply_pibar(k, p) == reference_pibar(k, p), p
+
+
+@given(cyclos.filter(lambda c: not c.is_zero()), cyclos.filter(lambda c: not c.is_zero()))
+def test_closed_forms_match_transcription_in_q_omega(s, t):
+    p = TorusPoint(s, t)
+    for k in (2, 3, 4, 6):
+        assert apply_sigma(k, p) == reference_sigma(k, p)
+        assert apply_pibar(k, p) == reference_pibar(k, p)
