@@ -224,7 +224,7 @@ def cmd_cover_verify(args) -> int:
     images = _load_permutations(args.perms, sig)
     result = verify_torsion_free_kernel(sig, images, cap=args.cap or _default_bound())
     if isinstance(result, Exceeded):
-        print(f"closure exceeded cap {result.bound}", file=sys.stderr)
+        print(f"group order exceeded cap {result.bound}", file=sys.stderr)
         _emit(args, {"exceeded": True, "bound": result.bound})
         return EXIT_EXCEEDED
     payload: dict = {"verdict": result.verdict}

@@ -1,4 +1,5 @@
-"""Bounded Todd-Coxeter coset enumeration and small permutation utilities.
+"""Bounded Todd-Coxeter coset enumeration, permutation utilities and the
+capped Schreier-Sims order of a permutation group.
 
 The enumerator is the HLT strategy: process live cosets in definition
 order, scan-and-fill every relator, then define any still-missing neighbor.
@@ -303,25 +304,107 @@ def generator_permutations(t: CosetTable) -> PermutationImages:
     return PermutationImages(t.rows, images)
 
 
+class _StabilizerChain:
+    """Base and strong generating set under construction.
+
+    Level i holds the base point `base[i]`, the strong generators fixing
+    `base[:i]`, and their Schreier tree: each point of the orbit of
+    `base[i]` mapped to a representative taking `base[i]` there, built
+    breadth-first, plus the tree edges (point, generator index).
+    """
+
+    def __init__(self, degree: int):
+        self.ident = identity_perm(degree)
+        self.base: list[int] = []
+        self.gens: list[list[tuple[int, ...]]] = []
+        self.reps: list[dict[int, tuple[int, ...]]] = []
+        self.edges: list[set[tuple[int, int]]] = []
+
+    def order_bound(self) -> int:
+        """Product of the orbit lengths: a lower bound on the group order,
+        equal to it once every level is complete."""
+        return math.prod(len(reps) for reps in self.reps)
+
+    def add(self, y, first_level: int) -> int:
+        """Make y a strong generator on levels `first_level` through the
+        first base point y moves, opening a new level when y fixes the
+        whole base.  Returns the last level changed."""
+        j = next((j for j, b in enumerate(self.base) if y[b] != b), None)
+        if j is None:
+            j = len(self.base)
+            self.base.append(next(x for x, yx in enumerate(y) if yx != x))
+            self.gens.append([])
+            self.reps.append({})
+            self.edges.append(set())
+        for level in range(first_level, j + 1):
+            self.gens[level].append(y)
+            self._build_tree(level)
+        return j
+
+    def _build_tree(self, level: int) -> None:
+        gens = self.gens[level]
+        reps = {self.base[level]: self.ident}
+        edges = set()
+        queue = [self.base[level]]
+        for beta in queue:
+            u = reps[beta]
+            for k, s in enumerate(gens):
+                if s[beta] not in reps:
+                    reps[s[beta]] = perm_mul(u, s)
+                    edges.add((beta, k))
+                    queue.append(s[beta])
+        self.reps[level], self.edges[level] = reps, edges
+
+    def residue(self, level: int) -> tuple[int, ...] | None:
+        """The first Schreier generator of `level` that does not sift to
+        the identity through the levels below, sifted; None when all do."""
+        reps, edges = self.reps[level], self.edges[level]
+        for beta, u in reps.items():
+            for k, s in enumerate(self.gens[level]):
+                if (beta, k) in edges:
+                    continue
+                us, target = perm_mul(u, s), reps[s[beta]]
+                if us == target:
+                    continue
+                y = self._sift(perm_mul(us, perm_inverse(target)), level + 1)
+                if y != self.ident:
+                    return y
+        return None
+
+    def _sift(self, g, level: int) -> tuple[int, ...]:
+        for j in range(level, len(self.base)):
+            u = self.reps[j].get(g[self.base[j]])
+            if u is None:
+                return g
+            g = perm_mul(g, perm_inverse(u))
+        return g
+
+
 def permutation_group_order(perms: PermutationImages, cap: int = DEFAULT_CLOSURE_CAP) -> int | Exceeded:
-    """Order of the generated group by breadth-first closure, capped."""
+    """Order of the generated group by deterministic Schreier-Sims, capped.
+
+    Holt's SCHREIERSIMS (Handbook of Computational Group Theory, 4.4):
+    every Schreier generator of every level must sift to the identity
+    through the levels below it, and a nontrivial residue becomes a new
+    strong generator.  The order is the product of the basic orbit lengths.
+    That product over the orbits found so far is a lower bound on the
+    order, so Exceeded(cap) is returned as soon as it passes `cap`, before
+    memory grows: the chain holds about base length x degree^2 points,
+    never `cap` group elements.
+    """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    ident = identity_perm(perms.degree)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for p in frontier:
-            for q in perms.images:
-                r = perm_mul(p, q)
-                if r not in seen:
-                    seen.add(r)
-                    if len(seen) > cap:
-                        return Exceeded(cap)
-                    new_frontier.append(r)
-        frontier = new_frontier
-    return len(seen)
+    chain = _StabilizerChain(perms.degree)
+    for s in perms.images:
+        if s != chain.ident:
+            chain.add(s, 0)
+    i = len(chain.base) - 1
+    while chain.order_bound() <= cap:
+        if i < 0:
+            return chain.order_bound()
+        y = chain.residue(i)
+        i = i - 1 if y is None else chain.add(y, i + 1)
+    return Exceeded(cap)
 
 
 def evaluate_word(word: Word, perms: PermutationImages) -> tuple[int, ...]:

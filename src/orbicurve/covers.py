@@ -107,6 +107,11 @@ def verify_torsion_free_kernel(
     compact groups and for all open groups, so that condition is exactly
     kernel torsion-freeness there.  Spherical compact groups are refused:
     the conjugacy classification is not available.
+
+    The index is the order of the image group, by Schreier-Sims
+    (`permutation_group_order`).  Exceeded(cap) is returned when that order
+    passes `cap`; the cap trips on a lower bound of the order, before memory
+    grows.
     """
     _require_canonical(sig)
     if sig.r == 0 and classify_kind(sig).name is KindName.SPHERICAL:

@@ -176,6 +176,24 @@ class TestCover:
         assert code == EXIT_OK
         assert data == {"index": 168, "verdict": "torsion_free_kernel"}
 
+    def test_verify_exceeded_exits_2(self, capsys, tmp_path):
+        # (1 2) and a 200-cycle generate the symmetric group of degree 200;
+        # the cap trips on a lower bound of its order, before memory grows
+        from orbicurve.cosets import format_cycles, perm_inverse, perm_mul
+
+        x1 = (1, 0) + tuple(range(2, 200))
+        y1 = tuple(range(1, 200)) + (0,)
+        y2 = perm_inverse(perm_mul(x1, y1))
+        path = tmp_path / "perms.txt"
+        path.write_text("degree 200\n" + "".join(
+            f"{name} = {format_cycles(p)}\n" for name, p in (("x1", x1), ("y1", y1), ("y2", y2))))
+        code, out, _ = invoke(
+            capsys, "cover", "verify",
+            "--sig", '{"g":0,"r":2,"m":[2]}', "--perms", str(path)
+        )
+        assert code == EXIT_EXCEEDED
+        assert out == '{"bound": 1000000, "exceeded": true}\n'
+
     def test_verify_failure_exits_3(self, capsys, tmp_path):
         path = tmp_path / "perms.txt"
         path.write_text("degree 8\nx1 = ()\nx2 = ()\nx3 = ()\n")

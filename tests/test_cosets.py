@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from orbicurve import (
     verify_homomorphism,
 )
 from orbicurve.cosets import (
+    DEFAULT_CLOSURE_CAP,
     CosetTable,
     cycles_of,
     evaluate_word,
@@ -29,6 +32,83 @@ from orbicurve.cosets import (
     perm_order,
     perm_power,
 )
+from orbicurve.covers import _mobius_perm
+
+
+def closure_order(perms, cap=DEFAULT_CLOSURE_CAP):
+    """Reference: the breadth-first closure that computed the order before
+    Schreier-Sims.  It stores every group element."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    ident = identity_perm(perms.degree)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        new_frontier = []
+        for p in frontier:
+            for q in perms.images:
+                r = perm_mul(p, q)
+                if r not in seen:
+                    seen.add(r)
+                    if len(seen) > cap:
+                        return Exceeded(cap)
+                    new_frontier.append(r)
+        frontier = new_frontier
+    return len(seen)
+
+
+def psl2_order(q):
+    return q * (q * q - 1) // 2
+
+
+def hurwitz_triple(q):
+    """Images of orders 2, 3, 7 with x1 x2 x3 = 1 in PSL(2, q), q prime, on
+    the projective line: x1 = z -> -1/z and the first trace-1 matrix, in a
+    fixed search order, whose product with x1 has order 7.  (2,3,7) is
+    perfect, so they generate all of PSL(2, q)."""
+    x1 = _mobius_perm(((0, -1), (1, 0)), q)
+    for a in range(q):
+        for b in range(1, q):
+            c = (a * (1 - a) - 1) * pow(b, -1, q) % q  # det = 1, trace = 1
+            x2 = _mobius_perm(((a, b), (c, 1 - a)), q)
+            x3 = perm_inverse(perm_mul(x1, x2))
+            if perm_order(x3) == 7:
+                return PermutationImages(q + 1, (x1, x2, x3))
+    raise AssertionError(f"no Hurwitz triple in PSL(2, {q})")
+
+
+def symmetric_200():
+    """<(0 1), (0 1 ... 199)>, the symmetric group of degree 200."""
+    swap = (1, 0) + tuple(range(2, 200))
+    cycle = tuple(range(1, 200)) + (0,)
+    return PermutationImages(200, (swap, cycle))
+
+
+def permutation_groups(max_degree):
+    """Groups of degree 1..max_degree, about half of them within 2 of the
+    largest degree, with 0-3 generators, each the identity, a permutation
+    of a subset of the points or of all of them."""
+
+    def generator(n):
+        ident = tuple(range(n))
+
+        def on_subset(args):
+            points, images = args
+            p = list(ident)
+            for x, y in zip(points, images):
+                p[x] = y
+            return tuple(p)
+
+        subset = st.lists(st.integers(0, n - 1), unique=True, min_size=1).flatmap(
+            lambda pts: st.tuples(st.just(pts), st.permutations(pts)))
+        return st.one_of(st.just(ident), subset.map(on_subset),
+                         st.permutations(list(range(n))).map(tuple))
+
+    degree = st.one_of(st.integers(1, max_degree), st.integers(max(1, max_degree - 2), max_degree))
+    return degree.flatmap(
+        lambda n: st.lists(generator(n), max_size=3).map(
+            lambda gens: PermutationImages(n, tuple(gens))))
+
 
 METACYCLIC12 = FinitePresentation(
     ("x", "y"),
@@ -191,6 +271,27 @@ class TestPermutationGroupOrder:
         fixture = projective_triangle_fixture()
         assert isinstance(permutation_group_order(fixture, cap=100), Exceeded)
 
+    @pytest.mark.parametrize("q", [7, 13, 29])
+    def test_hurwitz_triple_gives_psl2(self, q):
+        perms = hurwitz_triple(q)
+        assert [perm_order(p) for p in perms.images] == [2, 3, 7]
+        assert permutation_group_order(perms) == psl2_order(q)
+        assert closure_order(perms) == psl2_order(q)
+
+    @pytest.mark.parametrize("perms", [projective_triangle_fixture(), hurwitz_triple(29)],
+                             ids=["psl2_7_fixture", "psl2_29_triple"])
+    def test_cap_equal_to_order_returns_it(self, perms):
+        order = closure_order(perms)
+        assert permutation_group_order(perms, cap=order) == order
+        assert permutation_group_order(perms, cap=order - 1) == Exceeded(order - 1)
+
+    def test_symmetric_200_exceeds_default_cap_quickly(self):
+        # the closure would hold 10**6 tuples of 200 points before tripping
+        start = time.perf_counter()
+        result = permutation_group_order(symmetric_200())
+        assert result == Exceeded(DEFAULT_CLOSURE_CAP)
+        assert time.perf_counter() - start < 1.0
+
 
 class TestVerifyHomomorphism:
     def test_all_identity_images(self):
@@ -309,3 +410,37 @@ def test_enumerator_on_dihedral_style_presentations(n, m, shift):
     ident = identity_perm(result.rows)
     for rel in p.relators:
         assert evaluate_word(rel, perms) == ident
+
+
+@settings(max_examples=40, deadline=None)
+@given(permutation_groups(9), st.integers(-2, 2))
+def test_order_matches_closure(perms, offset):
+    order = closure_order(perms)
+    assert permutation_group_order(perms) == order
+    cap = max(1, order + offset)  # the cap contract at its boundary
+    assert permutation_group_order(perms, cap) == (order if order <= cap else Exceeded(cap))
+
+
+def _sympy_order(perms):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    gens = [combinatorics.Permutation(list(p)) for p in perms.images]
+    ident = combinatorics.Permutation(list(range(perms.degree)))
+    return combinatorics.PermutationGroup(gens or [ident]).order()
+
+
+PRIMES_TO_71 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+
+
+@pytest.mark.parametrize("q", PRIMES_TO_71)
+def test_psl2_order_matches_sympy(q):
+    # z -> z + 1 and z -> -1/z generate PSL(2, q) for prime q
+    perms = PermutationImages(q + 1, (_mobius_perm(((1, 1), (0, 1)), q),
+                                      _mobius_perm(((0, -1), (1, 0)), q)))
+    assert permutation_group_order(perms) == psl2_order(q) == _sympy_order(perms)
+
+
+@settings(max_examples=25, deadline=None)
+@given(permutation_groups(30))
+def test_order_matches_sympy(perms):
+    order, cap = _sympy_order(perms), 10**12
+    assert permutation_group_order(perms, cap) == (order if order <= cap else Exceeded(cap))
