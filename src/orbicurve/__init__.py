@@ -3,8 +3,8 @@
 Invariants (Euler characteristic, kind, order, abelianization),
 isomorphism and plane-curve realizability decisions, torsion-free cover
 arithmetic, and brute-force certification oracles (Todd-Coxeter coset
-enumeration, Smith normal form, exact Q(omega) arithmetic, numeric
-hyperbolic triangle representations).
+enumeration, Smith normal form, exact wallpaper arithmetic from the
+homology matrix, numeric hyperbolic triangle representations).
 """
 
 from .abelian import (
@@ -80,7 +80,6 @@ from .signature import (
     satisfies_ninf,
 )
 from .wallpaper import (
-    CycloElement,
     TorusPoint,
     WallpaperReport,
     apply_pibar,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .presentations import FinitePresentation, presentation_of, word_exponent_sums
+from .presentations import FinitePresentation, word_exponent_sums
 from .signature import OrbSignature, _require_canonical
 
 
@@ -260,8 +260,3 @@ def abelianization_of_presentation(p: FinitePresentation) -> AbelianGroup:
         return AbelianGroup(p.ngens)
     rows = [word_exponent_sums(w, p.ngens) for w in p.relators]
     return cokernel(IntMatrix.from_rows(rows))
-
-
-def abelianization_of_signature_presentation(sig: OrbSignature) -> AbelianGroup:
-    """Convenience: the presentation route, for cross-checking."""
-    return abelianization_of_presentation(presentation_of(sig))

@@ -391,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("triangle-rep", cmd_triangle_rep, help="hyperbolic triangle matrices")
     p.add_argument("--m", required=True, help="comma-separated m1,m2,m3")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=None,
+                   help="default: min(1e-9, pi/(4m(m+1))) over the orders")
     p.add_argument("--reject-margin", type=float, default=1e-6)
 
     return parser

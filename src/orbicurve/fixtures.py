@@ -30,7 +30,6 @@ class OrderFact:
     """The group has exactly this order (certified by enumeration)."""
 
     order: int
-    bound: int = DEFAULT_ORDER_BOUND
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,6 @@ class QuotientOrderFact:
 
     extra: tuple[Word, ...]
     order: int
-    bound: int = DEFAULT_ORDER_BOUND
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,6 @@ class QuotientPresentationFact:
 
     extra: tuple[Word, ...]
     signature: OrbSignature
-    bound: int = DEFAULT_COMPARE_BOUND
 
 
 Fact = OrderFact | QuotientOrderFact | AbelianizationFact | QuotientPresentationFact
@@ -230,14 +227,14 @@ class ExampleReport:
 
 def _check_fact(p: FinitePresentation, fact: Fact) -> FactResult:
     if isinstance(fact, OrderFact):
-        got = group_order(p, fact.bound)
+        got = group_order(p, DEFAULT_ORDER_BOUND)
         return FactResult(
             f"order == {fact.order}",
             got == fact.order,
             f"enumerated {got}" if not isinstance(got, Exceeded) else "exceeded bound",
         )
     if isinstance(fact, QuotientOrderFact):
-        got = group_order(quotient_by_relators(p, fact.extra), fact.bound)
+        got = group_order(quotient_by_relators(p, fact.extra), DEFAULT_ORDER_BOUND)
         return FactResult(
             f"quotient order == {fact.order}",
             got == fact.order,
@@ -255,12 +252,14 @@ def _check_fact(p: FinitePresentation, fact: Fact) -> FactResult:
         reference = presentation_of(fact.signature)
         ab_q = abelianization_of_presentation(quotient)
         ab_r = abelianization_of_presentation(reference)
-        order_q = group_order(quotient, fact.bound)
-        order_r = group_order(reference, fact.bound)
+        order_q = group_order(quotient, DEFAULT_COMPARE_BOUND)
+        order_r = group_order(reference, DEFAULT_COMPARE_BOUND)
         ab_ok = ab_q == ab_r
         if isinstance(order_q, Exceeded) or isinstance(order_r, Exceeded):
             order_ok = isinstance(order_q, Exceeded) and isinstance(order_r, Exceeded)
-            order_text = f"both exceed {fact.bound}" if order_ok else "one side completed"
+            order_text = (
+                f"both exceed {DEFAULT_COMPARE_BOUND}" if order_ok else "one side completed"
+            )
         else:
             order_ok = order_q == order_r
             order_text = f"orders {order_q} / {order_r}"
@@ -317,10 +316,12 @@ def projective_distance(m: Mat2f, n: Mat2f = _IDENTITY) -> float:
 
 
 def triangle_representation(
-    m1: int, m2: int, m3: int, tolerance: float = 1e-9
+    m1: int, m2: int, m3: int, tolerance: float | None = None
 ) -> TriangleRep:
     """Rotation matrices by 2*pi/m_i about the vertices of the hyperbolic
-    triangle with angles pi/m_i.
+    triangle with angles pi/m_i, to be checked at `tolerance`.  The default
+    is min(1e-9, pi/(4m(m+1))) over the orders: half the smallest angle
+    resolution pi/(2m(m+1)), so that the angle check can tell every order.
 
     x1 rotates about i in the upper half-plane, x2 about the point at
     hyperbolic distance t up the imaginary axis, where cosh(t) comes from
@@ -349,6 +350,8 @@ def triangle_representation(
     prod = mat_mul(x1, x2)
     # adjugate = inverse, since det = 1
     x3: Mat2f = ((prod[1][1], -prod[0][1]), (-prod[1][0], prod[0][0]))
+    if tolerance is None:
+        tolerance = min(1e-9, *(math.pi / (4 * m * (m + 1)) for m in (m1, m2, m3)))
     return TriangleRep((m1, m2, m3), (x1, x2, x3), tolerance)
 
 
@@ -388,7 +391,9 @@ def check_triangle_rep(rep: TriangleRep, reject_margin: float = 1e-6) -> Triangl
     pi/m_i - pi/(m_i + 1), so that no rotation by another pi/n, and no
     parabolic, is as close.  A rotation by pi/m has x^m = -I.  Also, no
     x_i^j with 0 < j < m_i comes within `reject_margin` of +-I.  At tolerance
-    1e-9 the gap condition holds up to m = 39,632 and fails above.
+    1e-9 the gap condition holds up to m = 39,632 and fails above; the
+    default tolerance keeps it for every order, and float rounding then
+    starts to fail the check at about m = 2.4 * 10^5.
     """
     product = mat_mul(mat_mul(rep.matrices[0], rep.matrices[1]), rep.matrices[2])
     product_dev = projective_distance(product)

@@ -41,9 +41,6 @@ class OrbSignature:
     def is_canonical(self) -> bool:
         return all(a <= b for a, b in zip(self.m, self.m[1:]))
 
-    def is_compact(self) -> bool:
-        return self.r == 0
-
 
 def canonicalize(sig: OrbSignature) -> OrbSignature:
     """Sort the multiplicities non-decreasingly; g and r are untouched."""

@@ -1,12 +1,15 @@
 """Exact verification of the four cyclic actions on the doubly-punctured
 torus (C*)^2 and their quotient surfaces.
 
-For k in {2, 3, 4, 6} there is an order-k automorphism sigma_k of (C*)^2,
-an invariant map pibar_k onto an affine surface in C^3, a finite fixed
-locus, and an induced order-k integer matrix on first homology.  The k = 3
-and k = 6 fixed points need a primitive cube root of unity, so all
-arithmetic happens in Q(omega) with omega^2 = -1 - omega; every check below
-is an exact identity, not a tolerance test.
+For k in {2, 3, 4, 6}, h_matrix(k) is an order-k integer matrix: the
+induced action on first homology.  Every check below is derived from it.
+The order-k automorphism sigma_k of (C*)^2 is the monomial map with
+exponent matrix h, the invariant map pibar_k onto an affine surface in C^3
+sums sigma-orbits of seed monomials, and the fixed points of sigma^j are
+the torsion points (e^(2 pi i u), e^(2 pi i v)) with h^j (u, v) = (u, v)
+mod 1, |det(h^j - I)| of them.  Sample points are rational and fixed
+points are angle pairs in (Q/Z)^2, so every check is an exact identity,
+not a tolerance test.
 """
 
 from __future__ import annotations
@@ -26,121 +29,27 @@ def _check_k(k: int) -> None:
 
 
 @dataclass(frozen=True)
-class CycloElement:
-    """a + b*omega with rational a, b and omega a primitive cube root of
-    unity (omega^2 = -1 - omega)."""
-
-    a: Fraction
-    b: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-
-    @classmethod
-    def of(cls, value) -> "CycloElement":
-        if isinstance(value, CycloElement):
-            return value
-        return cls(Fraction(value))
-
-    def __add__(self, other):
-        other = CycloElement.of(other)
-        return CycloElement(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        other = CycloElement.of(other)
-        return CycloElement(self.a - other.a, self.b - other.b)
-
-    def __neg__(self):
-        return CycloElement(-self.a, -self.b)
-
-    def __mul__(self, other):
-        other = CycloElement.of(other)
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return CycloElement(a * c - b * d, a * d + b * c - b * d)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return CycloElement.of(other) - self
-
-    def conjugate(self) -> "CycloElement":
-        return CycloElement(self.a - self.b, -self.b)
-
-    def norm(self) -> Fraction:
-        return self.a * self.a - self.a * self.b + self.b * self.b
-
-    def inverse(self) -> "CycloElement":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero in Q(omega)")
-        conj = self.conjugate()
-        return CycloElement(conj.a / n, conj.b / n)
-
-    def __truediv__(self, other):
-        return self * CycloElement.of(other).inverse()
-
-    def __rtruediv__(self, other):
-        return CycloElement.of(other) * self.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = ONE
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __repr__(self):
-        if self.b == 0:
-            return f"{self.a}"
-        return f"{self.a}+{self.b}w"
-
-
-ZERO = CycloElement(Fraction(0))
-ONE = CycloElement(Fraction(1))
-OMEGA = CycloElement(Fraction(0), Fraction(1))
-OMEGA_BAR = OMEGA.conjugate()
-
-
-@dataclass(frozen=True)
 class TorusPoint:
-    """A point of (C*)^2: both coordinates nonzero."""
+    """A rational point of (C*)^2: both coordinates nonzero."""
 
-    s: CycloElement
-    t: CycloElement
+    s: Fraction
+    t: Fraction
 
     def __post_init__(self):
-        if self.s.is_zero() or self.t.is_zero():
+        if self.s == 0 or self.t == 0:
             raise ValueError("torus points have nonzero coordinates")
 
     @classmethod
     def of(cls, s, t) -> "TorusPoint":
-        return cls(CycloElement.of(s), CycloElement.of(t))
+        return cls(Fraction(s), Fraction(t))
+
+    def __repr__(self):
+        return f"TorusPoint(s={self.s}, t={self.t})"
 
 
-def _powers(x: CycloElement, top: int) -> dict[int, CycloElement]:
-    """x^e for |e| <= top."""
-    out = {0: ONE, 1: x, -1: x.inverse()}
-    for e in range(2, top + 1):
-        out[e] = out[e - 1] * x
-        out[-e] = out[1 - e] * out[-1]
-    return out
-
-
-def _monomials(p: TorusPoint, exponents) -> list[CycloElement]:
-    """s^i t^j at p for each (i, j), all from one table of powers."""
-    top = max(abs(e) for pair in exponents for e in pair)
-    s, t = _powers(p.s, top), _powers(p.t, top)
-    return [s[i] if not j else t[j] if not i else s[i] * t[j] for i, j in exponents]
+def _monomials(p: TorusPoint, exponents) -> list[Fraction]:
+    """s^i t^j at p for each (i, j)."""
+    return [p.s**i * p.t**j for i, j in exponents]
 
 
 def apply_sigma(k: int, p: TorusPoint) -> TorusPoint:
@@ -161,7 +70,7 @@ _PIBAR_SEEDS = {
 }
 
 
-def apply_pibar(k: int, p: TorusPoint) -> tuple[CycloElement, CycloElement, CycloElement]:
+def apply_pibar(k: int, p: TorusPoint) -> tuple[Fraction, Fraction, Fraction]:
     """The invariant map onto the quotient surface, evaluated exactly."""
     (a, b), (c, d) = h_matrix(k)
     exponents = []
@@ -173,11 +82,12 @@ def apply_pibar(k: int, p: TorusPoint) -> tuple[CycloElement, CycloElement, Cycl
     return tuple(sum(terms[n + 1 : n + k], terms[n]) for n in range(0, len(terms), k))
 
 
-def surface_residual(k: int, q) -> CycloElement:
-    """Defining polynomial of the quotient surface at q; zero iff q lies on
-    the surface."""
+def surface_residual(k: int, q):
+    """Defining polynomial of the quotient surface at q = (x, y, z); zero
+    iff q lies on the surface.  The coordinates are not coerced, so any
+    ring that takes integer coefficients can stand in for them."""
     _check_k(k)
-    x, y, z = (CycloElement.of(v) for v in q)
+    x, y, z = q
     if k == 2:
         return x * x + y * y + z * z - x * y * z - 4
     if k == 3:
@@ -196,26 +106,23 @@ def surface_residual(k: int, q) -> CycloElement:
     )
 
 
-_P2 = (
-    TorusPoint.of(1, 1),
-    TorusPoint.of(-1, -1),
-    TorusPoint.of(1, -1),
-    TorusPoint.of(-1, 1),
-)
+# A fixed point is an angle pair (u, v) in [0, 1)^2 standing for the torsion
+# point (e^(2 pi i u), e^(2 pi i v)): 0 is 1, 1/2 is -1, 1/3 is omega.
+Angles = tuple[Fraction, Fraction]
+
+_ZERO, _HALF, _THIRD = Fraction(0), Fraction(1, 2), Fraction(1, 3)
+_P2: tuple[Angles, ...] = ((_ZERO, _ZERO), (_HALF, _HALF), (_ZERO, _HALF), (_HALF, _ZERO))
 
 
-def fixed_point_set(k: int) -> tuple[TorusPoint, ...]:
-    """Points of (C*)^2 with nontrivial isotropy under the order-k action."""
+def fixed_point_set(k: int) -> tuple[Angles, ...]:
+    """Points of (C*)^2 with nontrivial isotropy under the order-k action,
+    as angle pairs."""
     _check_k(k)
     if k in (2, 4):
         return _P2
     if k == 3:
-        return (
-            TorusPoint.of(1, 1),
-            TorusPoint(OMEGA, OMEGA_BAR),
-            TorusPoint(OMEGA_BAR, OMEGA),
-        )
-    return _P2 + (TorusPoint(OMEGA, OMEGA), TorusPoint(OMEGA_BAR, OMEGA_BAR))
+        return ((_ZERO, _ZERO), (_THIRD, 2 * _THIRD), (2 * _THIRD, _THIRD))
+    return _P2 + ((_THIRD, _THIRD), (2 * _THIRD, 2 * _THIRD))
 
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
@@ -251,6 +158,14 @@ def mat_order(m: Mat2, cap: int = 24) -> int | None:
             return j
         power = mat_mul(power, m)
     return None
+
+
+def act_on_angles(m: Mat2, q: Angles) -> Angles:
+    """The monomial map with exponent matrix m on the torsion point with
+    angles q: (u, v) -> m (u, v) mod 1."""
+    (a, b), (c, d) = m
+    u, v = q
+    return ((a * u + b * v) % 1, (c * u + d * v) % 1)
 
 
 @dataclass(frozen=True)
@@ -296,9 +211,9 @@ def _orbit(k: int, p: TorusPoint) -> list[TorusPoint]:
 def run_wallpaper_suite(k: int, samples: int, seed: int) -> WallpaperReport:
     """All exact checks for one k: the action has order k and acts freely on
     generic points, the invariant map really is invariant and lands on the
-    printed surface, the printed fixed points have nontrivial isotropy, the
-    homology matrix has order k, and (spot check) no sample point hits the
-    image of (1,1), the total ramification point."""
+    printed surface, the printed fixed points are exactly the points with
+    nontrivial isotropy, the homology matrix has order k, and (spot check)
+    no sample point hits the image of (1,1), the total ramification point."""
     _check_k(k)
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -322,7 +237,7 @@ def run_wallpaper_suite(k: int, samples: int, seed: int) -> WallpaperReport:
             if apply_pibar(k, q) != image:
                 invariance_failures.append(f"pibar not constant on orbit of {p}")
                 break
-        if not surface_residual(k, image).is_zero():
+        if surface_residual(k, image) != 0:
             surface_failures.append(f"image of {p} off the surface")
         if any(orbit[j] == p for j in range(1, k)):
             free_failures.append(f"nontrivial power fixes sample {p}")
@@ -338,14 +253,26 @@ def run_wallpaper_suite(k: int, samples: int, seed: int) -> WallpaperReport:
         "no sample hits the image of (1,1)",
     )
 
-    fixed_failures = []
-    for q in fixed_point_set(k):
-        orbit = _orbit(k, q)
-        if not any(orbit[j] == q for j in range(1, k)):
-            fixed_failures.append(f"{q} not fixed by any nontrivial power")
-    record("fixed_points_fixed", fixed_failures, f"{len(fixed_point_set(k))} points")
+    # each printed point is fixed by some h^j, 0 < j < k, and h^j fixes
+    # exactly |det(h^j - I)| of them, the size of Fix(sigma^j): so the
+    # printed set is all of the points with nontrivial isotropy
+    printed = set(fixed_point_set(k))
+    isotropic, count_failures = set(), []
+    h = power = h_matrix(k)
+    for j in range(1, k):
+        fixed = {q for q in printed if act_on_angles(power, q) == q}
+        (a, b), (c, d) = power
+        size = abs((a - 1) * (d - 1) - b * c)
+        if len(fixed) != size:
+            count_failures.append(f"{len(fixed)} printed points fixed by sigma^{j}, not {size}")
+        isotropic |= fixed
+        power = mat_mul(power, h)
+    fixed_failures = [
+        f"({u}, {v}) not fixed by any nontrivial power" for u, v in sorted(printed - isotropic)
+    ]
+    record("fixed_points_fixed", fixed_failures + count_failures, f"{len(printed)} points")
 
-    order = mat_order(h_matrix(k))
+    order = mat_order(h)
     checks.append(
         CheckResult(
             "h_matrix_order",

@@ -258,6 +258,131 @@ class TestVerify:
         assert code == EXIT_DOMAIN_ERROR
 
 
+# exact stdout of `verify wallpaper --samples 7 --seed 11`: check names, details
+# and key order are part of the CLI's output contract
+WALLPAPER_GOLDEN = {
+    (2, 'json'): (
+        '{"checks": [{"detail": "sigma^2 = id on 7 samples", '
+        '"name": "sigma_order", "pass": true}, '
+        '{"detail": "7 orbits", '
+        '"name": "pibar_invariance", "pass": true}, '
+        '{"detail": "7 exact residuals = 0", '
+        '"name": "image_on_surface", "pass": true}, '
+        '{"detail": "7 free orbits", '
+        '"name": "generic_points_free", "pass": true}, '
+        '{"detail": "no sample hits the image of (1,1)", '
+        '"name": "total_ramification_spot", "pass": true}, '
+        '{"detail": "4 points", '
+        '"name": "fixed_points_fixed", "pass": true}, '
+        '{"detail": "order 2", '
+        '"name": "h_matrix_order", "pass": true}], '
+        '"k": 2, "pass": true, "samples": 7, "seed": 11}\n'
+    ),
+    (2, 'text'): (
+        'k=2: PASS\n'
+        '  ok  sigma_order: sigma^2 = id on 7 samples\n'
+        '  ok  pibar_invariance: 7 orbits\n'
+        '  ok  image_on_surface: 7 exact residuals = 0\n'
+        '  ok  generic_points_free: 7 free orbits\n'
+        '  ok  total_ramification_spot: no sample hits the image of (1,1)\n'
+        '  ok  fixed_points_fixed: 4 points\n'
+        '  ok  h_matrix_order: order 2\n'
+    ),
+    (3, 'json'): (
+        '{"checks": [{"detail": "sigma^3 = id on 7 samples", '
+        '"name": "sigma_order", "pass": true}, '
+        '{"detail": "7 orbits", '
+        '"name": "pibar_invariance", "pass": true}, '
+        '{"detail": "7 exact residuals = 0", '
+        '"name": "image_on_surface", "pass": true}, '
+        '{"detail": "7 free orbits", '
+        '"name": "generic_points_free", "pass": true}, '
+        '{"detail": "no sample hits the image of (1,1)", '
+        '"name": "total_ramification_spot", "pass": true}, '
+        '{"detail": "3 points", '
+        '"name": "fixed_points_fixed", "pass": true}, '
+        '{"detail": "order 3", '
+        '"name": "h_matrix_order", "pass": true}], '
+        '"k": 3, "pass": true, "samples": 7, "seed": 11}\n'
+    ),
+    (3, 'text'): (
+        'k=3: PASS\n'
+        '  ok  sigma_order: sigma^3 = id on 7 samples\n'
+        '  ok  pibar_invariance: 7 orbits\n'
+        '  ok  image_on_surface: 7 exact residuals = 0\n'
+        '  ok  generic_points_free: 7 free orbits\n'
+        '  ok  total_ramification_spot: no sample hits the image of (1,1)\n'
+        '  ok  fixed_points_fixed: 3 points\n'
+        '  ok  h_matrix_order: order 3\n'
+    ),
+    (4, 'json'): (
+        '{"checks": [{"detail": "sigma^4 = id on 7 samples", '
+        '"name": "sigma_order", "pass": true}, '
+        '{"detail": "7 orbits", '
+        '"name": "pibar_invariance", "pass": true}, '
+        '{"detail": "7 exact residuals = 0", '
+        '"name": "image_on_surface", "pass": true}, '
+        '{"detail": "7 free orbits", '
+        '"name": "generic_points_free", "pass": true}, '
+        '{"detail": "no sample hits the image of (1,1)", '
+        '"name": "total_ramification_spot", "pass": true}, '
+        '{"detail": "4 points", '
+        '"name": "fixed_points_fixed", "pass": true}, '
+        '{"detail": "order 4", '
+        '"name": "h_matrix_order", "pass": true}], '
+        '"k": 4, "pass": true, "samples": 7, "seed": 11}\n'
+    ),
+    (4, 'text'): (
+        'k=4: PASS\n'
+        '  ok  sigma_order: sigma^4 = id on 7 samples\n'
+        '  ok  pibar_invariance: 7 orbits\n'
+        '  ok  image_on_surface: 7 exact residuals = 0\n'
+        '  ok  generic_points_free: 7 free orbits\n'
+        '  ok  total_ramification_spot: no sample hits the image of (1,1)\n'
+        '  ok  fixed_points_fixed: 4 points\n'
+        '  ok  h_matrix_order: order 4\n'
+    ),
+    (6, 'json'): (
+        '{"checks": [{"detail": "sigma^6 = id on 7 samples", '
+        '"name": "sigma_order", "pass": true}, '
+        '{"detail": "7 orbits", '
+        '"name": "pibar_invariance", "pass": true}, '
+        '{"detail": "7 exact residuals = 0", '
+        '"name": "image_on_surface", "pass": true}, '
+        '{"detail": "7 free orbits", '
+        '"name": "generic_points_free", "pass": true}, '
+        '{"detail": "no sample hits the image of (1,1)", '
+        '"name": "total_ramification_spot", "pass": true}, '
+        '{"detail": "6 points", '
+        '"name": "fixed_points_fixed", "pass": true}, '
+        '{"detail": "order 6", '
+        '"name": "h_matrix_order", "pass": true}], '
+        '"k": 6, "pass": true, "samples": 7, "seed": 11}\n'
+    ),
+    (6, 'text'): (
+        'k=6: PASS\n'
+        '  ok  sigma_order: sigma^6 = id on 7 samples\n'
+        '  ok  pibar_invariance: 7 orbits\n'
+        '  ok  image_on_surface: 7 exact residuals = 0\n'
+        '  ok  generic_points_free: 7 free orbits\n'
+        '  ok  total_ramification_spot: no sample hits the image of (1,1)\n'
+        '  ok  fixed_points_fixed: 6 points\n'
+        '  ok  h_matrix_order: order 6\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_wallpaper_golden_output(capsys, k, fmt):
+    code, out, _ = invoke(
+        capsys, "verify", "wallpaper", "--k", str(k), "--samples", "7", "--seed", "11",
+        "--format", fmt,
+    )
+    assert code == EXIT_OK
+    assert out == WALLPAPER_GOLDEN[k, fmt]
+
+
 class TestTriangleRep:
     def test_pass(self, capsys):
         code, data = out_json(capsys, "triangle-rep", "--m", "2,3,7")
@@ -269,6 +394,13 @@ class TestTriangleRep:
         code, data = out_json(capsys, "triangle-rep", "--m", "2,3,1000000000")
         assert code == EXIT_VERIFY_FAILED and data["pass"] is False
         assert data["order_resolutions"][2] < 1e-9
+
+    def test_default_tolerance_follows_the_orders(self, capsys):
+        # 1e-9 cannot separate pi/99058 from pi/99059; the derived default can
+        code, data = out_json(capsys, "triangle-rep", "--m", "2,3,99058")
+        assert code == EXIT_OK and data["pass"] is True
+        code, _ = out_json(capsys, "triangle-rep", "--m", "2,3,99058", "--tol", "1e-9")
+        assert code == EXIT_VERIFY_FAILED
 
     def test_large_order_certified_at_finer_tolerance(self, capsys):
         code, data = out_json(capsys, "triangle-rep", "--m", "2,3,100000", "--tol", "1e-11")

@@ -198,11 +198,24 @@ class TestTriangleRepresentation:
 
     def test_orders_beyond_resolution_not_certified(self):
         for m in (39633, 10**5, 10**9):
-            checks = check_triangle_rep(triangle_representation(2, 3, m))
+            checks = check_triangle_rep(triangle_representation(2, 3, m, tolerance=1e-9))
             assert not checks.passed, m
             assert checks.order_resolutions[2] < 1e-9
         # a finer tolerance resolves m = 10^5 again
         assert check_triangle_rep(triangle_representation(2, 3, 10**5, tolerance=1e-11)).passed
+
+    def test_default_tolerance_from_the_orders(self):
+        # min(1e-9, pi/(4m(m+1))): half the resolution, so it never hides an order
+        assert triangle_representation(2, 3, 7).tolerance == 1e-9
+        for m in (39633, 99058):
+            rep = triangle_representation(2, 3, m)
+            assert rep.tolerance == math.pi / (4 * m * (m + 1)) < 1e-9
+            checks = check_triangle_rep(rep)
+            assert checks.passed, (m, checks)
+            assert rep.tolerance < checks.order_resolutions[2] == 2 * rep.tolerance
+        # beyond about 2e5 float rounding exceeds the derived tolerance
+        for m in (3 * 10**5, 10**9):
+            assert not check_triangle_rep(triangle_representation(2, 3, m)).passed, m
 
     def test_wrong_order_label_rejected(self):
         rep = triangle_representation(2, 3, 7)

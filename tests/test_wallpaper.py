@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from orbicurve import (
     BadK,
-    CycloElement,
     TorusPoint,
     apply_pibar,
     apply_sigma,
@@ -14,12 +13,11 @@ from orbicurve import (
     h_matrix,
     run_wallpaper_suite,
     surface_residual,
+    wallpaper,
 )
 from orbicurve.wallpaper import (
     MAT_IDENTITY,
-    OMEGA,
-    OMEGA_BAR,
-    ONE,
+    act_on_angles,
     mat_mul,
     mat_order,
     sample_points,
@@ -28,54 +26,16 @@ from orbicurve.wallpaper import (
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
 )
-cyclos = st.builds(CycloElement, rationals, rationals)
+nonzero_rationals = rationals.filter(lambda x: x != 0)
+HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
 
 
-class TestCycloArithmetic:
-    def test_omega_is_primitive_cube_root(self):
-        assert OMEGA**3 == ONE
-        assert OMEGA**2 == -ONE - OMEGA
-        assert OMEGA != ONE
-
-    def test_conjugate_is_square(self):
-        assert OMEGA_BAR == OMEGA**2
-        assert OMEGA * OMEGA_BAR == ONE
-
-    @given(cyclos, cyclos, cyclos)
-    def test_ring_axioms(self, a, b, c):
-        assert (a + b) * c == a * c + b * c
-        assert a * (b * c) == (a * b) * c
-        assert a + b == b + a
-        assert a * b == b * a
-
-    @given(cyclos)
-    def test_field_inverse(self, a):
-        if a.is_zero():
-            with pytest.raises(ZeroDivisionError):
-                a.inverse()
-        else:
-            assert a * a.inverse() == ONE
-
-    @given(cyclos, cyclos)
-    def test_norm_is_multiplicative(self, a, b):
-        assert (a * b).norm() == a.norm() * b.norm()
-
-    @given(cyclos)
-    def test_conjugation_is_ring_automorphism(self, a):
-        assert a.conjugate().conjugate() == a
-        assert (a * a).conjugate() == a.conjugate() * a.conjugate()
-
-    @given(cyclos, cyclos)
-    def test_division_inverts_multiplication(self, a, b):
-        if not b.is_zero():
-            assert (a / b) * b == a
-
-    @given(cyclos)
-    def test_integer_power_laws(self, a):
-        assert a**0 == ONE
-        assert a**3 == a * a * a
-        if not a.is_zero():
-            assert a**-2 == (a * a).inverse()
+def nontrivial_powers(k):
+    """h^1, ..., h^(k-1)."""
+    out = [h_matrix(k)]
+    while len(out) < k - 1:
+        out.append(mat_mul(out[-1], h_matrix(k)))
+    return out
 
 
 class TestSigma:
@@ -93,8 +53,22 @@ class TestSigma:
         assert q == p
 
     def test_k3_fixed_point_with_omega(self):
-        p = TorusPoint(OMEGA, OMEGA**2)
-        assert apply_sigma(3, p) == p
+        # (omega, omega^2) -> (1/omega^2, omega/omega^2) = (omega, omega^2)
+        q = (THIRD, 2 * THIRD)
+        assert act_on_angles(h_matrix(3), q) == q
+        # (omega, omega) -> (omega^2, 1)
+        assert act_on_angles(h_matrix(3), (THIRD, THIRD)) == (2 * THIRD, 0)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_angle_action_matches_sigma_on_signs(self, k):
+        # +-1 are rational points too: there the two actions must agree
+        def point(u, v):
+            return TorusPoint.of((-1) ** int(2 * u), (-1) ** int(2 * v))
+
+        for u in (0, HALF):
+            for v in (0, HALF):
+                image = act_on_angles(h_matrix(k), (u, v))
+                assert apply_sigma(k, point(u, v)) == point(*image), (u, v)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
     def test_order_k_on_rational_points(self, k):
@@ -112,41 +86,38 @@ class TestSigma:
 class TestPibarAndSurface:
     def test_k2_printed_values(self):
         x, y, z = apply_pibar(2, TorusPoint.of(2, 3))
-        assert (x, y, z) == (
-            CycloElement.of(Fraction(5, 2)),
-            CycloElement.of(Fraction(10, 3)),
-            CycloElement.of(Fraction(37, 6)),
-        )
-        assert surface_residual(2, (x, y, z)).is_zero()
+        assert (x, y, z) == (Fraction(5, 2), Fraction(10, 3), Fraction(37, 6))
+        assert surface_residual(2, (x, y, z)) == 0
 
     def test_k2_at_unit(self):
-        assert apply_pibar(2, TorusPoint.of(1, 1)) == (
-            CycloElement.of(2), CycloElement.of(2), CycloElement.of(2)
-        )
+        assert apply_pibar(2, TorusPoint.of(1, 1)) == (2, 2, 2)
 
     def test_k4_at_unit(self):
-        assert apply_pibar(4, TorusPoint.of(1, 1)) == (
-            CycloElement.of(4), CycloElement.of(4), CycloElement.of(4)
-        )
+        assert apply_pibar(4, TorusPoint.of(1, 1)) == (4, 4, 4)
 
     def test_k6_transcription_anchor(self):
         image = apply_pibar(6, TorusPoint.of(1, 1))
-        assert image == (CycloElement.of(6), CycloElement.of(6), CycloElement.of(6))
-        assert surface_residual(6, image).is_zero()
+        assert image == (6, 6, 6)
+        assert surface_residual(6, image) == 0
 
     def test_constant_term(self):
-        assert surface_residual(2, (0, 0, 0)) == CycloElement.of(-4)
+        assert surface_residual(2, (0, 0, 0)) == -4
 
     def test_k3_image_on_surface(self):
         image = apply_pibar(3, TorusPoint.of(2, 3))
-        assert surface_residual(3, image).is_zero()
+        assert surface_residual(3, image) == 0
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
     def test_invariance_and_surface_on_samples(self, k):
         for p in sample_points(10, seed=5):
             image = apply_pibar(k, p)
             assert apply_pibar(k, apply_sigma(k, p)) == image
-            assert surface_residual(k, image).is_zero()
+            assert surface_residual(k, image) == 0
+
+
+def fixed_points_check(k):
+    report = run_wallpaper_suite(k, samples=1, seed=1)
+    return next(c for c in report.checks if c.name == "fixed_points_fixed")
 
 
 class TestFixedPoints:
@@ -154,19 +125,48 @@ class TestFixedPoints:
         assert len(fixed_point_set(2)) == 4
         assert fixed_point_set(4) == fixed_point_set(2)
         assert len(fixed_point_set(3)) == 3
+        assert (THIRD, 2 * THIRD) in fixed_point_set(3)  # (omega, omega^2)
         p6 = fixed_point_set(6)
         assert len(p6) == 6
         assert set(fixed_point_set(2)) < set(p6)
-        assert TorusPoint(OMEGA, OMEGA) in p6
-        assert TorusPoint(OMEGA_BAR, OMEGA_BAR) in p6
+        assert (THIRD, THIRD) in p6  # (omega, omega)
+        assert (2 * THIRD, 2 * THIRD) in p6  # (omega^2, omega^2)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
     def test_each_has_nontrivial_isotropy(self, k):
         for q in fixed_point_set(k):
-            orbit = [q]
-            for _ in range(k - 1):
-                orbit.append(apply_sigma(k, orbit[-1]))
-            assert any(orbit[j] == q for j in range(1, k))
+            assert any(act_on_angles(m, q) == q for m in nontrivial_powers(k)), q
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_printed_set_is_every_isotropic_point(self, k):
+        # every |det(h^j - I)| divides 12, so each point with nontrivial
+        # isotropy has angles in (1/12)Z: search that grid directly
+        grid = [(Fraction(a, 12), Fraction(b, 12)) for a in range(12) for b in range(12)]
+        isotropic = {q for q in grid if any(act_on_angles(m, q) == q for m in nontrivial_powers(k))}
+        assert isotropic == set(fixed_point_set(k))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_suite_check_passes(self, k):
+        check = fixed_points_check(k)
+        assert check.passed and check.detail == f"{len(fixed_point_set(k))} points"
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    @pytest.mark.parametrize("dropped", [0, -1])
+    def test_dropped_point_fails(self, k, dropped, monkeypatch):
+        printed = list(fixed_point_set(k))
+        del printed[dropped]
+        monkeypatch.setattr(wallpaper, "fixed_point_set", lambda k: tuple(printed))
+        check = fixed_points_check(k)
+        assert not check.passed
+        assert "printed points fixed by sigma^" in check.detail
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_added_non_fixed_point_fails(self, k, monkeypatch):
+        printed = fixed_point_set(k) + ((Fraction(1, 5), Fraction(0)),)
+        monkeypatch.setattr(wallpaper, "fixed_point_set", lambda k: printed)
+        check = fixed_points_check(k)
+        assert not check.passed
+        assert check.detail == "(1/5, 0) not fixed by any nontrivial power"
 
 
 class TestHMatrix:
@@ -215,7 +215,7 @@ class TestSuite:
 
     def test_samples_avoid_fixed_point_coordinates(self):
         for p in sample_points(200, seed=0):
-            assert p.s != ONE and p.t != ONE
+            assert p.s != 1 and p.t != 1
 
     def test_single_sample_at_specific_point(self):
         report = run_wallpaper_suite(3, samples=1, seed=2)
@@ -245,12 +245,12 @@ def test_mat_identity_order():
 def reference_sigma(k, p):
     s, t = p.s, p.t
     if k == 2:
-        return TorusPoint(ONE / s, ONE / t)
+        return TorusPoint(1 / s, 1 / t)
     if k == 3:
-        return TorusPoint(ONE / t, s / t)
+        return TorusPoint(1 / t, s / t)
     if k == 4:
-        return TorusPoint(ONE / t, s)
-    return TorusPoint(s * t, ONE / s)
+        return TorusPoint(1 / t, s)
+    return TorusPoint(s * t, 1 / s)
 
 
 def reference_pibar(k, p):
@@ -280,17 +280,107 @@ def reference_pibar(k, p):
     )
 
 
+SIGN_POINTS = [TorusPoint.of(a, b) for a in (1, -1) for b in (1, -1)]
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 6])
 def test_closed_forms_match_transcription(k):
-    points = sample_points(50, seed=k) + list(fixed_point_set(k))
-    for p in points:
+    for p in sample_points(50, seed=k) + SIGN_POINTS:
         assert apply_sigma(k, p) == reference_sigma(k, p), p
         assert apply_pibar(k, p) == reference_pibar(k, p), p
 
 
-@given(cyclos.filter(lambda c: not c.is_zero()), cyclos.filter(lambda c: not c.is_zero()))
-def test_closed_forms_match_transcription_in_q_omega(s, t):
+@given(nonzero_rationals, nonzero_rationals)
+def test_closed_forms_match_transcription_on_rationals(s, t):
     p = TorusPoint(s, t)
     for k in (2, 3, 4, 6):
         assert apply_sigma(k, p) == reference_sigma(k, p)
         assert apply_pibar(k, p) == reference_pibar(k, p)
+
+
+class Laurent:
+    """A Laurent polynomial in s, t over Q, as {(i, j): coefficient} with no
+    zero coefficients.  Division is by monomials only."""
+
+    def __init__(self, terms):
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    @staticmethod
+    def of(x):
+        return x if isinstance(x, Laurent) else Laurent({(0, 0): x})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in Laurent.of(other).terms.items():
+            out[e] = out.get(e, 0) + c
+        return Laurent(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Laurent({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -Laurent.of(other)
+
+    def __rsub__(self, other):
+        return Laurent.of(other) - self
+
+    def __mul__(self, other):
+        out = {}
+        for (i, j), c in self.terms.items():
+            for (a, b), d in Laurent.of(other).terms.items():
+                out[i + a, j + b] = out.get((i + a, j + b), 0) + c * d
+        return Laurent(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        ((i, j), c), = Laurent.of(other).terms.items()
+        return self * Laurent({(-i, -j): 1 / Fraction(c)})
+
+    def __rtruediv__(self, other):
+        return Laurent.of(other) / self
+
+    def __pow__(self, n):
+        base = self if n >= 0 else 1 / self
+        out = Laurent.of(1)
+        for _ in range(abs(n)):
+            out = out * base
+        return out
+
+    def __eq__(self, other):
+        return self.terms == Laurent.of(other).terms
+
+    def __repr__(self):
+        return f"Laurent({self.terms})"
+
+
+S, T = Laurent({(1, 0): 1}), Laurent({(0, 1): 1})
+
+
+def test_laurent_arithmetic():
+    assert (S + 1) * (S - 1) == S**2 - 1
+    assert (S * T + 1) / (S * T) == 1 + T**-1 / S
+    assert 2 - S != S - 2
+    assert S**-2 * S**2 == 1
+    with pytest.raises(ValueError):
+        (S + T) ** -1
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_symbolic_proof(k):
+    # identities of Laurent polynomials, so they hold at every point of
+    # (C*)^2, not only at samples: sigma and the orbit sums are the
+    # transcribed formulas, each coordinate of pibar is sigma-invariant, and
+    # the printed surface vanishes on pibar
+    p = TorusPoint(S, T)
+    image = reference_pibar(k, p)
+    assert apply_sigma(k, p) == reference_sigma(k, p)
+    assert apply_pibar(k, p) == image
+    moved = reference_pibar(k, reference_sigma(k, p))
+    for coordinate, after in zip(image, moved):
+        assert after == coordinate
+    assert surface_residual(k, image) == 0
+    # a residual that is not identically zero reads as nonzero
+    assert surface_residual(k, (S, T, S + T)) != 0
