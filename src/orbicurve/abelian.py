@@ -2,7 +2,10 @@
 
 All arithmetic is over Python ints, so intermediate entries may grow without
 overflow.  The pivot rule (smallest nonzero absolute value, first position
-on ties) makes the transform matrices reproducible.
+on ties) makes the transform matrices reproducible.  Presentations are
+abelianized through the Smith normal form of their relator matrix;
+signatures are abelianized in closed form from the divisor chain of their
+cone orders, which makes the two routes independent.
 """
 
 from __future__ import annotations
@@ -38,10 +41,6 @@ class IntMatrix:
         return cls(len(rows), ncols, tuple(e for r in rows for e in r))
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, (0,) * (rows * cols))
 
@@ -57,14 +56,12 @@ class IntMatrix:
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        a, b = self.to_rows(), other.to_rows()
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                row.append(sum(a[i][k] * b[k][j] for k in range(self.cols)))
-            out.append(row)
-        return IntMatrix.from_rows(out) if out else IntMatrix.zero(0, other.cols)
+        b = other.to_rows()
+        return IntMatrix(self.rows, other.cols, tuple(
+            sum(x * b[k][j] for k, x in enumerate(row))
+            for row in self.to_rows()
+            for j in range(other.cols)
+        ))
 
     def diagonal(self) -> list[int]:
         return [self.at(i, i) for i in range(min(self.rows, self.cols))]
@@ -73,8 +70,7 @@ class IntMatrix:
 def _pivot(rows, start, nrows, ncols):
     """Position of the smallest nonzero |entry| in the trailing block,
     scanning row-major so ties break left-to-right."""
-    best = None
-    best_val = None
+    best = best_val = None
     for i in range(start, nrows):
         for j in range(start, ncols):
             v = abs(rows[i][j])
@@ -87,93 +83,70 @@ def _pivot(rows, start, nrows, ncols):
 
 def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (D, U, V) with U*M*V = D, U and V unimodular, D diagonal with
-    non-negative entries forming a divisor chain d1 | d2 | ..."""
-    nrows, ncols = M.rows, M.cols
-    a = M.to_rows()
-    u = IntMatrix.identity(nrows).to_rows()
-    v = IntMatrix.identity(ncols).to_rows()
+    non-negative entries forming a divisor chain d1 | d2 | ...
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+    Elimination runs on the one work matrix [[M, I], [I, 0]]: row operations
+    on its top rows carry U in the top-right block, and column operations on
+    its left columns carry V in the bottom-left block.
+    """
+    nrows, ncols = M.rows, M.cols
+    w = [row + [int(i == j) for j in range(nrows)] for i, row in enumerate(M.to_rows())]
+    w += [[int(i == j) for j in range(ncols)] + [0] * nrows for i in range(ncols)]
 
     def swap_cols(i, j):
-        for row in a:
+        for row in w:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        # row dst += c * row src
-        for j in range(ncols):
-            a[dst][j] += c * a[src][j]
-        for j in range(nrows):
-            u[dst][j] += c * u[src][j]
-
-    def add_col(src, dst, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
-    while True:
-        pos = _pivot(a, t, nrows, ncols)
+    while t < min(nrows, ncols):
+        pos = _pivot(w, t, nrows, ncols)
         if pos is None:
             break
         pi, pj = pos
-        if pi != t:
-            swap_rows(pi, t)
+        w[pi], w[t] = w[t], w[pi]
         if pj != t:
             swap_cols(pj, t)
         while True:
             # clear column t by the pivot, re-pivoting while remainders appear
             moved = False
             for i in range(t + 1, nrows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t]:
-                        swap_rows(i, t)
+                if w[i][t]:
+                    q = w[i][t] // w[t][t]
+                    w[i] = [x - q * y for x, y in zip(w[i], w[t])]
+                    if w[i][t]:
+                        w[i], w[t] = w[t], w[i]
                         moved = True
             if moved:
                 continue
             for j in range(t + 1, ncols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j]:
+                if w[t][j]:
+                    q = w[t][j] // w[t][t]
+                    for row in w:
+                        row[j] -= q * row[t]
+                    if w[t][j]:
                         swap_cols(j, t)
                         moved = True
             if not moved:
                 break
         # pivot must divide every later entry; fold an offending row in
-        d = a[t][t]
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % d:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        d = w[t][t]
+        offender = next(
+            (i for i in range(t + 1, nrows) if any(w[i][j] % d for j in range(t + 1, ncols))),
+            None,
+        )
         if offender is not None:
-            add_row(offender, t, 1)
+            w[t] = [x + y for x, y in zip(w[t], w[offender])]
             continue
         if d < 0:
-            negate_row(t)
+            w[t] = [-x for x in w[t]]
         t += 1
-        if t >= min(nrows, ncols):
-            break
 
-    D = IntMatrix.from_rows(a) if a else IntMatrix.zero(0, ncols)
-    U = IntMatrix.from_rows(u) if u else IntMatrix.zero(0, 0)
-    V = IntMatrix.from_rows(v) if v else IntMatrix.zero(0, 0)
-    return D, U, V
+    top, bottom = w[:nrows], w[nrows:]
+    return (
+        IntMatrix(nrows, ncols, tuple(x for row in top for x in row[:ncols])),
+        IntMatrix(nrows, nrows, tuple(x for row in top for x in row[ncols:])),
+        IntMatrix(ncols, ncols, tuple(x for row in bottom for x in row[:ncols])),
+    )
 
 
 @dataclass(frozen=True)
@@ -220,43 +193,25 @@ def divisor_chain(values) -> tuple[int, ...]:
     return tuple(d for d in chain if d >= 2)
 
 
-def cokernel(M: IntMatrix) -> AbelianGroup:
-    """Z^cols modulo the row lattice of M, in normal form."""
-    D, _, _ = smith_normal_form(M)
-    diag = D.diagonal()
-    nonzero = [d for d in diag if d != 0]
-    return AbelianGroup(
-        rank=M.cols - len(nonzero),
-        torsion=tuple(d for d in nonzero if d >= 2),
-    )
-
-
 def abelianization(sig: OrbSignature) -> AbelianGroup:
-    """Abelianization straight from the signature.
+    """Abelianization straight from the signature, in closed form.
 
     Open case: free of rank 2g + r - 1 times the product of the cyclic
-    factors.  Compact case: Z^{2g} plus the cokernel of the lattice spanned
-    by {m_i e_i} and e_1 + ... + e_n.
+    factors.  Compact case: Z^{2g} times the product of the cyclic factors
+    modulo their diagonal element (1, ..., 1).  That element has order
+    lcm(m) and generates a cyclic direct summand, so the quotient drops the
+    last entry of the divisor chain.
     """
     _require_canonical(sig)
     if sig.r >= 1:
         return AbelianGroup(2 * sig.g + sig.r - 1, divisor_chain(sig.m))
-    n = sig.n
-    if n == 0:
-        return AbelianGroup(2 * sig.g)
-    rows = []
-    for i, mi in enumerate(sig.m):
-        rows.append([mi if j == i else 0 for j in range(n)])
-    rows.append([1] * n)
-    marked = cokernel(IntMatrix.from_rows(rows))
-    return AbelianGroup(2 * sig.g + marked.rank, marked.torsion)
+    return AbelianGroup(2 * sig.g, divisor_chain(sig.m)[:-1])
 
 
 def abelianization_of_presentation(p: FinitePresentation) -> AbelianGroup:
-    """Cokernel of the relator exponent-sum matrix."""
-    if p.ngens == 0:
-        return AbelianGroup(0)
-    if not p.relators:
-        return AbelianGroup(p.ngens)
+    """Z^ngens modulo the row lattice of the relator exponent-sum matrix,
+    read off its Smith normal form."""
     rows = [word_exponent_sums(w, p.ngens) for w in p.relators]
-    return cokernel(IntMatrix.from_rows(rows))
+    M = IntMatrix(len(rows), p.ngens, tuple(e for row in rows for e in row))
+    nonzero = [d for d in smith_normal_form(M)[0].diagonal() if d]
+    return AbelianGroup(p.ngens - len(nonzero), tuple(d for d in nonzero if d >= 2))

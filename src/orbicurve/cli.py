@@ -72,9 +72,10 @@ def parse_signature(text: str) -> OrbSignature:
     if not isinstance(data, dict) or not {"g", "r", "m"} <= set(data):
         raise MalformedSignature('signature JSON needs keys "g", "r", "m"')
     g, r, m = data["g"], data["r"], data["m"]
-    if not isinstance(g, int) or not isinstance(r, int) or not isinstance(m, list):
+    # JSON true/false load as bools, which are ints to isinstance
+    if type(g) is not int or type(r) is not int or not isinstance(m, list):
         raise MalformedSignature("g and r must be ints, m a list of ints")
-    if not all(isinstance(e, int) for e in m):
+    if not all(type(e) is int for e in m):
         raise MalformedSignature("entries of m must be ints")
     return canonicalize(OrbSignature(g, r, tuple(m)))
 
@@ -222,7 +223,8 @@ def _load_permutations(path: str, sig: OrbSignature) -> PermutationImages:
 def cmd_cover_verify(args) -> int:
     sig = parse_signature(args.sig)
     images = _load_permutations(args.perms, sig)
-    result = verify_torsion_free_kernel(sig, images, cap=args.cap or _default_bound())
+    cap = _default_bound() if args.cap is None else args.cap
+    result = verify_torsion_free_kernel(sig, images, cap=cap)
     if isinstance(result, Exceeded):
         print(f"group order exceeded cap {result.bound}", file=sys.stderr)
         _emit(args, {"exceeded": True, "bound": result.bound})
@@ -240,7 +242,7 @@ def cmd_cover_verify(args) -> int:
 def cmd_todd_coxeter(args) -> int:
     with open(args.presentation, encoding="utf-8") as fh:
         pf = parse_presentation(fh.read())
-    bound = args.max_cosets or _default_bound()
+    bound = _default_bound() if args.max_cosets is None else args.max_cosets
     result = coset_enumeration(pf.presentation, pf.subgroup_generators, bound)
     if isinstance(result, Exceeded):
         print(f"enumeration exceeded {result.bound} cosets", file=sys.stderr)

@@ -27,17 +27,11 @@ DEFAULT_COMPARE_BOUND = 3_000
 
 @dataclass(frozen=True)
 class OrderFact:
-    """The group has exactly this order (certified by enumeration)."""
+    """Adding the extra relators (none by default) yields a group of exactly
+    this order (certified by enumeration)."""
 
     order: int
-
-
-@dataclass(frozen=True)
-class QuotientOrderFact:
-    """Adding the extra relators yields a group of exactly this order."""
-
-    extra: tuple[Word, ...]
-    order: int
+    extra: tuple[Word, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -58,7 +52,7 @@ class QuotientPresentationFact:
     signature: OrbSignature
 
 
-Fact = OrderFact | QuotientOrderFact | AbelianizationFact | QuotientPresentationFact
+Fact = OrderFact | AbelianizationFact | QuotientPresentationFact
 
 
 @dataclass(frozen=True)
@@ -94,7 +88,7 @@ def _quartic() -> NamedExample:
         presentation=p,
         facts=(
             OrderFact(12),
-            QuotientOrderFact((central_square,), 6),
+            OrderFact(6, (central_square,)),
             QuotientPresentationFact((central_square,), sig223),
         ),
     )
@@ -227,16 +221,9 @@ class ExampleReport:
 
 def _check_fact(p: FinitePresentation, fact: Fact) -> FactResult:
     if isinstance(fact, OrderFact):
-        got = group_order(p, DEFAULT_ORDER_BOUND)
-        return FactResult(
-            f"order == {fact.order}",
-            got == fact.order,
-            f"enumerated {got}" if not isinstance(got, Exceeded) else "exceeded bound",
-        )
-    if isinstance(fact, QuotientOrderFact):
         got = group_order(quotient_by_relators(p, fact.extra), DEFAULT_ORDER_BOUND)
         return FactResult(
-            f"quotient order == {fact.order}",
+            f"{'quotient order' if fact.extra else 'order'} == {fact.order}",
             got == fact.order,
             f"enumerated {got}" if not isinstance(got, Exceeded) else "exceeded bound",
         )

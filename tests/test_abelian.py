@@ -208,9 +208,9 @@ def grid_signatures():
 
 
 def test_presentation_route_agrees_on_grid():
-    # both computations reduce a relation matrix, but different matrices:
-    # the signature route uses the marked-point lattice, the presentation
-    # route the full relator exponent matrix
+    # independent routes: the signature route is the closed form from the
+    # divisor chain of m, the presentation route the Smith normal form of
+    # the relator exponent matrix
     count = 0
     for sig in grid_signatures():
         assert abelianization(sig) == abelianization_of_presentation(
@@ -218,6 +218,21 @@ def test_presentation_route_agrees_on_grid():
         ), sig
         count += 1
     assert count > 3000
+
+
+# orders sharing prime powers, so that chains with repeated primes occur;
+# drawing from a small pool of them first makes repeated entries common
+SHARED_PRIME_POWER_ORDERS = (2, 3, 4, 6, 8, 9, 12, 16, 27, 30, 36, 60)
+shared_prime_power_orders = st.lists(
+    st.sampled_from(SHARED_PRIME_POWER_ORDERS), min_size=1, max_size=4
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=8))
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2), st.integers(0, 2), shared_prime_power_orders)
+def test_presentation_route_agrees_on_shared_prime_powers(g, r, m):
+    sig = OrbSignature(g, r, tuple(sorted(m)))
+    assert abelianization(sig) == abelianization_of_presentation(presentation_of(sig))
 
 
 def test_single_torsion_generator_presentation():

@@ -74,6 +74,17 @@ class TestChi:
         assert out == ""
         assert "error" in err
 
+    @pytest.mark.parametrize("sig", [
+        '{"g": true, "r": false, "m": [2, 3, 7]}',
+        '{"g": 0, "r": true, "m": [2, 3, 7]}',
+        '{"g": 0, "r": 0, "m": [2, true, 7]}',
+    ])
+    def test_json_booleans_are_not_ints(self, capsys, sig):
+        code, out, err = invoke(capsys, "chi", "--sig", sig)
+        assert code == EXIT_DOMAIN_ERROR
+        assert out == ""
+        assert "must be ints" in err
+
 
 class TestOrder:
     def test_infinite(self, capsys):
@@ -159,7 +170,8 @@ class TestCover:
         )
         assert code == EXIT_DOMAIN_ERROR
 
-    def test_verify_fixture(self, capsys, tmp_path):
+    @staticmethod
+    def fixture_file(tmp_path):
         from orbicurve import projective_triangle_fixture
         from orbicurve.cosets import format_cycles
 
@@ -169,9 +181,12 @@ class TestCover:
             lines.append(f"{name} = {format_cycles(image)}")
         path = tmp_path / "perms.txt"
         path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def test_verify_fixture(self, capsys, tmp_path):
         code, data = out_json(
             capsys, "cover", "verify",
-            "--sig", '{"g":0,"r":0,"m":[2,3,7]}', "--perms", str(path)
+            "--sig", '{"g":0,"r":0,"m":[2,3,7]}', "--perms", self.fixture_file(tmp_path)
         )
         assert code == EXIT_OK
         assert data == {"index": 168, "verdict": "torsion_free_kernel"}
@@ -204,6 +219,16 @@ class TestCover:
         assert code == EXIT_VERIFY_FAILED
         assert data["verdict"] == "torsion_in_kernel" and data["generator"] == 1
 
+    def test_verify_zero_cap_exits_1(self, capsys, tmp_path):
+        # a zero cap is refused, not replaced by the default
+        code, out, err = invoke(
+            capsys, "cover", "verify", "--sig", '{"g":0,"r":0,"m":[2,3,7]}',
+            "--perms", self.fixture_file(tmp_path), "--cap", "0"
+        )
+        assert code == EXIT_DOMAIN_ERROR
+        assert out == ""
+        assert "cap must be >= 1" in err
+
 
 class TestToddCoxeter:
     def test_completes(self, capsys, tmp_path):
@@ -221,6 +246,18 @@ class TestToddCoxeter:
         )
         assert code == EXIT_EXCEEDED
         assert data == {"bound": 10, "exceeded": True}
+
+    @pytest.mark.parametrize("bound", ["0", "-5"])
+    def test_nonpositive_bound_exits_1(self, capsys, tmp_path, bound):
+        # 0 is refused like any bound below 1, not replaced by the default
+        path = tmp_path / "a4.txt"
+        path.write_text(A4_PRESENTATION)
+        code, out, err = invoke(
+            capsys, "todd-coxeter", "--presentation", str(path), "--max-cosets", bound
+        )
+        assert code == EXIT_DOMAIN_ERROR
+        assert out == ""
+        assert "max_cosets must be >= 1" in err
 
     def test_env_bound_override(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("ORBICURVE_MAX_COSETS", "10")

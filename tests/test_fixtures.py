@@ -7,6 +7,7 @@ from orbicurve import (
     AbelianGroup,
     BadParameters,
     NotHyperbolic,
+    OrbSignature,
     UnknownExample,
     UnknownGenerator,
     abelianization_of_presentation,
@@ -17,7 +18,13 @@ from orbicurve import (
     triangle_representation,
     verify_example,
 )
-from orbicurve.fixtures import AbelianizationFact, TriangleRep, projective_distance
+from orbicurve.fixtures import (
+    AbelianizationFact,
+    QuotientPresentationFact,
+    TriangleRep,
+    _check_fact,
+    projective_distance,
+)
 from orbicurve.wallpaper import mat_mul
 
 
@@ -61,6 +68,7 @@ class TestQuarticExample:
     def test_report_all_pass(self):
         report = verify_example("quartic-b3p1")
         assert report.passed
+        assert [f.fact for f in report.facts[:2]] == ["order == 12", "quotient order == 6"]
         assert len(report.facts) == 3
 
 
@@ -85,6 +93,17 @@ class TestQuinticExample:
         assert report.passed
         fact = [f for f in report.facts if "matches presentation" in f.fact][0]
         assert "both exceed" in fact.detail
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known false pass, ROADMAP item 2: the quotient fact only compares "
+        "abelianizations and bounded enumeration, so any perfect infinite "
+        "target passes; a checked isomorphism certificate would reject it"
+    ))
+    def test_quotient_fact_rejects_wrong_triangle_group(self):
+        ex = example_presentation("quintic-237")
+        fact = next(f for f in ex.facts if isinstance(f, QuotientPresentationFact))
+        wrong = QuotientPresentationFact(fact.extra, OrbSignature(0, 0, (2, 3, 11)))
+        assert not _check_fact(ex.presentation, wrong).passed
 
 
 class TestArtalFamily:
