@@ -143,6 +143,8 @@ def cmd_order(args) -> int:
 
 
 def cmd_abelianize(args) -> int:
+    if args.sig and args.presentation:
+        raise OrbicurveError("abelianize takes --sig or --presentation, not both")
     if args.sig:
         ab = abelianization(parse_signature(args.sig))
     elif args.presentation:
@@ -181,6 +183,8 @@ def cmd_cover(args) -> int:
     if args.mode == "verify":
         return cmd_cover_verify(args)
     sig = parse_signature(args.sig)
+    if args.lcm and args.index is not None:
+        raise OrbicurveError("cover takes --index <d> or --lcm, not both")
     if args.lcm:
         report = lcm_cover_for_free_product(sig)
     elif args.index is not None:
@@ -202,10 +206,15 @@ def _load_permutations(path: str, sig: OrbSignature) -> PermutationImages:
     assignments: dict[str, str] = {}
     for line in lines:
         if line.startswith("degree "):
+            if degree is not None:
+                raise OrbicurveError("permutation file has more than one degree line")
             degree = int(line.split()[1])
             continue
         name, _, cycles = line.partition("=")
-        assignments[name.strip()] = cycles.strip()
+        name = name.strip()
+        if name in assignments:
+            raise OrbicurveError(f"permutation file assigns generator {name!r} twice")
+        assignments[name] = cycles.strip()
     if degree is None:
         # infer from the largest point mentioned
         degree = 1

@@ -6,10 +6,20 @@ order, scan-and-fill every relator, then define any still-missing neighbor.
 Coincidences go through a union-find with queued edge transfer; the table
 is compacted whenever dead rows outnumber live ones, so memory stays linear
 in the live-coset count.  Everything is deterministic.
+
+The table is one flat list.  Coset c is stored as its row offset c * width
+(width = 2 * number of generators): `table[c * width + letter]` is the
+offset of its neighbor, or -1 for a hole, so one scan step is
+`f = table[f + letter]`.  The union-find `parent` is indexed by the same
+offsets and holds -1 off the row starts.  Every edge is stored together
+with its back edge, and processing a dead coset deletes every back edge
+into it, so outside `coincidence` every entry of a live row is a hole or a
+live coset: scans and compaction read the table without find().
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,17 +37,12 @@ class Exceeded:
     bound: int
 
 
-def _letters(word: Word) -> tuple[int, ...]:
-    """Flatten to letters: generator g is 2g, its inverse 2g+1."""
-    out = []
-    for g, e in word:
-        letter = 2 * g if e > 0 else 2 * g + 1
-        out.extend([letter] * abs(e))
-    return tuple(out)
-
-
-def _inv(letter: int) -> int:
-    return letter ^ 1
+def _scan_word(word: Word) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """A word ready to scan: its letters (generator g is 2g, its inverse
+    2g+1), the inverse of each letter, and its last index."""
+    letters = tuple(itertools.chain.from_iterable(
+        itertools.repeat(2 * g if e > 0 else 2 * g + 1, abs(e)) for g, e in word))
+    return letters, tuple(x ^ 1 for x in letters), len(letters) - 1
 
 
 @dataclass(frozen=True)
@@ -59,147 +64,180 @@ class _Enumerator:
             raise ValueError("max_cosets must be >= 1")
         self.presentation = presentation
         self.width = 2 * presentation.ngens
-        self.relators = [_letters(w) for w in presentation.relators]
-        self.subgens = [_letters(w) for w in subgroup_generators]
+        self.relators = [_scan_word(w) for w in presentation.relators]
+        self.subgens = [_scan_word(w) for w in subgroup_generators]
         self.max_cosets = max_cosets
-        self.table: list[list[int | None]] = []
-        self.parent: list[int] = []
-        self.live = 0
-        self.exceeded = False
+        self.holes = [-1] * self.width
+        self.table = list(self.holes)  # coset 0, the subgroup's
+        self.parent = [0] + self.holes[1:]
+        self.live = 1
 
-    # -- union-find ---------------------------------------------------
     def find(self, c: int) -> int:
+        parent = self.parent
         root = c
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[c] != root:
-            self.parent[c], c = root, self.parent[c]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
         return root
 
-    # -- table management ----------------------------------------------
-    def define(self, c: int, letter: int) -> int | None:
-        if self.live + 1 > self.max_cosets:
-            self.exceeded = True
-            return None
-        new = len(self.table)
-        self.table.append([None] * self.width)
-        self.parent.append(new)
-        self.live += 1
-        self.table[c][letter] = new
-        self.table[new][_inv(letter)] = c
-        return new
-
-    def _merge(self, a: int, b: int, queue: list[int]) -> None:
-        a, b = self.find(a), self.find(b)
-        if a == b:
-            return
-        lo, hi = (a, b) if a < b else (b, a)
-        self.parent[hi] = lo
-        self.live -= 1
-        queue.append(hi)
-
     def coincidence(self, a: int, b: int) -> None:
-        queue: list[int] = []
-        self._merge(a, b, queue)
-        qi = 0
-        while qi < len(queue):
-            dead = queue[qi]
-            qi += 1
+        """Merge the distinct live cosets a and b and every pair that merge
+        forces; the smaller coset of each pair survives.  Each dead coset's
+        edges move to its representative and its back edges are deleted, so
+        on return no live row points at a dead coset."""
+        table, parent, find = self.table, self.parent, self.find
+        if b < a:
+            a, b = b, a
+        parent[b] = a
+        queue = [b]
+        for dead in queue:  # grows while it is walked
             for letter in range(self.width):
-                delta = self.table[dead][letter]
-                if delta is None:
+                delta = table[dead + letter]
+                if delta < 0:
                     continue
-                # drop the back edge before transplanting
-                if self.table[delta][_inv(letter)] == dead:
-                    self.table[delta][_inv(letter)] = None
-                mu, nu = self.find(dead), self.find(delta)
-                if self.table[mu][letter] is not None:
-                    self._merge(nu, self.table[mu][letter], queue)
-                elif self.table[nu][_inv(letter)] is not None:
-                    self._merge(mu, self.table[nu][_inv(letter)], queue)
+                back = letter ^ 1
+                if table[delta + back] == dead:
+                    table[delta + back] = -1
+                mu = parent[dead]
+                if parent[mu] != mu:
+                    mu = find(mu)
+                nu = delta if parent[delta] == delta else find(delta)
+                a = table[mu + letter]
+                if a >= 0:
+                    b = nu
                 else:
-                    self.table[mu][letter] = nu
-                    self.table[nu][_inv(letter)] = mu
+                    a = table[nu + back]
+                    if a < 0:
+                        table[mu + letter] = nu
+                        table[nu + back] = mu
+                        continue
+                    b = mu
+                # merge a and b
+                if parent[a] != a:
+                    a = find(a)
+                if parent[b] != b:
+                    b = find(b)
+                if a != b:
+                    if b < a:
+                        a, b = b, a
+                    parent[b] = a
+                    queue.append(b)
+        self.live -= len(queue)
 
-    def scan_and_fill(self, alpha: int, word: tuple[int, ...]) -> None:
+    def scan_and_fill(self, alpha: int, word: tuple[int, ...],
+                      inverse: tuple[int, ...], last: int) -> bool:
+        """Trace `word` from alpha forwards and backwards, deduce the one
+        missing edge or define cosets until the word closes.  Returns False
+        when a definition would pass the bound."""
+        table = self.table
         f, i = alpha, 0
-        b, j = alpha, len(word) - 1
+        b, j = alpha, last
         while True:
-            while i <= j and self.table[f][word[i]] is not None:
-                f = self.find(self.table[f][word[i]])
+            while i <= j:
+                x = table[f + word[i]]
+                if x < 0:
+                    break
+                f = x
                 i += 1
-            if i > j:
+            else:
                 if f != b:
                     self.coincidence(f, b)
-                return
-            while j >= i and self.table[b][_inv(word[j])] is not None:
-                b = self.find(self.table[b][_inv(word[j])])
+                return True
+            while j >= i:
+                x = table[b + inverse[j]]
+                if x < 0:
+                    break
+                b = x
                 j -= 1
-            if j < i:
-                self.coincidence(f, b)
-                return
+            else:
+                if f != b:
+                    self.coincidence(f, b)
+                return True
             if j == i:
-                self.table[f][word[i]] = b
-                self.table[b][_inv(word[i])] = f
-                return
-            new = self.define(f, word[i])
-            if new is None:
-                return
+                table[f + word[i]] = b
+                table[b + inverse[i]] = f
+                return True
+            if self.live >= self.max_cosets:
+                return False
+            new = len(table)
+            table += self.holes
+            self.parent += self.holes
+            self.parent[new] = new
+            self.live += 1
+            table[f + word[i]] = new
+            table[new + inverse[i]] = f
             f = new
             i += 1
 
+    def renumber(self, step: int) -> list[int]:
+        """Turn `parent`, which find() no longer needs, into the renumbering:
+        the offset of the k-th live row maps to k * step, the start of a dead
+        row to -1.  Every other slot of `parent` is -1 already, so a hole
+        maps to -1 as well."""
+        remap, rank = self.parent, 0
+        for c in range(0, len(self.table), self.width):
+            if remap[c] == c:
+                remap[c], rank = rank, rank + step
+            else:
+                remap[c] = -1
+        return remap
+
     def compact(self, cursor: int) -> int:
         """Renumber live cosets in order; returns the relocated cursor."""
-        mapping: dict[int, int] = {}
-        for c in range(len(self.table)):
-            if self.find(c) == c:
-                mapping[c] = len(mapping)
-        new_table = []
-        for c in range(len(self.table)):
-            if c not in mapping:
-                continue
-            row = self.table[c]
-            new_table.append([
-                None if x is None else mapping[self.find(x)] for x in row
-            ])
-        new_cursor = sum(1 for c in mapping if c < cursor)
-        self.table = new_table
-        self.parent = list(range(len(new_table)))
-        return new_cursor
+        table, width = self.table, self.width
+        remap = self.renumber(width)
+        cursor = width * sum(remap[c] >= 0 for c in range(0, cursor, width))
+        self.table = [remap[x] for c in range(0, len(table), width) if remap[c] >= 0
+                      for x in table[c:c + width]]
+        self.parent = [-1] * len(self.table)
+        self.parent[::width] = range(0, len(self.table), width)
+        return cursor
 
     def run(self) -> CosetTable | Exceeded:
-        self.table.append([None] * self.width)
-        self.parent.append(0)
-        self.live = 1
+        width = self.width
+        if width == 0:
+            return CosetTable(self.presentation, 1, ((),), True)
         for word in self.subgens:
-            self.scan_and_fill(0, word)
-            if self.exceeded:
+            if not self.scan_and_fill(0, *word):
                 return Exceeded(self.max_cosets)
+        table, parent, holes = self.table, self.parent, self.holes
         alpha = 0
-        while alpha < len(self.table):
-            dead = len(self.table) - self.live
-            if dead > max(self.live, 256):
+        while alpha < len(table):
+            if len(table) - self.live * width > max(self.live, 256) * width:
                 alpha = self.compact(alpha)
+                table, parent = self.table, self.parent
                 continue  # bound and liveness must be re-checked
-            if self.find(alpha) != alpha:
-                alpha += 1
+            if parent[alpha] != alpha:
+                alpha += width
                 continue
-            for word in self.relators:
-                self.scan_and_fill(alpha, word)
-                if self.exceeded:
+            for word, inverse, last in self.relators:
+                if not self.scan_and_fill(alpha, word, inverse, last):
                     return Exceeded(self.max_cosets)
-                if self.find(alpha) != alpha:
+                if parent[alpha] != alpha:
                     break
-            if self.find(alpha) == alpha:
-                for letter in range(self.width):
-                    if self.table[alpha][letter] is None:
-                        if self.define(alpha, letter) is None:
+            else:
+                for letter in range(width):
+                    if table[alpha + letter] < 0:
+                        if self.live >= self.max_cosets:
                             return Exceeded(self.max_cosets)
-            alpha += 1
-        self.compact(0)
-        action = tuple(tuple(row) for row in self.table)
-        complete = all(x is not None for row in action for x in row)
+                        new = len(table)
+                        table += holes
+                        parent += holes
+                        parent[new] = new
+                        self.live += 1
+                        table[alpha + letter] = new
+                        table[new + (letter ^ 1)] = alpha
+            alpha += width
+        number = self.renumber(1)
+        action = tuple(
+            tuple(None if x < 0 else number[x] for x in table[c:c + width])
+            for c in range(0, len(table), width) if number[c] >= 0
+        )
+        complete = all(None not in row for row in action)
         return CosetTable(self.presentation, len(action), action, complete)
+
+
 
 
 def coset_enumeration(

@@ -123,6 +123,15 @@ class TestAbelianize:
         code, out, err = invoke(capsys, "abelianize")
         assert code == EXIT_DOMAIN_ERROR
 
+    def test_sig_and_presentation_conflict_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("gens x\nrel x^3\n")
+        code, out, err = invoke(capsys, "abelianize", "--sig", '{"g":0,"r":0,"m":[2,4,4]}',
+                                "--presentation", str(path))
+        assert code == EXIT_DOMAIN_ERROR
+        assert out == ""
+        assert err.startswith("error:") and "not both" in err
+
 
 class TestIso:
     def test_isomorphic_free_groups(self, capsys):
@@ -169,6 +178,14 @@ class TestCover:
             capsys, "cover", "--sig", '{"g":0,"r":0,"m":[2,3,7]}', "--index", "100"
         )
         assert code == EXIT_DOMAIN_ERROR
+
+    def test_index_and_lcm_conflict_exits_1(self, capsys):
+        code, out, err = invoke(
+            capsys, "cover", "--sig", '{"g":0,"r":3,"m":[2,2]}', "--index", "6", "--lcm"
+        )
+        assert code == EXIT_DOMAIN_ERROR
+        assert out == ""
+        assert err.startswith("error:") and "not both" in err
 
     @staticmethod
     def fixture_file(tmp_path):
@@ -219,6 +236,20 @@ class TestCover:
         assert code == EXIT_VERIFY_FAILED
         assert data["verdict"] == "torsion_in_kernel" and data["generator"] == 1
 
+    @pytest.mark.parametrize("text, duplicate", [
+        ("degree 8\nx1 = (1,2)\nx2 = ()\nx3 = ()\nx1 = ()\n", "'x1' twice"),
+        ("degree 8\ndegree 9\nx1 = ()\nx2 = ()\nx3 = ()\n", "more than one degree line"),
+    ], ids=["generator-twice", "degree-twice"])
+    def test_verify_duplicate_line_exits_1(self, capsys, tmp_path, text, duplicate):
+        path = tmp_path / "perms.txt"
+        path.write_text(text)
+        code, out, err = invoke(
+            capsys, "cover", "verify", "--sig", '{"g":0,"r":0,"m":[2,3,7]}', "--perms", str(path)
+        )
+        assert code == EXIT_DOMAIN_ERROR
+        assert out == ""
+        assert err.startswith("error:") and duplicate in err
+
     def test_verify_zero_cap_exits_1(self, capsys, tmp_path):
         # a zero cap is refused, not replaced by the default
         code, out, err = invoke(
@@ -228,6 +259,33 @@ class TestCover:
         assert code == EXIT_DOMAIN_ERROR
         assert out == ""
         assert "cap must be >= 1" in err
+
+
+# <x, y | x^2, y^3, (xy)^4>, the (2,3,4) triangle group S_4
+S4_PRESENTATION = "gens x y\nrel x^2\nrel y^3\nrel x y x y x y x y\n"
+# the cosets of <x> in <x, y | x^2, y^3, (xy)^7, [x,y]^4>, a quotient of
+# the (2,3,7) triangle group of order 168
+Q237_X_PRESENTATION = (
+    "gens x y\nrel x^2\nrel y^3\nrel " + " ".join(["x y"] * 7)
+    + "\nrel " + " ".join(["x^-1 y^-1 x y"] * 4) + "\nsub x\n"
+)
+S4_TABLE_GOLDEN = (
+    '{"complete": true, "cosets": 24, "generators": ["x", "y"], "permutations": {"x": "(1 2)'
+    '(3 11)(4 9)(5 6)(7 8)(10 14)(12 13)(15 16)(17 18)(19 22)(20 21)(23 24)'
+    '", "y": "(1 3 4)(2 5 10)(6 7 19)(8 9 15)(11 12 18)(13 14 20)(16 17 24)'
+    '(21 22 23)"}}\n'
+)
+Q237_X_TABLE_GOLDEN = (
+    '{"complete": true, "cosets": 84, "generators": ["x", "y"], "permutations": {"x": "(2 4)'
+    '(3 13)(5 6)(7 8)(9 10)(11 12)(14 15)(16 17)(19 20)(21 22)(24 25)(26 27)(28 29)'
+    '(30 31)(32 33)(34 35)(36 37)(38 39)(40 41)(42 43)(44 45)(46 47)(48 49)(50 51)'
+    '(52 53)(54 55)(56 57)(58 59)(60 61)(62 63)(64 65)(66 67)(68 69)(70 71)(72 73)'
+    '(74 75)(76 77)(78 79)(80 81)(82 83)", "y": "(1 2 3)(4 5 19)(6 7 37)(8 9 44)'
+    '(10 11 30)(12 13 14)(15 24 16)(17 18 73)(20 21 29)(22 38 23)(25 26 66)'
+    '(27 28 51)(31 58 32)(33 34 52)(35 43 36)(39 40 83)(41 42 63)(45 46 57)'
+    '(47 64 48)(49 50 81)(53 54 65)(55 56 69)(59 70 60)(61 62 84)(67 68 77)'
+    '(71 72 74)(75 76 78)(79 80 82)"}}\n'
+)
 
 
 class TestToddCoxeter:
@@ -275,6 +333,19 @@ class TestToddCoxeter:
     def test_missing_file_exits_1(self, capsys):
         code, _, err = invoke(capsys, "todd-coxeter", "--presentation", "/nonexistent")
         assert code == EXIT_DOMAIN_ERROR
+
+    # exact stdout of `todd-coxeter --table`: the permutations spell out the
+    # coset numbering, which enumeration must keep from release to release
+    @pytest.mark.parametrize("text, stdout", [
+        (S4_PRESENTATION, S4_TABLE_GOLDEN),
+        (Q237_X_PRESENTATION, Q237_X_TABLE_GOLDEN),
+    ])
+    def test_table_golden_output(self, capsys, tmp_path, text, stdout):
+        path = tmp_path / "p.txt"
+        path.write_text(text)
+        code, out, _ = invoke(capsys, "todd-coxeter", "--presentation", str(path), "--table")
+        assert code == EXIT_OK
+        assert out == stdout
 
 
 class TestVerify:

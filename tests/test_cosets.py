@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import pytest
@@ -33,6 +34,9 @@ from orbicurve.cosets import (
     perm_power,
 )
 from orbicurve.covers import _mobius_perm
+from orbicurve.presentations import parse_presentation
+
+from hlt_reference import reference_coset_enumeration
 
 
 def closure_order(perms, cap=DEFAULT_CLOSURE_CAP):
@@ -202,6 +206,94 @@ class TestGroupOrder:
 
     def test_bound_returns_exceeded(self):
         assert isinstance(group_order(presentation_of(OrbSignature(2, 0, ())), 5000), Exceeded)
+
+
+# <x, y | x^2, y^3, (xy)^7, [x,y]^8> has order 10752
+G10752_TEXT = (
+    "gens x y\nrel x^2\nrel y^3\nrel " + " ".join(["x y"] * 7)
+    + "\nrel " + " ".join(["x^-1 y^-1 x y"] * 8) + "\n"
+)
+
+
+def _abelian3(a, b, c) -> FinitePresentation:
+    words = [((0, a),), ((1, b),), ((2, c),)]
+    words += [((i, 1), (j, 1), (i, -1), (j, -1)) for i in range(3) for j in range(i + 1, 3)]
+    return FinitePresentation(("x", "y", "z"), tuple(words))
+
+
+_G10752_X = parse_presentation(G10752_TEXT + "sub x\n")
+PINNED_TABLES = [
+    pytest.param(_G10752_X.presentation, (), 10752,
+                 "425aa5ea3f7dc0fa504c632cd5710bf25e205284aa99a106860088d059e03f52",
+                 id="order-10752"),
+    pytest.param(_G10752_X.presentation, _G10752_X.subgroup_generators, 5376,
+                 "65a272e0adca5d980a9cfbd07f685481207bd1497616c27a57daa67370b9fcb7",
+                 id="x-in-order-10752"),
+    pytest.param(_abelian3(16, 25, 25), (), 10000,
+                 "a4650dce9dd47b2429ae57401a9113074ef7d6710676f3f8b68aa1bdbae33da8",
+                 id="Z16xZ25xZ25"),
+    pytest.param(presentation_of(OrbSignature(0, 0, (2, 2, 101))), (), 202,
+                 "10f521f4a8eb5a6e40d0d6009cd73989e3e83622ebe13c48d6cb6f166ba1357a",
+                 id="(2,2,101)"),
+    pytest.param(FinitePresentation(("x",), (((0, 1000),), ((0, 1001),))), (), 1,
+                 "5a86e376cdc22fced25465c7e18e2923bb113ffec700c0dfd3bed6ce0908e2d3",
+                 id="x^1000,x^1001"),
+    # order 13: holes are left after the relator scans, so the numbering
+    # depends on the order in which they are filled
+    pytest.param(FinitePresentation(("x", "y", "z"), (((1, -2), (2, -1)),
+                                                      ((2, -1), (0, 1), (2, -2), (1, 2)),
+                                                      ((0, 2), (1, 3)))), (), 13,
+                 "87b6ca8857d72648e96cee4388074ef1416101d5d8d2f3db4fba5ec31a429c2f",
+                 id="hole-fill-order"),
+]
+
+
+def _table_digest(table) -> str:
+    return hashlib.sha256(repr(table.action).encode()).hexdigest()
+
+
+class TestTableIdentity:
+    """The coset numbering is part of the output (`todd-coxeter --table`):
+    these digests of `repr(table.action)` were taken from the enumerator
+    with one list per row, and any rewrite must reproduce them."""
+
+    @pytest.mark.parametrize("p, subgroup, rows, digest", PINNED_TABLES)
+    def test_pinned_tables(self, p, subgroup, rows, digest):
+        table = coset_enumeration(p, subgroup, 10**6)
+        assert (table.rows, table.complete) == (rows, True)
+        assert _table_digest(table) == digest
+
+    def test_pinned_bounded_run(self):
+        p = _G10752_X.presentation
+        assert coset_enumeration(p, (), 3000) == Exceeded(3000)
+
+
+class TestEnumeratorEdgeCases:
+    def test_no_generators(self):
+        table = coset_enumeration(FinitePresentation((), ()), (), 1)
+        assert (table.rows, table.action, table.complete) == (1, ((),), True)
+
+    def test_bound_one_on_free_cyclic_group(self):
+        assert coset_enumeration(FinitePresentation(("x",), ()), (), 1) == Exceeded(1)
+
+    def test_subgroup_scan_trips_the_bound(self):
+        # scanning x^5 from coset 0 of the free group defines a new coset
+        # per letter, so the bound trips before any relator is scanned
+        p = FinitePresentation(("x",), ())
+        result = coset_enumeration(p, (((0, 5),),), 3)
+        assert result == Exceeded(3) == reference_coset_enumeration(p, (((0, 5),),), 3)
+
+    def test_compaction_resumes_at_the_cursor_row(self):
+        # <x, y | y^2 x^-2 y^2, y^-2> is infinite dihedral and <y^3> = <y>
+        # has infinite index; the enumeration collapses enough to compact
+        # mid-run, and resuming one row late leaves a short, incomplete
+        # table instead of reaching the bound
+        p = FinitePresentation(("x", "y"), (((1, 2), (0, -2), (1, 2)), ((1, -2),)))
+        assert coset_enumeration(p, (((1, 3),),), 500) == Exceeded(500)
+
+    def test_one_letter_relator(self):
+        table = coset_enumeration(FinitePresentation(("x",), (((0, 1),),)), (), 10)
+        assert table.action == ((0, 0),)
 
 
 class TestPermutations:
@@ -444,3 +536,22 @@ def test_psl2_order_matches_sympy(q):
 def test_order_matches_sympy(perms):
     order, cap = _sympy_order(perms), 10**12
     assert permutation_group_order(perms, cap) == (order if order <= cap else Exceeded(cap))
+
+
+_words = st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3)), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.lists(_words, max_size=4), st.lists(_words, max_size=2),
+       st.sampled_from((50, 500, 5000)))
+def test_enumerator_matches_reference(ngens, relators, subgroup, bound):
+    # the flat-table enumerator must return the same CosetTable as the one
+    # with a list per row, coset numbering included
+    def over(word):
+        return tuple((g % ngens, e) for g, e in word)
+
+    p = FinitePresentation(tuple(f"g{i}" for i in range(ngens)),
+                           tuple(over(w) for w in relators))
+    subgroup = tuple(over(w) for w in subgroup)
+    assert coset_enumeration(p, subgroup, bound) == reference_coset_enumeration(
+        p, subgroup, bound)
