@@ -1,11 +1,11 @@
 """Integer Smith normal form and abelianizations.
 
-All arithmetic is over Python ints, so intermediate entries may grow without
-overflow.  The pivot rule (smallest nonzero absolute value, first position
-on ties) makes the transform matrices reproducible.  Presentations are
-abelianized through the Smith normal form of their relator matrix;
-signatures are abelianized in closed form from the divisor chain of their
-cone orders, which makes the two routes independent.
+All arithmetic is over Python ints.  The Smith normal form alternates row
+and column Hermite steps (Kannan and Bachem, SIAM J. Comput. 8, 1979), which
+keep transform entries small; the steps are deterministic, so U and V are
+reproducible.  Presentations are abelianized through the Smith
+normal form of their relator matrix; signatures in closed form from the
+divisor chain of their cone orders, which makes the two routes independent.
 """
 
 from __future__ import annotations
@@ -67,18 +67,64 @@ class IntMatrix:
         return [self.at(i, i) for i in range(min(self.rows, self.cols))]
 
 
-def _pivot(rows, start, nrows, ncols):
-    """Position of the smallest nonzero |entry| in the trailing block,
-    scanning row-major so ties break left-to-right."""
-    best = best_val = None
-    for i in range(start, nrows):
-        for j in range(start, ncols):
-            v = abs(rows[i][j])
-            if v and (best_val is None or v < best_val):
-                best, best_val = (i, j), v
-                if v == 1:
-                    return best
-    return best
+def _hermite(w, nrows, ncols):
+    """Row Hermite step: row operations on the top nrows rows of w put its
+    leading nrows x ncols block in echelon form, with positive pivots,
+    entries above each pivot reduced into [0, pivot) and zero rows last.
+    Rows join one at a time (Kannan-Bachem order) and the rows above are
+    reduced again after each, which keeps entries small."""
+    piv = []  # pivot column of each echelon row
+    for i in range(nrows):
+        row = w[i]
+        lo, r = nrows, 0  # lo: first echelon row that changes
+        for c in range(ncols):
+            if not row[c]:
+                continue
+            while r < len(piv) and piv[r] < c:
+                r += 1
+            if r == len(piv) or piv[r] != c:
+                break  # row leads at c: it becomes echelon row r
+            top = w[r]
+            g = math.gcd(top[c], row[c])
+            a, b = top[c] // g, row[c] // g
+            if a > 1:  # pivot does not divide entry: [[s, t], [-b, a]] unimodular
+                s = pow(a, -1, abs(b))
+                t = (1 - s * a) // b
+                w[r] = [s * x + t * y for x, y in zip(top, row)]
+                lo = min(lo, r)
+            row = [a * y - b * x for x, y in zip(top, row)]
+        else:
+            w[i] = row  # a zero row stays where it is
+            continue
+        del w[i]
+        w.insert(r, row if row[c] > 0 else [-x for x in row])
+        piv.insert(r, c)
+        for r in range(min(lo, r), len(piv)):
+            c, pivot = piv[r], w[r]
+            for above in range(r):
+                q = w[above][c] // pivot[c]
+                if q:
+                    w[above] = [y - q * x for x, y in zip(pivot, w[above])]
+
+
+def _diagonalize(w, nrows, ncols):
+    """Reduce the leading nrows x ncols block of w to Smith normal form by
+    alternating row and column steps (row steps on the transpose); return w.
+    A diagonal block with d_i not dividing d_j gets row j added to row i;
+    the next step, on the other side, puts gcd(d_i, d_j) in place of d_i."""
+    flipped = False
+    while True:
+        _hermite(w, nrows, ncols)
+        if not any(w[i][j] for i in range(nrows) for j in range(ncols) if i != j):
+            d = [w[i][i] for i in range(min(nrows, ncols))]
+            fold = next(((i, j) for i, a in enumerate(d) if a
+                         for j in range(i + 1, len(d)) if d[j] % a), None)
+            if fold is None:
+                return [list(col) for col in zip(*w)] if flipped else w
+            i, j = fold
+            w[i] = [x + y for x, y in zip(w[i], w[j])]
+        w = [list(col) for col in zip(*w)]
+        nrows, ncols, flipped = ncols, nrows, not flipped
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -87,60 +133,13 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     Elimination runs on the one work matrix [[M, I], [I, 0]]: row operations
     on its top rows carry U in the top-right block, and column operations on
-    its left columns carry V in the bottom-left block.
+    its left columns carry V in the bottom-left block.  Column steps run on
+    the transpose, which has the same shape [[M^T, I], [I, 0]].
     """
     nrows, ncols = M.rows, M.cols
     w = [row + [int(i == j) for j in range(nrows)] for i, row in enumerate(M.to_rows())]
     w += [[int(i == j) for j in range(ncols)] + [0] * nrows for i in range(ncols)]
-
-    def swap_cols(i, j):
-        for row in w:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(nrows, ncols):
-        pos = _pivot(w, t, nrows, ncols)
-        if pos is None:
-            break
-        pi, pj = pos
-        w[pi], w[t] = w[t], w[pi]
-        if pj != t:
-            swap_cols(pj, t)
-        while True:
-            # clear column t by the pivot, re-pivoting while remainders appear
-            moved = False
-            for i in range(t + 1, nrows):
-                if w[i][t]:
-                    q = w[i][t] // w[t][t]
-                    w[i] = [x - q * y for x, y in zip(w[i], w[t])]
-                    if w[i][t]:
-                        w[i], w[t] = w[t], w[i]
-                        moved = True
-            if moved:
-                continue
-            for j in range(t + 1, ncols):
-                if w[t][j]:
-                    q = w[t][j] // w[t][t]
-                    for row in w:
-                        row[j] -= q * row[t]
-                    if w[t][j]:
-                        swap_cols(j, t)
-                        moved = True
-            if not moved:
-                break
-        # pivot must divide every later entry; fold an offending row in
-        d = w[t][t]
-        offender = next(
-            (i for i in range(t + 1, nrows) if any(w[i][j] % d for j in range(t + 1, ncols))),
-            None,
-        )
-        if offender is not None:
-            w[t] = [x + y for x, y in zip(w[t], w[offender])]
-            continue
-        if d < 0:
-            w[t] = [-x for x in w[t]]
-        t += 1
-
+    w = _diagonalize(w, nrows, ncols)
     top, bottom = w[:nrows], w[nrows:]
     return (
         IntMatrix(nrows, ncols, tuple(x for row in top for x in row[:ncols])),
@@ -210,8 +209,8 @@ def abelianization(sig: OrbSignature) -> AbelianGroup:
 
 def abelianization_of_presentation(p: FinitePresentation) -> AbelianGroup:
     """Z^ngens modulo the row lattice of the relator exponent-sum matrix,
-    read off its Smith normal form."""
+    read off its Smith normal form, reduced without transforms."""
     rows = [word_exponent_sums(w, p.ngens) for w in p.relators]
-    M = IntMatrix(len(rows), p.ngens, tuple(e for row in rows for e in row))
-    nonzero = [d for d in smith_normal_form(M)[0].diagonal() if d]
+    w = _diagonalize(rows, len(rows), p.ngens)
+    nonzero = [d for d in (w[i][i] for i in range(min(len(rows), p.ngens))) if d]
     return AbelianGroup(p.ngens - len(nonzero), tuple(d for d in nonzero if d >= 2))

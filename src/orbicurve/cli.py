@@ -182,6 +182,8 @@ def cmd_serre(args) -> int:
 def cmd_cover(args) -> int:
     if args.mode == "verify":
         return cmd_cover_verify(args)
+    if args.sig is None:
+        raise OrbicurveError("cover needs --sig")
     sig = parse_signature(args.sig)
     if args.lcm and args.index is not None:
         raise OrbicurveError("cover takes --index <d> or --lcm, not both")

@@ -1,5 +1,7 @@
+import random
+import time
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,25 @@ def det_int(rows):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * det_int(minor)
     return total
+
+
+def det_bareiss(rows):
+    """Exact determinant by fraction-free (Bareiss) elimination: polynomial
+    time, so it serves at sizes where the cofactor expansion cannot."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
 
 
 def minors_gcd(rows, k):
@@ -71,6 +92,54 @@ small_matrices = st.integers(1, 4).flatmap(
 )
 
 
+@st.composite
+def large_matrices(draw, max_dim=12):
+    """Up to max_dim x max_dim, rectangular as often as square; the last
+    `dependent` rows are integer combinations of the rows before them, so
+    singular and rank-deficient matrices are common."""
+    r = draw(st.integers(1, max_dim))
+    c = draw(st.one_of(st.just(r), st.integers(1, max_dim)))
+    dependent = draw(st.integers(0, r - 1))
+    entry = st.integers(-30, 30)
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                         min_size=r - dependent, max_size=r - dependent))
+    for _ in range(dependent):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(k * row[j] for k, row in zip(coeffs, rows)) for j in range(c)])
+    return rows
+
+
+def dense(seed, n, m=None):
+    """Seeded n x m (default n x n) matrix with entries in [-9, 9]."""
+    rng = random.Random(seed)
+    return [[rng.randint(-9, 9) for _ in range(n if m is None else m)] for _ in range(n)]
+
+
+def presentation_of_rows(rows, ncols):
+    """The presentation whose relator i has exponent sums rows[i]."""
+    return FinitePresentation(
+        tuple(f"x{j}" for j in range(ncols)),
+        tuple(tuple((j, e) for j, e in enumerate(row) if e) for row in rows),
+    )
+
+
+def group_of_diagonal(diag, ncols):
+    """Z^ncols modulo the rows of a Smith normal form with this diagonal."""
+    nonzero = [d for d in diag if d]
+    return AbelianGroup(ncols - len(nonzero), tuple(d for d in nonzero if d >= 2))
+
+
+def assert_smith_form(M, D, U, V):
+    assert U.mul(M).mul(V).entries == D.entries
+    assert abs(det_bareiss(U.to_rows())) == 1
+    assert abs(det_bareiss(V.to_rows())) == 1
+    assert all(D.at(i, j) == 0 for i in range(D.rows) for j in range(D.cols) if i != j)
+    diag = D.diagonal()
+    assert all(d >= 0 for d in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert (a == 0 and b == 0) or (a != 0 and b % a == 0)
+
+
 class TestSmithNormalForm:
     def test_diag_2_3(self):
         D, U, V = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
@@ -93,25 +162,75 @@ class TestSmithNormalForm:
     @given(small_matrices)
     def test_umv_identity_and_divisor_chain(self, rows):
         M = IntMatrix.from_rows(rows)
-        D, U, V = smith_normal_form(M)
-        assert U.mul(M).mul(V).entries == D.entries
-        assert abs(det_int(U.to_rows())) == 1
-        assert abs(det_int(V.to_rows())) == 1
-        diag = D.diagonal()
-        assert all(d >= 0 for d in diag)
-        for a, b in zip(diag, diag[1:]):
-            assert (a == 0 and b == 0) or (a != 0 and b % a == 0)
-        # off-diagonal zero
-        for i in range(D.rows):
-            for j in range(D.cols):
-                if i != j:
-                    assert D.at(i, j) == 0
+        assert_smith_form(M, *smith_normal_form(M))
 
     @settings(max_examples=60)
     @given(small_matrices)
     def test_against_minors_oracle(self, rows):
         D, _, _ = smith_normal_form(IntMatrix.from_rows(rows))
         assert D.diagonal() == snf_diagonal_via_minors(rows)
+
+    @settings(max_examples=60)
+    @given(small_matrices)
+    def test_bareiss_matches_cofactor_determinant(self, rows):
+        n = min(len(rows), len(rows[0]))
+        square = [row[:n] for row in rows[:n]]
+        assert det_bareiss(square) == det_int(square)
+
+    @settings(max_examples=200, deadline=None)
+    @given(large_matrices())
+    def test_large_umv_identity_and_divisor_chain(self, rows):
+        M = IntMatrix.from_rows(rows)
+        D, U, V = smith_normal_form(M)
+        assert_smith_form(M, D, U, V)
+        if M.rows == M.cols:
+            assert prod(D.diagonal()) == abs(det_bareiss(rows))
+        # the bare-matrix route reads the same invariant factors
+        assert abelianization_of_presentation(
+            presentation_of_rows(rows, M.cols)
+        ) == group_of_diagonal(D.diagonal(), M.cols)
+
+    @pytest.mark.parametrize("seed, shape, kind", [
+        *((n, (n, n), "dense") for n in range(1, 11)),
+        (20, (6, 9), "dense"), (21, (9, 6), "dense"),
+        (22, (10, 7), "dependent"), (23, (8, 8), "dependent"), (24, (10, 10), "dependent"),
+        (25, (7, 7), "scaled"), (26, (9, 9), "scaled"), (27, (8, 10), "scaled"),
+    ])
+    def test_against_sympy(self, seed, shape, kind):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        rows = dense(seed, *shape)
+        if kind == "dependent":  # a combination of two other rows: rank-deficient
+            rows[-1] = [2 * x - 3 * y for x, y in zip(rows[0], rows[1])]
+        if kind == "scaled":  # row multiples make chains with several entries >= 2
+            rows = [[(1, 2, 4, 6, 12)[i % 5] * x for x in row] for i, row in enumerate(rows)]
+        S = sympy_snf(sympy.Matrix(rows))
+        D, _, _ = smith_normal_form(IntMatrix.from_rows(rows))
+        assert D.diagonal() == [abs(S[i, i]) for i in range(min(shape))]
+
+
+class TestCoefficientGrowth:
+    """Regression guards: the smallest-pivot Euclid loop this replaced took
+    14 s on a 12x12 matrix and did not finish a 13x13 one in 120 s."""
+
+    def test_13x13_dense_under_a_second_on_both_paths(self):
+        rows = dense(13, 13)
+        M = IntMatrix.from_rows(rows)
+        start = time.perf_counter()
+        D, U, V = smith_normal_form(M)
+        assert time.perf_counter() - start < 1.0
+        assert_smith_form(M, D, U, V)
+        start = time.perf_counter()
+        ab = abelianization_of_presentation(presentation_of_rows(rows, 13))
+        assert time.perf_counter() - start < 1.0
+        assert ab == group_of_diagonal(D.diagonal(), 13)
+        assert prod(D.diagonal()) == abs(det_bareiss(rows))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_12x12_transform_bits_stay_small(self, seed):
+        _, U, V = smith_normal_form(IntMatrix.from_rows(dense(100 + seed, 12)))
+        assert max(abs(e).bit_length() for e in U.entries + V.entries) <= 256
 
 
 class TestAbelianGroup:

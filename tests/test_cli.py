@@ -187,6 +187,13 @@ class TestCover:
         assert out == ""
         assert err.startswith("error:") and "not both" in err
 
+    @pytest.mark.parametrize("mode", [("--index", "6"), ("--lcm",)])
+    def test_missing_sig_exits_1(self, capsys, mode):
+        code, out, err = invoke(capsys, "cover", *mode)
+        assert code == EXIT_DOMAIN_ERROR
+        assert out == ""
+        assert err == "error: cover needs --sig\n"
+
     @staticmethod
     def fixture_file(tmp_path):
         from orbicurve import projective_triangle_fixture
