@@ -286,6 +286,16 @@ class TriangleRep:
     matrices: tuple[Mat2f, Mat2f, Mat2f]
     tolerance: float
 
+    def __post_init__(self):
+        _check_bound("tolerance", self.tolerance)
+
+
+def _check_bound(name: str, value: float) -> None:
+    # outside [0, inf) a bound decides the verdict by itself (a negative
+    # reject margin turns its check off), so refuse it as a usage error
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
 
 def _det(m: Mat2f) -> float:
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
@@ -382,6 +392,7 @@ def check_triangle_rep(rep: TriangleRep, reject_margin: float = 1e-6) -> Triangl
     default tolerance keeps it for every order, and float rounding then
     starts to fail the check at about m = 2.4 * 10^5.
     """
+    _check_bound("reject margin", reject_margin)
     product = mat_mul(mat_mul(rep.matrices[0], rep.matrices[1]), rep.matrices[2])
     product_dev = projective_distance(product)
     det_devs = tuple(abs(_det(m) - 1.0) for m in rep.matrices)

@@ -10,10 +10,20 @@ the torsion points (e^(2 pi i u), e^(2 pi i v)) with h^j (u, v) = (u, v)
 mod 1, |det(h^j - I)| of them.  Sample points are rational and fixed
 points are angle pairs in (Q/Z)^2, so every check is an exact identity,
 not a tolerance test.
+
+The checks run on plain integers.  A point is a quadruple (a, b, c, d),
+s = a/b and t = c/d, not reduced; sigma raises numerators and denominators
+to the exponents of h, swapping the two for a negative exponent.  pibar is
+(X, Y, Z)/L with L = (abcd)^E, E the largest |exponent| of the seed orbits,
+so s^i t^j becomes a^(E+i) b^(E-i) c^(E+j) d^(E-j), and the surface
+polynomial is evaluated homogenised by L.  Points and images are compared
+by cross-multiplying, so no sign needs normalising.  A fixed angle pair is
+a pair of residues mod the lcm N of the printed denominators.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,19 +57,44 @@ class TorusPoint:
         return f"TorusPoint(s={self.s}, t={self.t})"
 
 
-def _monomials(p: TorusPoint, exponents) -> list[Fraction]:
-    """s^i t^j at p for each (i, j)."""
-    return [p.s**i * p.t**j for i, j in exponents]
+def _quad(p: TorusPoint) -> tuple:
+    """(a, b, c, d) with s = a/b and t = c/d: integers at a rational point,
+    and the coordinates over 1 in any other ring."""
+    if isinstance(p.s, Fraction) and isinstance(p.t, Fraction):
+        return p.s.numerator, p.s.denominator, p.t.numerator, p.t.denominator
+    return p.s, 1, p.t, 1
+
+
+def _ratio(num, den):
+    return Fraction(num, den) if isinstance(num, int) and isinstance(den, int) else num / den
+
+
+def _monomial(q: tuple, i: int, j: int) -> tuple:
+    """s^i t^j at q, as a numerator and a denominator."""
+    a, b, c, d = q
+    if i < 0:
+        a, b, i = b, a, -i
+    if j < 0:
+        c, d, j = d, c, -j
+    return a**i * c**j, b**i * d**j
+
+
+def _sigma(h: Mat2, q: tuple) -> tuple:
+    return (*_monomial(q, *h[0]), *_monomial(q, *h[1]))
+
+
+def _same_point(p: tuple, q: tuple) -> bool:
+    return p[0] * q[1] == q[0] * p[1] and p[2] * q[3] == q[2] * p[3]
 
 
 def apply_sigma(k: int, p: TorusPoint) -> TorusPoint:
     """One step of the order-k automorphism: the monomial map whose
     exponent matrix is h_matrix(k), (s, t) -> (s^a t^b, s^c t^d)."""
-    return TorusPoint(*_monomials(p, h_matrix(k)))
+    a, b, c, d = _sigma(h_matrix(k), _quad(p))
+    return TorusPoint(_ratio(a, b), _ratio(c, d))
 
 
-# Each coordinate of pibar_k is the orbit sum of one seed monomial s^i t^j:
-# composing with sigma sends the exponent row (i, j) to (i, j) * h_matrix(k).
+# Each coordinate of pibar_k is the orbit sum of one seed monomial s^i t^j.
 # For k = 6 the (3, 2) orbit is one of the two roots of the quintic
 # (quadratic in z); the mirror choice, the (3, 1) orbit, is the other root.
 _PIBAR_SEEDS = {
@@ -70,16 +105,60 @@ _PIBAR_SEEDS = {
 }
 
 
+def _pibar_orbits(k: int, h: Mat2) -> tuple[list, int]:
+    """The exponents of each seed's sigma-orbit, and the largest |exponent|
+    among them: composing with sigma sends the row (i, j) to (i, j) h."""
+    (a, b), (c, d) = h
+    orbits = [[seed] for seed in _PIBAR_SEEDS[k]]
+    for orbit in orbits:
+        while len(orbit) < k:
+            i, j = orbit[-1]
+            orbit.append((i * a + j * c, i * b + j * d))
+    return orbits, max(abs(e) for orbit in orbits for pair in orbit for e in pair)
+
+
+def _pibar(orbits: list, e: int, q: tuple) -> tuple:
+    """pibar at q as (X, Y, Z, L) with pibar = (X, Y, Z)/L: the orbit sums
+    times L = (abcd)^e, which makes every exponent nonnegative."""
+    a, b, c, d = q
+    sums = (
+        sum(a**(e + i) * b**(e - i) * c**(e + j) * d**(e - j) for i, j in orbit)
+        for orbit in orbits
+    )
+    return (*sums, (a * b * c * d)**e)
+
+
+def _same_image(u: tuple, v: tuple) -> bool:
+    return all(x * v[3] == y * u[3] for x, y in zip(u[:3], v[:3]))
+
+
 def apply_pibar(k: int, p: TorusPoint) -> tuple[Fraction, Fraction, Fraction]:
     """The invariant map onto the quotient surface, evaluated exactly."""
-    (a, b), (c, d) = h_matrix(k)
-    exponents = []
-    for i, j in _PIBAR_SEEDS[k]:
-        for _ in range(k):
-            exponents.append((i, j))
-            i, j = i * a + j * c, i * b + j * d
-    terms = _monomials(p, exponents)
-    return tuple(sum(terms[n + 1 : n + k], terms[n]) for n in range(0, len(terms), k))
+    *xyz, scale = _pibar(*_pibar_orbits(k, h_matrix(k)), _quad(p))
+    return tuple(_ratio(x, scale) for x in xyz)
+
+
+# The defining polynomial of each quotient surface, as {(a, b, e): c} for
+# the terms c x^a y^b z^e.  The quintic for k = 6 has 19 terms.
+_SURFACES = {
+    2: {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (1, 1, 1): -1, (0, 0, 0): -4},
+    3: {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 2): 1, (1, 1, 1): -1, (1, 1, 0): -6,
+        (0, 0, 1): 3, (0, 0, 0): 9},
+    4: {(4, 0, 0): 1, (2, 1, 0): -7, (0, 3, 0): 1, (1, 1, 1): -1, (2, 0, 0): -3,
+        (0, 2, 0): 8, (1, 0, 1): 2, (0, 0, 2): 1, (0, 1, 0): 16},
+    6: {(5, 0, 0): 1, (4, 0, 0): 1, (3, 1, 0): -8, (3, 0, 0): -23, (2, 1, 0): -9,
+        (1, 2, 0): 14, (0, 3, 0): 1, (2, 0, 1): 2, (1, 1, 1): -1, (2, 0, 0): -20,
+        (1, 1, 0): 82, (0, 2, 0): 31, (1, 0, 1): -2, (0, 1, 1): -4, (0, 0, 2): 1,
+        (1, 0, 0): 120, (0, 1, 0): 132, (0, 0, 1): -12, (0, 0, 0): 144},
+}
+
+
+def _residual(k: int, x, y, z, w):
+    """The surface polynomial homogenised by w: the polynomial at w = 1, and
+    L^deg times the residual at pibar's (X, Y, Z, L)."""
+    terms = _SURFACES[k]
+    deg = max(map(sum, terms))
+    return sum(c * x**a * y**b * z**e * w**(deg - a - b - e) for (a, b, e), c in terms.items())
 
 
 def surface_residual(k: int, q):
@@ -87,23 +166,7 @@ def surface_residual(k: int, q):
     iff q lies on the surface.  The coordinates are not coerced, so any
     ring that takes integer coefficients can stand in for them."""
     _check_k(k)
-    x, y, z = q
-    if k == 2:
-        return x * x + y * y + z * z - x * y * z - 4
-    if k == 3:
-        return x**3 + y**3 + z * z - x * y * z - 6 * x * y + 3 * z + 9
-    if k == 4:
-        return (
-            x**4 - 7 * x * x * y + y**3 - x * y * z
-            - 3 * x * x + 8 * y * y + 2 * x * z + z * z + 16 * y
-        )
-    # the quintic for k = 6, all 19 terms
-    return (
-        x**5 + x**4 - 8 * x**3 * y - 23 * x**3 - 9 * x * x * y
-        + 14 * x * y * y + y**3 + 2 * x * x * z - x * y * z
-        - 20 * x * x + 82 * x * y + 31 * y * y - 2 * x * z
-        - 4 * y * z + z * z + 120 * x + 132 * y - 12 * z + 144
-    )
+    return _residual(k, *q, 1)
 
 
 # A fixed point is an angle pair (u, v) in [0, 1)^2 standing for the torsion
@@ -160,12 +223,16 @@ def mat_order(m: Mat2, cap: int = 24) -> int | None:
     return None
 
 
+def _act_mod(m: Mat2, u, v, n):
+    """(u, v) -> m (u, v) mod n, for angles in units of 1/n of a turn."""
+    (a, b), (c, d) = m
+    return (a * u + b * v) % n, (c * u + d * v) % n
+
+
 def act_on_angles(m: Mat2, q: Angles) -> Angles:
     """The monomial map with exponent matrix m on the torsion point with
     angles q: (u, v) -> m (u, v) mod 1."""
-    (a, b), (c, d) = m
-    u, v = q
-    return ((a * u + b * v) % 1, (c * u + d * v) % 1)
+    return _act_mod(m, *q, 1)
 
 
 @dataclass(frozen=True)
@@ -200,14 +267,6 @@ def sample_points(samples: int, seed: int) -> list[TorusPoint]:
     return [TorusPoint.of(coordinate(), coordinate()) for _ in range(samples)]
 
 
-def _orbit(k: int, p: TorusPoint) -> list[TorusPoint]:
-    """p, sigma(p), ..., sigma^(k-1)(p), plus sigma^k(p) at the end."""
-    out = [p]
-    for _ in range(k):
-        out.append(apply_sigma(k, out[-1]))
-    return out
-
-
 def run_wallpaper_suite(k: int, samples: int, seed: int) -> WallpaperReport:
     """All exact checks for one k: the action has order k and acts freely on
     generic points, the invariant map really is invariant and lands on the
@@ -227,21 +286,26 @@ def run_wallpaper_suite(k: int, samples: int, seed: int) -> WallpaperReport:
 
     sigma_failures, invariance_failures, surface_failures, free_failures = [], [], [], []
     ramification_failures = []
-    base_image = apply_pibar(k, TorusPoint.of(1, 1))
+    h = h_matrix(k)
+    orbits, bound = _pibar_orbits(k, h)
+    base_image = _pibar(orbits, bound, (1, 1, 1, 1))
     for p in points:
-        orbit = _orbit(k, p)
-        if orbit[k] != p:
+        # p, sigma(p), ..., sigma^(k-1)(p), plus sigma^k(p) at the end
+        orbit = [_quad(p)]
+        for _ in range(k):
+            orbit.append(_sigma(h, orbit[-1]))
+        if not _same_point(orbit[k], orbit[0]):
             sigma_failures.append(f"sigma^{k} moved {p}")
-        image = apply_pibar(k, p)
+        image = _pibar(orbits, bound, orbit[0])
         for q in orbit[1:k]:
-            if apply_pibar(k, q) != image:
+            if not _same_image(_pibar(orbits, bound, q), image):
                 invariance_failures.append(f"pibar not constant on orbit of {p}")
                 break
-        if surface_residual(k, image) != 0:
+        if _residual(k, *image) != 0:
             surface_failures.append(f"image of {p} off the surface")
-        if any(orbit[j] == p for j in range(1, k)):
+        if any(_same_point(q, orbit[0]) for q in orbit[1:k]):
             free_failures.append(f"nontrivial power fixes sample {p}")
-        if image == base_image:
+        if _same_image(image, base_image):
             ramification_failures.append(f"sample {p} maps to the image of (1,1)")
     record("sigma_order", sigma_failures, f"sigma^{k} = id on {samples} samples")
     record("pibar_invariance", invariance_failures, f"{samples} orbits")
@@ -257,10 +321,12 @@ def run_wallpaper_suite(k: int, samples: int, seed: int) -> WallpaperReport:
     # exactly |det(h^j - I)| of them, the size of Fix(sigma^j): so the
     # printed set is all of the points with nontrivial isotropy
     printed = set(fixed_point_set(k))
+    n = math.lcm(*(x.denominator for q in printed for x in q))
+    residues = {q: (int(q[0] * n), int(q[1] * n)) for q in printed}
     isotropic, count_failures = set(), []
-    h = power = h_matrix(k)
+    power = h
     for j in range(1, k):
-        fixed = {q for q in printed if act_on_angles(power, q) == q}
+        fixed = {q for q, r in residues.items() if _act_mod(power, *r, n) == r}
         (a, b), (c, d) = power
         size = abs((a - 1) * (d - 1) - b * c)
         if len(fixed) != size:

@@ -525,6 +525,17 @@ class TestTriangleRep:
         code, _, err = invoke(capsys, "triangle-rep", "--m", "2,3,6")
         assert code == EXIT_DOMAIN_ERROR
 
+    @pytest.mark.parametrize(
+        "flag, name", [("--tol", "tolerance"), ("--reject-margin", "reject margin")]
+    )
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_tolerance_or_margin_exits_1(self, capsys, flag, name, value):
+        # usage errors, not a FAIL verdict (exit 3) or, for a negative
+        # margin, a PASS with the premature-closure check turned off
+        code, out, err = invoke(capsys, "triangle-rep", "--m", "2,3,7", flag, value)
+        assert code == EXIT_DOMAIN_ERROR and out == ""
+        assert err.startswith(f"error: {name} must be finite and >= 0")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -172,6 +172,18 @@ class TestTriangleRepresentation:
             with pytest.raises(NotHyperbolic):
                 triangle_representation(*triple)
 
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
+    def test_bad_tolerance_or_margin_rejected(self, bad):
+        with pytest.raises(ValueError, match="tolerance"):
+            triangle_representation(2, 3, 7, tolerance=bad)
+        rep = triangle_representation(2, 3, 7)
+        with pytest.raises(ValueError, match="tolerance"):
+            TriangleRep(rep.orders, rep.matrices, bad)
+        with pytest.raises(ValueError, match="reject margin"):
+            check_triangle_rep(rep, reject_margin=bad)
+        # zero is a bound, not an error
+        assert check_triangle_rep(rep, reject_margin=0.0).passed
+
     def test_334_small_powers_far_from_identity(self):
         rep = triangle_representation(3, 3, 4)
         checks = check_triangle_rep(rep, reject_margin=1e-6)

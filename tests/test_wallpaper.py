@@ -1,7 +1,8 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from orbicurve import (
@@ -233,6 +234,91 @@ class TestSuite:
             run_wallpaper_suite(5, samples=1, seed=1)
 
 
+# Failing reports under seams that replace h_matrix or sample_points, pinned
+# check by check (name and detail of every failing check; the rest pass), so
+# that a fast path cannot pass everything by default.  All at samples=5,
+# seed=3, whose first sample is 244/607, 279/67.
+P0 = "TorusPoint(s=244/607, t=279/67)"
+TRANSPOSED = {
+    2: [],
+    3: [("image_on_surface", f"image of {P0} off the surface"),
+        ("fixed_points_fixed", "(1/3, 2/3) not fixed by any nontrivial power")],
+    4: [],
+    6: [("image_on_surface", f"image of {P0} off the surface"),
+        ("fixed_points_fixed", "(1/3, 1/3) not fixed by any nontrivial power")],
+}
+OTHER_H = {
+    (4, 6): [("sigma_order", f"sigma^4 moved {P0}"),
+             ("pibar_invariance", f"pibar not constant on orbit of {P0}"),
+             ("image_on_surface", f"image of {P0} off the surface"),
+             ("fixed_points_fixed", "1 printed points fixed by sigma^2, not 3"),
+             ("h_matrix_order", "expected order 4, got 6")],
+    (6, 4): [("sigma_order", f"sigma^6 moved {P0}"),
+             ("pibar_invariance", f"pibar not constant on orbit of {P0}"),
+             ("image_on_surface", f"image of {P0} off the surface"),
+             ("generic_points_free", f"nontrivial power fixes sample {P0}"),
+             ("fixed_points_fixed", "6 printed points fixed by sigma^4, not 0"),
+             ("h_matrix_order", "expected order 6, got 4")],
+    (3, 6): [("sigma_order", f"sigma^3 moved {P0}"),
+             ("pibar_invariance", f"pibar not constant on orbit of {P0}"),
+             ("image_on_surface", f"image of {P0} off the surface"),
+             ("fixed_points_fixed", "(1/3, 2/3) not fixed by any nontrivial power"),
+             ("h_matrix_order", "expected order 3, got 6")],
+    (2, 3): [("sigma_order", f"sigma^2 moved {P0}"),
+             ("pibar_invariance", f"pibar not constant on orbit of {P0}"),
+             ("image_on_surface", f"image of {P0} off the surface"),
+             ("fixed_points_fixed", "(0, 1/2) not fixed by any nontrivial power"),
+             ("h_matrix_order", "expected order 2, got 3")],
+}
+UNIT_FIRST = [
+    ("generic_points_free", "nontrivial power fixes sample TorusPoint(s=1, t=1)"),
+    ("total_ramification_spot", "sample TorusPoint(s=1, t=1) maps to the image of (1,1)"),
+]
+MINUS_FIRST = [("generic_points_free", "nontrivial power fixes sample TorusPoint(s=-1, t=-1)")]
+
+
+def failing_checks(k):
+    report = run_wallpaper_suite(k, samples=5, seed=3)
+    failed = [(c.name, c.detail) for c in report.checks if not c.passed]
+    assert report.passed == (not failed)
+    return failed
+
+
+def with_first_sample(monkeypatch, s, t):
+    original = sample_points
+    monkeypatch.setattr(
+        wallpaper,
+        "sample_points",
+        lambda samples, seed: [TorusPoint.of(s, t)] + original(samples, seed)[1:],
+    )
+
+
+class TestFailurePaths:
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_transposed_h(self, k, monkeypatch):
+        original = wallpaper.h_matrix
+        monkeypatch.setattr(wallpaper, "h_matrix", lambda k: tuple(zip(*original(k))))
+        assert failing_checks(k) == TRANSPOSED[k]
+
+    @pytest.mark.parametrize("k, other", sorted(OTHER_H))
+    def test_h_of_another_k(self, k, other, monkeypatch):
+        h = h_matrix(other)
+        monkeypatch.setattr(wallpaper, "h_matrix", lambda k: h)
+        assert failing_checks(k) == OTHER_H[k, other]
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_unit_point_first(self, k, monkeypatch):
+        with_first_sample(monkeypatch, 1, 1)
+        assert failing_checks(k) == UNIT_FIRST
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_minus_one_point_first(self, k, monkeypatch):
+        # (-1, -1) is fixed by sigma^(k/2) for even k, and its orbit under
+        # the k = 3 action, (-1, -1) -> (-1, 1) -> (1, -1), is free
+        with_first_sample(monkeypatch, -1, -1)
+        assert failing_checks(k) == ([] if k == 3 else MINUS_FIRST)
+
+
 def test_mat_identity_order():
     assert mat_order(MAT_IDENTITY) == 1
 
@@ -290,12 +376,70 @@ def test_closed_forms_match_transcription(k):
         assert apply_pibar(k, p) == reference_pibar(k, p), p
 
 
+def sign_examples(test):
+    for p in SIGN_POINTS:
+        test = example(p.s, p.t)(test)
+    return test
+
+
 @given(nonzero_rationals, nonzero_rationals)
+@sign_examples
 def test_closed_forms_match_transcription_on_rationals(s, t):
     p = TorusPoint(s, t)
     for k in (2, 3, 4, 6):
         assert apply_sigma(k, p) == reference_sigma(k, p)
         assert apply_pibar(k, p) == reference_pibar(k, p)
+
+
+SURFACE_DEGREES = {2: 3, 3: 3, 4: 4, 6: 5}
+
+
+@given(nonzero_rationals, nonzero_rationals)
+@sign_examples
+def test_integer_core_matches_fractions(s, t):
+    # the suite's integers against the transcription in Fractions: sigma as
+    # (a, b, c, d), pibar as (X, Y, Z)/L, and the homogenised residual as
+    # L^deg times the residual, at points with either sign
+    p = TorusPoint(s, t)
+    for k in (2, 3, 4, 6):
+        h = h_matrix(k)
+        a, b, c, d = wallpaper._sigma(h, wallpaper._quad(p))
+        assert TorusPoint(Fraction(a, b), Fraction(c, d)) == reference_sigma(k, p)
+        *xyz, scale = wallpaper._pibar(*wallpaper._pibar_orbits(k, h), wallpaper._quad(p))
+        image = reference_pibar(k, p)
+        assert tuple(Fraction(x, scale) for x in xyz) == image
+        residual = wallpaper._residual(k, *xyz, scale)
+        assert residual == scale ** SURFACE_DEGREES[k] * surface_residual(k, image) == 0
+
+
+@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
+       st.integers(-9, 9).filter(bool))
+def test_homogenised_residual_off_the_surface(x, y, z, w):
+    q = (Fraction(x, w), Fraction(y, w), Fraction(z, w))
+    for k in (2, 3, 4, 6):
+        expected = w ** SURFACE_DEGREES[k] * surface_residual(k, q)
+        assert wallpaper._residual(k, x, y, z, w) == expected
+
+
+@given(nonzero_rationals, nonzero_rationals)
+@sign_examples
+def test_suite_verdicts_match_transcription(s, t):
+    # a sample fails generic_points_free iff a nontrivial power of the
+    # transcribed sigma fixes it, and total_ramification_spot iff the
+    # transcribed pibar sends it where it sends (1, 1); nothing else fails
+    p = TorusPoint(s, t)
+    for k in (2, 3, 4, 6):
+        orbit = [reference_sigma(k, p)]
+        while len(orbit) < k - 1:
+            orbit.append(reference_sigma(k, orbit[-1]))
+        expected = set()
+        if p in orbit:
+            expected.add("generic_points_free")
+        if reference_pibar(k, p) == reference_pibar(k, TorusPoint.of(1, 1)):
+            expected.add("total_ramification_spot")
+        with mock.patch.object(wallpaper, "sample_points", lambda samples, seed: [p]):
+            report = run_wallpaper_suite(k, samples=1, seed=0)
+        assert {c.name for c in report.checks if not c.passed} == expected, k
 
 
 class Laurent:
