@@ -13,12 +13,16 @@ from fractions import Fraction
 
 from orbicurve import (
     Exceeded,
+    FinitePresentation,
     OrbSignature,
     abelianization,
     abelianization_of_presentation,
     check_triangle_rep,
+    coset_enumeration,
     finite_order,
+    generator_permutations,
     group_order,
+    permutation_group_order,
     presentation_of,
     projective_triangle_fixture,
     run_wallpaper_suite,
@@ -95,6 +99,16 @@ def main() -> int:
     failures += not ok
     report = torsion_free_subgroup_rank(sig237, 168)
     print(f"  (2,3,7) index-168 kernel: {'PASS' if ok else 'FAIL'}, rho = {report.rho}")
+    # <x, y | x^2, y^3, (xy)^7, [x,y]^8>: its regular action, counted by the
+    # enumeration's rows and again as a permutation group
+    g10752 = FinitePresentation(("x", "y"), (
+        ((0, 2),), ((1, 3),), ((0, 1), (1, 1)) * 7, ((0, -1), (1, -1), (0, 1), (1, 1)) * 8))
+    table = coset_enumeration(g10752, (), 10**6)
+    order = permutation_group_order(generator_permutations(table))
+    ok = table.rows == order == 10752
+    failures += not ok
+    print(f"  order-10752 regular action: {'PASS' if ok else 'FAIL'}, "
+          f"{table.rows} cosets, permutation group order {order}")
 
     banner("triangle representations")
     triples = [

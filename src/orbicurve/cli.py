@@ -272,6 +272,11 @@ def cmd_todd_coxeter(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.what == "wallpaper":
+        bound = _default_bound()
+        if args.samples > bound:
+            print(f"sample count {args.samples} exceeds bound {bound}", file=sys.stderr)
+            _emit(args, {"exceeded": True, "bound": bound})
+            return EXIT_EXCEEDED
         report = run_wallpaper_suite(args.k, args.samples, args.seed)
         payload = {
             "pass": report.passed,

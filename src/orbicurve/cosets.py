@@ -1,5 +1,5 @@
 """Bounded Todd-Coxeter coset enumeration, permutation utilities and the
-capped Schreier-Sims order of a permutation group.
+capped order of a permutation group.
 
 The enumerator is the HLT strategy: process live cosets in definition
 order, scan-and-fill every relator, then define any still-missing neighbor.
@@ -15,6 +15,13 @@ offsets and holds -1 off the row starts.  Every edge is stored together
 with its back edge, and processing a dead coset deletes every back edge
 into it, so outside `coincidence` every entry of a live row is a hole or a
 live coset: scans and compaction read the table without find().
+
+The order of a permutation group is found by one of two routes, with the
+same integer and the same cap rule on both.  A regular group is certified
+by a transitive centralizer, in O(degree x generators) per candidate
+(`_is_regular`); any other group goes to Schreier-Sims, whose Schreier
+trees are extended rather than rebuilt and which tests each (orbit point,
+generator) pair of a level once (`_StabilizerChain`).
 """
 
 from __future__ import annotations
@@ -271,7 +278,7 @@ def identity_perm(degree: int) -> tuple[int, ...]:
 
 def perm_mul(p, q) -> tuple[int, ...]:
     """Apply p, then q."""
-    return tuple(q[x] for x in p)
+    return tuple([q[x] for x in p])
 
 
 def perm_inverse(p) -> tuple[int, ...]:
@@ -346,17 +353,49 @@ class _StabilizerChain:
     """Base and strong generating set under construction.
 
     Level i holds the base point `base[i]`, the strong generators fixing
-    `base[:i]`, and their Schreier tree: each point of the orbit of
-    `base[i]` mapped to a representative taking `base[i]` there, built
-    breadth-first, plus the tree edges (point, generator index).
+    `base[:i]` paired with their inverses, and their Schreier tree: each
+    point of the orbit of `base[i]` mapped to a representative u taking
+    `base[i]` there (`reps`) and to u's inverse (`invs`).  A tree is
+    extended, never rebuilt, when a generator joins its level, so a
+    representative keeps its value once set.  `pending[i]` holds the
+    (point, generator index) pairs of level i whose Schreier generator is
+    still untested, and `sifted` counts the pairs taken from those lists.
     """
 
     def __init__(self, degree: int):
         self.ident = identity_perm(degree)
         self.base: list[int] = []
-        self.gens: list[list[tuple[int, ...]]] = []
+        self.gens: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
         self.reps: list[dict[int, tuple[int, ...]]] = []
-        self.edges: list[set[tuple[int, int]]] = []
+        self.invs: list[dict[int, tuple[int, ...]]] = []
+        self.pending: list[list[tuple[int, int]]] = []
+        self.sifted = 0
+
+    def schreier_sims(self, images, cap: int) -> int | Exceeded:
+        """The order of the group generated by `images`, by deterministic
+        Schreier-Sims, or Exceeded(cap) once it is known to pass `cap`.
+
+        Holt's SCHREIERSIMS (Handbook of Computational Group Theory, 4.4)
+        with the incremental Schreier trees of 4.1.1: every Schreier
+        generator of every level must sift to the identity through the
+        levels below it, a nontrivial residue becomes a new strong
+        generator, and each (point, generator) pair is tested once.  The
+        order is the product of the basic orbit lengths.  That product over
+        the orbits found so far is a lower bound on the order, so
+        Exceeded(cap) is returned as soon as it passes `cap`, before memory
+        grows: the chain holds about 2 x base length x degree^2 points,
+        never `cap` group elements.
+        """
+        for s in images:
+            if s != self.ident:
+                self.add(s, 0)
+        i = len(self.base) - 1
+        while self.order_bound() <= cap:
+            if i < 0:
+                return self.order_bound()
+            y = self.residue(i)
+            i = i - 1 if y is None else self.add(y, i + 1)
+        return Exceeded(cap)
 
     def order_bound(self) -> int:
         """Product of the orbit lengths: a lower bound on the group order,
@@ -370,79 +409,137 @@ class _StabilizerChain:
         j = next((j for j, b in enumerate(self.base) if y[b] != b), None)
         if j is None:
             j = len(self.base)
-            self.base.append(next(x for x, yx in enumerate(y) if yx != x))
+            b = next(x for x, yx in enumerate(y) if yx != x)
+            self.base.append(b)
             self.gens.append([])
-            self.reps.append({})
-            self.edges.append(set())
+            self.reps.append({b: self.ident})
+            self.invs.append({b: self.ident})
+            self.pending.append([])
+        y_inv = perm_inverse(y)
         for level in range(first_level, j + 1):
-            self.gens[level].append(y)
-            self._build_tree(level)
+            self._extend(level, y, y_inv)
         return j
 
-    def _build_tree(self, level: int) -> None:
-        gens = self.gens[level]
-        reps = {self.base[level]: self.ident}
-        edges = set()
-        queue = [self.base[level]]
-        for beta in queue:
-            u = reps[beta]
-            for k, s in enumerate(gens):
-                if s[beta] not in reps:
-                    reps[s[beta]] = perm_mul(u, s)
-                    edges.add((beta, k))
-                    queue.append(s[beta])
-        self.reps[level], self.edges[level] = reps, edges
+    def _extend(self, level: int, y, y_inv) -> None:
+        """Add y to the level's generators and grow its tree breadth-first.
+        Each pair that is not a tree edge becomes pending: (beta, y) for
+        every point already in the orbit, (gamma, s) for every new point
+        gamma and every generator s.  A new inverse is s^-1 u_beta^-1, a
+        product of stored tuples, so it shares their int objects; the
+        fresh ints of `perm_inverse` cost 28 bytes per entry, four times
+        the tuple itself, at degrees above 256."""
+        gens, reps, invs = self.gens[level], self.reps[level], self.invs[level]
+        pending = self.pending[level]
+        gens.append((y, y_inv))
+        new = []
+
+        def visit(beta, k, s, s_inv):
+            gamma = s[beta]
+            if gamma in reps:
+                pending.append((beta, k))
+            else:
+                reps[gamma] = perm_mul(reps[beta], s)
+                invs[gamma] = perm_mul(s_inv, invs[beta])
+                new.append(gamma)
+
+        for beta in list(reps):
+            visit(beta, len(gens) - 1, y, y_inv)
+        for gamma in new:
+            for k, (s, s_inv) in enumerate(gens):
+                visit(gamma, k, s, s_inv)
 
     def residue(self, level: int) -> tuple[int, ...] | None:
-        """The first Schreier generator of `level` that does not sift to
-        the identity through the levels below, sifted; None when all do."""
-        reps, edges = self.reps[level], self.edges[level]
-        for beta, u in reps.items():
-            for k, s in enumerate(self.gens[level]):
-                if (beta, k) in edges:
-                    continue
-                us, target = perm_mul(u, s), reps[s[beta]]
-                if us == target:
-                    continue
-                y = self._sift(perm_mul(us, perm_inverse(target)), level + 1)
-                if y != self.ident:
+        """Test the level's pending Schreier generators u_beta s u_{beta s}^-1
+        until one does not sift to the identity through the levels below;
+        return it sifted, or None when the list runs out.  A tested
+        generator stays in the group of the levels below, because trees
+        and generating sets only grow, so no pair is tested twice."""
+        pending, gens = self.pending[level], self.gens[level]
+        reps, invs, ident = self.reps[level], self.invs[level], self.ident
+        while pending:
+            beta, k = pending.pop()
+            self.sifted += 1
+            s = gens[k][0]
+            t = invs[s[beta]]
+            g = tuple([t[s[x]] for x in reps[beta]])
+            if g != ident:
+                y = self._sift(g, level + 1)
+                if y != ident:
                     return y
         return None
 
     def _sift(self, g, level: int) -> tuple[int, ...]:
         for j in range(level, len(self.base)):
-            u = self.reps[j].get(g[self.base[j]])
-            if u is None:
+            t = self.invs[j].get(g[self.base[j]])
+            if t is None:
                 return g
-            g = perm_mul(g, perm_inverse(u))
+            g = perm_mul(g, t)
         return g
 
 
-def permutation_group_order(perms: PermutationImages, cap: int = DEFAULT_CLOSURE_CAP) -> int | Exceeded:
-    """Order of the generated group by deterministic Schreier-Sims, capped.
+def _is_regular(perms: PermutationImages) -> bool:
+    """True when the group is certified regular, so that its order is the
+    degree; False when the certificate does not apply.
 
-    Holt's SCHREIERSIMS (Handbook of Computational Group Theory, 4.4):
-    every Schreier generator of every level must sift to the identity
-    through the levels below it, and a nontrivial residue becomes a new
-    strong generator.  The order is the product of the basic orbit lengths.
-    That product over the orbits found so far is a lower bound on the
-    order, so Exceeded(cap) is returned as soon as it passes `cap`, before
-    memory grows: the chain holds about base length x degree^2 points,
-    never `cap` group elements.
+    A transitive G is regular when its centralizer in Sym(Omega) is
+    transitive (Dixon-Mortimer, Permutation Groups, Thm 4.2A: that
+    centralizer is semiregular).  An element c of the centralizer taking 0
+    to delta satisfies (0^u)^c = delta^u for all u in G, so it is forced
+    along a Schreier vector of 0, and it centralizes G iff it commutes with
+    every generator.  Candidates are built for points outside the orbit of
+    0 under the centralizing elements found so far, which at least doubles
+    that orbit each time.  The test gives up at once on a non-identity
+    generator with a fixed point, on an intransitive group and on a
+    candidate that does not commute.
+    """
+    n, ident = perms.degree, identity_perm(perms.degree)
+    gens = [s for s in perms.images if s != ident]
+    if n == 0 or any(s[x] == x for s in gens for x in range(n)):
+        return False
+    tree = [None] * n  # tree[gamma] = (beta, s) with gamma = s[beta]
+    order = [0]
+    tree[0] = (0, None)
+    for beta in order:
+        for s in gens:
+            if tree[s[beta]] is None:
+                tree[s[beta]] = (beta, s)
+                order.append(s[beta])
+    if len(order) < n:
+        return False
+    found, centralizing = [True] + [False] * (n - 1), []
+    orbit = [0]
+    for delta in range(1, n):
+        if found[delta]:
+            continue
+        c = [0] * n
+        c[0] = delta
+        for gamma in order[1:]:
+            beta, s = tree[gamma]
+            c[gamma] = s[c[beta]]
+        if any(c[s[x]] != s[c[x]] for s in gens for x in range(n)):
+            return False
+        centralizing.append(c)
+        for x in orbit:
+            for z in centralizing:
+                if not found[z[x]]:
+                    found[z[x]] = True
+                    orbit.append(z[x])
+    return True
+
+
+def permutation_group_order(perms: PermutationImages, cap: int = DEFAULT_CLOSURE_CAP) -> int | Exceeded:
+    """Order of the generated group, capped: the order when it is at most
+    `cap`, Exceeded(cap) otherwise.
+
+    A regular group is recognised first by a centralizer certificate
+    (`_is_regular`), and its order is the degree.  Every other group goes
+    to Schreier-Sims (`_StabilizerChain.schreier_sims`).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    chain = _StabilizerChain(perms.degree)
-    for s in perms.images:
-        if s != chain.ident:
-            chain.add(s, 0)
-    i = len(chain.base) - 1
-    while chain.order_bound() <= cap:
-        if i < 0:
-            return chain.order_bound()
-        y = chain.residue(i)
-        i = i - 1 if y is None else chain.add(y, i + 1)
-    return Exceeded(cap)
+    if _is_regular(perms):
+        return perms.degree if perms.degree <= cap else Exceeded(cap)
+    return _StabilizerChain(perms.degree).schreier_sims(perms.images, cap)
 
 
 def evaluate_word(word: Word, perms: PermutationImages) -> tuple[int, ...]:

@@ -364,6 +364,18 @@ class TestVerify:
         assert data["pass"] is True
         assert {c["name"] for c in data["checks"]} >= {"sigma_order", "image_on_surface"}
 
+    def test_wallpaper_samples_above_bound_exit_2(self, capsys, monkeypatch):
+        # the sample count is work taken from the command line, so it is
+        # refused past the same bound as cosets and group orders
+        monkeypatch.setenv("ORBICURVE_MAX_COSETS", "10")
+        argv = ("verify", "wallpaper", "--k", "6", "--seed", "42", "--samples")
+        code, out, err = invoke(capsys, *argv, "11")
+        assert code == EXIT_EXCEEDED
+        assert out == '{"bound": 10, "exceeded": true}\n'
+        assert "sample count 11 exceeds bound 10" in err
+        code, data = out_json(capsys, *argv, "10")
+        assert code == EXIT_OK and data["samples"] == 10
+
     def test_example_report(self, capsys):
         code, data = out_json(capsys, "verify", "example", "--name", "quartic-b3p1")
         assert code == EXIT_OK and data["pass"] is True

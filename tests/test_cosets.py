@@ -1,4 +1,6 @@
 import hashlib
+import math
+import random
 import time
 
 import pytest
@@ -23,6 +25,8 @@ from orbicurve import (
 from orbicurve.cosets import (
     DEFAULT_CLOSURE_CAP,
     CosetTable,
+    _is_regular,
+    _StabilizerChain,
     cycles_of,
     evaluate_word,
     format_cycles,
@@ -59,6 +63,12 @@ def closure_order(perms, cap=DEFAULT_CLOSURE_CAP):
                     new_frontier.append(r)
         frontier = new_frontier
     return len(seen)
+
+
+def chain_order(perms, cap=DEFAULT_CLOSURE_CAP):
+    """The Schreier-Sims route alone, without the regularity certificate
+    that `permutation_group_order` tries first."""
+    return _StabilizerChain(perms.degree).schreier_sims(perms.images, cap)
 
 
 def psl2_order(q):
@@ -385,6 +395,96 @@ class TestPermutationGroupOrder:
         assert time.perf_counter() - start < 1.0
 
 
+# the 102 finite signatures of scripts/run_verification.py
+FINITE_GRID = (
+    [OrbSignature(0, 0, ()), OrbSignature(0, 1, ())]
+    + [OrbSignature(0, r, (m,)) for r in (0, 1) for m in range(2, 13)]
+    + [OrbSignature(0, 0, (a, b)) for a in range(2, 13) for b in range(a, 13)]
+    + [OrbSignature(0, 0, (2, 2, n)) for n in range(2, 11)]
+    + [OrbSignature(0, 0, (2, 3, c)) for c in (3, 4, 5)]
+)
+
+
+class TestOrderRoutes:
+    """`permutation_group_order` answers a regular group by the centralizer
+    certificate and every other group by Schreier-Sims; each route is
+    checked against the other and against the closure."""
+
+    def test_routes_agree_on_grid_regular_actions(self):
+        assert len(FINITE_GRID) == 102
+        for sig in FINITE_GRID:
+            table = coset_enumeration(presentation_of(sig), (), 10**4)
+            perms = generator_permutations(table)
+            assert _is_regular(perms), sig
+            assert (permutation_group_order(perms) == chain_order(perms)
+                    == closure_order(perms) == table.rows), sig
+
+    @pytest.mark.parametrize("q", [5, 7, 13, 17])
+    def test_certificate_declines_psl2_on_projective_line(self, q):
+        # z -> z + 1 fixes infinity
+        perms = PermutationImages(q + 1, (_mobius_perm(((1, 1), (0, 1)), q),
+                                          _mobius_perm(((0, -1), (1, 0)), q)))
+        assert not _is_regular(perms)
+        assert permutation_group_order(perms) == chain_order(perms) == psl2_order(q)
+
+    def test_certificate_declines_fixed_point_free_psl2_83(self):
+        # q = 83 is 3 mod 4, 2 mod 3 and -1 mod 7: the Hurwitz generators
+        # move every point of the transitive action, so the decision falls
+        # to the first centralizer candidate
+        perms = hurwitz_triple(83)
+        assert all(p[x] != x for p in perms.images for x in range(84))
+        assert not _is_regular(perms)
+        assert permutation_group_order(perms) == psl2_order(83)
+
+    @pytest.mark.parametrize("perms, order", [
+        (PermutationImages(4, ((1, 2, 3, 0), (1, 0, 3, 2))), 8),  # D4: transitive, fixed-point free
+        (PermutationImages(4, ((1, 0, 3, 2),)), 2),  # intransitive, fixed-point free
+        (PermutationImages(5, ((1, 0, 2, 3, 4), (0, 1, 3, 4, 2))), 6),  # intransitive
+        (PermutationImages(3, ((1, 2, 0), (1, 0, 2))), 6),  # S3: a fixed point
+        (PermutationImages(3, ()), 1),  # no generators
+        (PermutationImages(0, ()), 1),  # no points
+    ], ids=["d4", "z2-two-orbits", "z2xz3-intransitive", "s3", "trivial-on-3", "degree-0"])
+    def test_certificate_declines_and_chain_answers(self, perms, order):
+        assert not _is_regular(perms)
+        assert permutation_group_order(perms) == chain_order(perms) == closure_order(perms) == order
+
+    def test_trivial_group_on_one_point_is_regular(self):
+        perms = PermutationImages(1, ((0,),))
+        assert _is_regular(perms)
+        assert permutation_group_order(perms) == 1
+
+    def test_cap_boundary_on_regular_action(self):
+        perms = generator_permutations(
+            coset_enumeration(presentation_of(OrbSignature(0, 0, (2, 3, 5))), (), 10**4))
+        assert _is_regular(perms) and perms.degree == 60
+        for route in (permutation_group_order, chain_order):
+            assert route(perms, 60) == 60
+            assert route(perms, 59) == Exceeded(59)
+
+    @pytest.mark.parametrize("n, seed", [(20, 0), (20, 1), (30, 0), (30, 1)])
+    def test_each_schreier_generator_is_sifted_once(self, n, seed):
+        # the Schreier generators of a level are the pairs (orbit point,
+        # generator), and none is taken twice, whatever number of strong
+        # generators joins the level after it was tested
+        rng = random.Random(seed)
+        images = tuple(tuple(rng.sample(range(n), n)) for _ in range(2))
+        chain = _StabilizerChain(n)
+        assert chain.schreier_sims(images, 10**80) == math.factorial(n)
+        pairs = sum(len(reps) * len(gens) for reps, gens in zip(chain.reps, chain.gens))
+        assert 0 < chain.sifted <= pairs
+
+    def test_regular_order_10752_action_within_budget(self):
+        # with a base of length 1 the Schreier generators alone cost |G|^2
+        # point operations (about 30 s); the certificate costs a few
+        # O(degree x generators) passes
+        table = coset_enumeration(_G10752_X.presentation, (), 10**6)
+        perms = generator_permutations(table)
+        start = time.perf_counter()
+        assert permutation_group_order(perms) == 10752
+        assert time.perf_counter() - start < 1.0
+        assert permutation_group_order(perms, 10751) == Exceeded(10751)
+
+
 class TestVerifyHomomorphism:
     def test_all_identity_images(self):
         p = presentation_of(OrbSignature(0, 0, (2, 3, 7)))
@@ -480,9 +580,10 @@ def test_enumerator_on_direct_products_of_cyclics(orders):
     for a in orders:
         expected *= a
     assert group_order(p, 10**4) == expected
-    # regular action recount
-    table = coset_enumeration(p, (), 10**4)
-    assert permutation_group_order(generator_permutations(table)) == expected
+    # regular action recount, by the certificate and by the chain
+    perms = generator_permutations(coset_enumeration(p, (), 10**4))
+    assert _is_regular(perms)
+    assert permutation_group_order(perms) == chain_order(perms) == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -498,7 +599,9 @@ def test_enumerator_on_dihedral_style_presentations(n, m, shift):
     if isinstance(result, Exceeded):
         return
     perms = generator_permutations(result)
-    assert permutation_group_order(perms, 1000) == result.rows
+    assert _is_regular(perms)
+    assert (permutation_group_order(perms, 1000) == chain_order(perms, 1000)
+            == closure_order(perms) == result.rows)
     ident = identity_perm(result.rows)
     for rel in p.relators:
         assert evaluate_word(rel, perms) == ident
@@ -508,9 +611,10 @@ def test_enumerator_on_dihedral_style_presentations(n, m, shift):
 @given(permutation_groups(9), st.integers(-2, 2))
 def test_order_matches_closure(perms, offset):
     order = closure_order(perms)
-    assert permutation_group_order(perms) == order
+    assert permutation_group_order(perms) == chain_order(perms) == order
     cap = max(1, order + offset)  # the cap contract at its boundary
-    assert permutation_group_order(perms, cap) == (order if order <= cap else Exceeded(cap))
+    expected = order if order <= cap else Exceeded(cap)
+    assert permutation_group_order(perms, cap) == chain_order(perms, cap) == expected
 
 
 def _sympy_order(perms):
