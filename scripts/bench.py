@@ -1,0 +1,186 @@
+#!/usr/bin/env python3
+"""Per-layer benchmark for orbicurve: one fixed workload per layer.
+
+    python3 scripts/bench.py BENCH.json
+    python3 scripts/bench.py BENCH.json --src parent=../old/src --src change=src
+
+Each layer runs its certificates (from `certbench/inputs.py`) in a fresh
+process, REPEATS times; with several --src trees the trees alternate
+within each repeat.  Per layer and tree the JSON file gets the median wall
+time, certificates/s (and cosets/s or group elements/s where the layer has
+them), the largest peak RSS of the runs (`resource.getrusage` of the
+process that ran them; for the CLI layer, of the largest CLI process),
+failed checks, and the speed probe of `certbench/speed.py` as a ratio to
+its reference time (above 1 on a host slower than the reference).  Wall
+times are not scaled by the probe.  Standard library only; certbench is
+imported, never changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CERTBENCH = ROOT / "certbench"
+CLI_ARGV = ("chi", "--sig", '{"g": 0, "r": 0, "m": [2, 3, 7]}')
+CLI_STDOUT = '{"chi": "-1/42", "kind": "hyperbolic"}\n'
+CLI_PROCESSES = 5
+REPEATS = 3
+HURWITZ_Q = (43, 71, 83, 97, 113)  # q = +-1 mod 7, |PSL(2, q)| below the 10^6 cap
+
+
+def _sizes(result) -> int:
+    """Cosets of a Todd-Coxeter certificate: a group order or a table."""
+    return result if isinstance(result, int) else result.rows
+
+
+def _elements(result) -> int:
+    """Group elements certified by a kernel certificate."""
+    return result[0].index
+
+
+def layer_certs(name: str):
+    """(certificates, per-result count or None, name of that count)."""
+    import inputs
+    from orbicurve.signature import OrbSignature
+
+    rng = random.Random(f"bench/{name}")
+    if name == "closed-forms":
+        return inputs.closed_form_certs(rng, 4000), None, None
+    if name == "dense-snf":
+        return inputs.dense_certs(rng, {8: 300}), None, None
+    if name == "todd-coxeter":
+        certs = [inputs._order_cert("order10752", "order 10752", inputs.G10752, 10752),
+                 inputs._subgroup_cert()]
+        certs += [inputs._order_cert("abelian3", f"Z_{a} x Z_{b} x Z_{c}",
+                                     inputs.abelian_text((a, b, c)), a * b * c)
+                  for a, b, c in inputs.ABC_10K]
+        certs += [inputs._grid_cert(OrbSignature(0, 0, (2, 2, lo)), "dihedral")
+                  for lo, _ in inputs.DIHEDRAL_N]
+        return certs, _sizes, "cosets_per_s"
+    if name == "group-order":
+        certs = [c for q in HURWITZ_Q for c in inputs.hurwitz_certs(q, 10, rng)
+                 if c.group == "kernel"]
+        return certs, _elements, "elements_per_s"
+    if name == "wallpaper":
+        return [inputs.wallpaper_cert(k, 100, seed) for k in (2, 3, 4, 6)
+                for seed in range(3)], None, None
+    if name == "triangle":
+        triples = [(a, b, c) for a in range(2, 25) for b in range(a, 25) for c in range(b, 25)
+                   if b * c + a * c + a * b < a * b * c]
+        triples += [(2, 3, lo) for lo, _ in inputs.PASSING_M + inputs.GAP_M]
+        return [inputs.triangle_cert(t) for t in triples], None, None
+    raise ValueError(f"unknown layer {name!r}")
+
+
+LAYERS = ("closed-forms", "dense-snf", "todd-coxeter", "group-order", "wallpaper",
+          "triangle", "cli")
+
+
+def probe_ratio() -> float:
+    from speed import REFERENCE_S, SpeedProbe
+
+    probe = SpeedProbe()
+    for _ in range(5):
+        probe.sample()
+    return statistics.median(probe.took) / REFERENCE_S
+
+
+def run_layer(name: str) -> dict:
+    """One run of a layer in this process."""
+    ratio = probe_ratio()
+    units = unit = None
+    if name == "cli":
+        walls, failed = [], 0
+        for _ in range(CLI_PROCESSES):
+            t0 = time.perf_counter()
+            done = subprocess.run([sys.executable, "-m", "orbicurve.cli", *CLI_ARGV],
+                                  capture_output=True, text=True, check=False)
+            walls.append(time.perf_counter() - t0)
+            failed += done.stdout != CLI_STDOUT
+        wall, count, rss = statistics.median(walls), 1, resource.RUSAGE_CHILDREN
+    else:
+        certs, measure, unit = layer_certs(name)
+        t0 = time.perf_counter()
+        results = [cert.run() for cert in certs]
+        wall = time.perf_counter() - t0
+        failed = sum(cert.check(r) is not None for cert, r in zip(certs, results))
+        count, rss = len(certs), resource.RUSAGE_SELF
+        units = sum(map(measure, results)) if measure and not failed else None
+    return {"wall_s": wall, "certs": count, "failed": failed, "unit": unit, "units": units,
+            "peak_rss_mb": resource.getrusage(rss).ru_maxrss / 1024, "probe_ratio": ratio}
+
+
+def child(src: str, name: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, str(CERTBENCH))))
+    done = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--run-layer", name],
+                          capture_output=True, text=True, check=True, env=env)
+    return json.loads(done.stdout)
+
+
+def summarize(runs: list[dict]) -> dict:
+    wall = statistics.median(r["wall_s"] for r in runs)
+    out = {
+        "wall_s": wall,
+        "walls_s": [r["wall_s"] for r in runs],
+        "certs": runs[0]["certs"],
+        "certs_per_s": runs[0]["certs"] / wall,
+        "peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
+        "probe_ratio": statistics.median(r["probe_ratio"] for r in runs),
+        "failed": sum(r["failed"] for r in runs),
+    }
+    if runs[0]["unit"] and all(r["units"] is not None for r in runs):
+        out[runs[0]["unit"]] = runs[0]["units"] / wall
+    return out
+
+
+def main(argv) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("out", nargs="?", help="JSON file to write")
+    p.add_argument("--src", action="append", default=[],
+                   help="[label=]path of an orbicurve source tree (default: src)")
+    p.add_argument("--run-layer", choices=LAYERS, help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.run_layer:
+        print(json.dumps(run_layer(args.run_layer)))
+        return 0
+    if not args.out:
+        p.error("the output file is required")
+    trees = {}
+    for spec in args.src or [f"src={ROOT / 'src'}"]:
+        label, _, path = spec.rpartition("=")
+        trees[label or path] = str(Path(path).resolve())
+    runs = {label: {name: [] for name in LAYERS} for label in trees}
+    for repeat in range(REPEATS):
+        order = list(trees) if repeat % 2 == 0 else list(reversed(trees))
+        for name in LAYERS:
+            for label in order:
+                runs[label][name].append(child(trees[label], name))
+    record = {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "repeats": REPEATS,
+        "trees": {label: {name: summarize(r) for name, r in layers.items()}
+                  for label, layers in runs.items()},
+    }
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    for label, layers in record["trees"].items():
+        for name, row in layers.items():
+            print(f"{label:10s} {name:14s} {row['wall_s']:9.4f} s {row['certs_per_s']:10.1f}"
+                  f" certs/s {row['peak_rss_mb']:7.1f} MB probe x{row['probe_ratio']:.2f}"
+                  f" failed {row['failed']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

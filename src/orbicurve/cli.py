@@ -211,6 +211,8 @@ def _load_permutations(path: str, sig: OrbSignature) -> PermutationImages:
             if degree is not None:
                 raise OrbicurveError("permutation file has more than one degree line")
             degree = int(line.split()[1])
+            if degree < 1:
+                raise OrbicurveError(f"degree must be >= 1, got {degree}")
             continue
         name, _, cycles = line.partition("=")
         name = name.strip()
@@ -233,8 +235,10 @@ def _load_permutations(path: str, sig: OrbSignature) -> PermutationImages:
 
 def cmd_cover_verify(args) -> int:
     sig = parse_signature(args.sig)
-    images = _load_permutations(args.perms, sig)
     cap = _default_bound() if args.cap is None else args.cap
+    if cap < 1:
+        raise OrbicurveError("cap must be >= 1")
+    images = _load_permutations(args.perms, sig)
     result = verify_torsion_free_kernel(sig, images, cap=cap)
     if isinstance(result, Exceeded):
         print(f"group order exceeded cap {result.bound}", file=sys.stderr)
@@ -421,7 +425,7 @@ def run(argv) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (OrbicurveError, FileNotFoundError, ValueError) as exc:
+    except (OrbicurveError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR
 

@@ -16,6 +16,18 @@ with its back edge, and processing a dead coset deletes every back edge
 into it, so outside `coincidence` every entry of a live row is a hole or a
 live coset: scans and compaction read the table without find().
 
+A relator given as one power l^n of a letter is not scanned at a live coset
+alpha when beta = alpha * l^-1 is defined and beta < alpha.  beta is live
+(live rows point at live cosets) and was processed before alpha (rows are
+processed in offset order, new rows go after alpha, compaction keeps the
+order), so beta * l^n = beta with every edge defined, either by beta's own
+scan or, by induction, because beta too was skipped.  Coincidences map the
+table onto a quotient, where a closed l-cycle stays closed with a length
+dividing n.  alpha lies on beta's l-cycle, so its scan would trace n
+defined edges back to alpha and change nothing: skipping it keeps every
+definition, deduction and coincidence, hence the table, its numbering and
+the point where the bound trips.
+
 The order of a permutation group is found by one of two routes, with the
 same integer and the same cap rule on both.  A regular group is certified
 by a transitive centralizer, in O(degree x generators) per candidate
@@ -44,12 +56,16 @@ class Exceeded:
     bound: int
 
 
-def _scan_word(word: Word) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+def _scan_word(word: Word) -> tuple[tuple[int, ...], tuple[int, ...], int, int | None]:
     """A word ready to scan: its letters (generator g is 2g, its inverse
-    2g+1), the inverse of each letter, and its last index."""
+    2g+1), the inverse of each letter, its last index and, when the word is
+    one nonzero power l^n, the inverse of l for the skip in `run` (else
+    None)."""
     letters = tuple(itertools.chain.from_iterable(
         itertools.repeat(2 * g if e > 0 else 2 * g + 1, abs(e)) for g, e in word))
-    return letters, tuple(x ^ 1 for x in letters), len(letters) - 1
+    inverse = tuple(x ^ 1 for x in letters)
+    back = inverse[0] if len(word) == 1 and letters else None
+    return letters, inverse, len(letters) - 1, back
 
 
 @dataclass(frozen=True)
@@ -205,8 +221,8 @@ class _Enumerator:
         width = self.width
         if width == 0:
             return CosetTable(self.presentation, 1, ((),), True)
-        for word in self.subgens:
-            if not self.scan_and_fill(0, *word):
+        for word, inverse, last, _ in self.subgens:
+            if not self.scan_and_fill(0, word, inverse, last):
                 return Exceeded(self.max_cosets)
         table, parent, holes = self.table, self.parent, self.holes
         alpha = 0
@@ -218,7 +234,9 @@ class _Enumerator:
             if parent[alpha] != alpha:
                 alpha += width
                 continue
-            for word, inverse, last in self.relators:
+            for word, inverse, last, back in self.relators:
+                if back is not None and -1 < table[alpha + back] < alpha:
+                    continue  # alpha is on a closed l-cycle (module docstring)
                 if not self.scan_and_fill(alpha, word, inverse, last):
                     return Exceeded(self.max_cosets)
                 if parent[alpha] != alpha:

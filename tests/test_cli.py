@@ -123,6 +123,12 @@ class TestAbelianize:
         code, out, err = invoke(capsys, "abelianize")
         assert code == EXIT_DOMAIN_ERROR
 
+    def test_presentation_directory_exits_1(self, capsys, tmp_path):
+        # an OSError other than FileNotFoundError is a domain error too
+        code, out, err = invoke(capsys, "abelianize", "--presentation", str(tmp_path))
+        assert (code, out) == (EXIT_DOMAIN_ERROR, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_sig_and_presentation_conflict_exits_1(self, capsys, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("gens x\nrel x^3\n")
@@ -267,6 +273,41 @@ class TestCover:
         assert out == ""
         assert "cap must be >= 1" in err
 
+    @pytest.mark.parametrize("cap", [["--cap", "0"], ["--cap", "-5"], []])
+    def test_verify_bad_cap_refused_before_any_verdict(self, capsys, tmp_path, monkeypatch,
+                                                       cap):
+        # x3 = (1 2) breaks x1 x2 x3 = 1, so a verdict computed before the
+        # cap check would be not_homomorphism, exit 3
+        if not cap:
+            monkeypatch.setenv("ORBICURVE_MAX_COSETS", "0")
+        path = tmp_path / "perms.txt"
+        path.write_text("degree 8\nx1 = ()\nx2 = ()\nx3 = (1,2)\n")
+        code, out, err = invoke(
+            capsys, "cover", "verify", "--sig", '{"g":0,"r":0,"m":[2,3,7]}',
+            "--perms", str(path), *cap
+        )
+        assert (code, out, err) == (EXIT_DOMAIN_ERROR, "", "error: cap must be >= 1\n")
+
+    @pytest.mark.parametrize("degree", [0, -3])
+    def test_verify_nonpositive_degree_exits_1(self, capsys, tmp_path, degree):
+        # identity cycles of a degree <= 0 used to be read as permutations
+        # and reach the torsion_in_kernel verdict
+        path = tmp_path / "perms.txt"
+        path.write_text(f"degree {degree}\nx1 = ()\nx2 = ()\nx3 = ()\n")
+        code, out, err = invoke(
+            capsys, "cover", "verify", "--sig", '{"g":0,"r":0,"m":[2,3,7]}', "--perms", str(path)
+        )
+        assert (code, out) == (EXIT_DOMAIN_ERROR, "")
+        assert err == f"error: degree must be >= 1, got {degree}\n"
+
+    def test_verify_perms_directory_exits_1(self, capsys, tmp_path):
+        code, out, err = invoke(
+            capsys, "cover", "verify", "--sig", '{"g":0,"r":0,"m":[2,3,7]}',
+            "--perms", str(tmp_path)
+        )
+        assert (code, out) == (EXIT_DOMAIN_ERROR, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 # <x, y | x^2, y^3, (xy)^4>, the (2,3,4) triangle group S_4
 S4_PRESENTATION = "gens x y\nrel x^2\nrel y^3\nrel x y x y x y x y\n"
@@ -296,6 +337,11 @@ Q237_X_TABLE_GOLDEN = (
 
 
 class TestToddCoxeter:
+    def test_presentation_directory_exits_1(self, capsys, tmp_path):
+        code, out, err = invoke(capsys, "todd-coxeter", "--presentation", str(tmp_path))
+        assert (code, out) == (EXIT_DOMAIN_ERROR, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_completes(self, capsys, tmp_path):
         path = tmp_path / "a4.txt"
         path.write_text(A4_PRESENTATION)

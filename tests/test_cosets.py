@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import math
 import random
@@ -25,6 +26,7 @@ from orbicurve import (
 from orbicurve.cosets import (
     DEFAULT_CLOSURE_CAP,
     CosetTable,
+    _Enumerator,
     _is_regular,
     _StabilizerChain,
     cycles_of,
@@ -276,6 +278,42 @@ class TestTableIdentity:
     def test_pinned_bounded_run(self):
         p = _G10752_X.presentation
         assert coset_enumeration(p, (), 3000) == Exceeded(3000)
+
+
+_D806 = presentation_of(OrbSignature(0, 0, (2, 2, 806)))
+
+
+@pytest.mark.parametrize("p, rows, digest, scans", [
+    pytest.param(_D806, 1612,
+                 "a9bf0bc9782b7a843ecc7bf478ab6d917c06d8fa457cc69d4da6d50c686234a9",
+                 [1610, 1609, 3, 1612], id="(2,2,806)"),
+    pytest.param(_abelian3(16, 25, 25), 10000,
+                 "a4650dce9dd47b2429ae57401a9113074ef7d6710676f3f8b68aa1bdbae33da8",
+                 [625, 400, 400, 10000, 10000, 10000], id="Z16xZ25xZ25"),
+])
+def test_power_relator_scans_skip_closed_cycles(monkeypatch, p, rows, digest, scans):
+    # a power l^n is not scanned at a coset whose l-cycle is already closed,
+    # so a long power is scanned about once per l-cycle, index/n times,
+    # where every coset used to scan it; the table is unchanged.  On
+    # (2,2,806) most cosets have no x1- or x2-edge yet when they are
+    # processed, so the squares are still scanned almost everywhere: their
+    # counts are pinned and the bound is asserted for n >= 3 only.
+    counts = collections.Counter()
+    scan = _Enumerator.scan_and_fill
+
+    def counting(self, alpha, word, inverse, last):
+        counts[word] += 1
+        return scan(self, alpha, word, inverse, last)
+
+    monkeypatch.setattr(_Enumerator, "scan_and_fill", counting)
+    table = coset_enumeration(p, (), 10**6)
+    assert (table.rows, table.complete) == (rows, True)
+    assert _table_digest(table) == digest
+    words = [w for w, *_ in _Enumerator(p, (), 1).relators]
+    assert [counts[w] for w in words] == scans
+    for w in words:
+        if len(w) >= 3 and len(set(w)) == 1:
+            assert counts[w] <= rows // len(w) + 1
 
 
 class TestEnumeratorEdgeCases:
@@ -651,6 +689,10 @@ _words = st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3)), max_size=6)
 def test_enumerator_matches_reference(ngens, relators, subgroup, bound):
     # the flat-table enumerator must return the same CosetTable as the one
     # with a list per row, coset numbering included
+    _assert_matches_reference(ngens, relators, subgroup, bound)
+
+
+def _assert_matches_reference(ngens, relators, subgroup, bound):
     def over(word):
         return tuple((g % ngens, e) for g, e in word)
 
@@ -659,3 +701,22 @@ def test_enumerator_matches_reference(ngens, relators, subgroup, bound):
     subgroup = tuple(over(w) for w in subgroup)
     assert coset_enumeration(p, subgroup, bound) == reference_coset_enumeration(
         p, subgroup, bound)
+
+
+_exponents = st.integers(1, 40).flatmap(lambda n: st.sampled_from((n, -n)))
+# x^n or x^-n, two powers of one generator, or a short word
+_power_heavy = st.one_of(
+    st.tuples(st.integers(0, 2), _exponents).map(lambda ge: [(ge,)]),
+    st.tuples(st.integers(0, 2), _exponents, _exponents).map(
+        lambda gab: [((gab[0], gab[1]),), ((gab[0], gab[2]),)]),
+    _words.map(lambda w: [w]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.lists(_power_heavy, min_size=1, max_size=4),
+       st.lists(_words, max_size=2), st.sampled_from((50, 500, 5000)))
+def test_enumerator_matches_reference_on_powers(ngens, groups, subgroup, bound):
+    # power relators are where scans are skipped on closed cycles; the
+    # table, its numbering and every Exceeded must still match
+    _assert_matches_reference(ngens, [w for g in groups for w in g], subgroup, bound)
