@@ -59,6 +59,8 @@ def layer_certs(name: str):
         return inputs.closed_form_certs(rng, 4000), None, None
     if name == "dense-snf":
         return inputs.dense_certs(rng, {8: 300}), None, None
+    if name == "signature-snf":  # sparse relator matrices; 30 rounds make a run last ~0.2 s
+        return inputs.signature_route_certs() * 30, None, None
     if name == "todd-coxeter":
         certs = [inputs._order_cert("order10752", "order 10752", inputs.G10752, 10752),
                  inputs._subgroup_cert()]
@@ -83,8 +85,8 @@ def layer_certs(name: str):
     raise ValueError(f"unknown layer {name!r}")
 
 
-LAYERS = ("closed-forms", "dense-snf", "todd-coxeter", "group-order", "wallpaper",
-          "triangle", "cli")
+LAYERS = ("closed-forms", "dense-snf", "signature-snf", "todd-coxeter", "group-order",
+          "wallpaper", "triangle", "cli")
 
 
 def probe_ratio() -> float:

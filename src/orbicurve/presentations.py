@@ -126,21 +126,28 @@ def presentation_of(sig: OrbSignature) -> FinitePresentation:
 # tokens `name` or `name^<int>`; `#` starts a comment.
 
 
-def parse_word(text: str, generators: tuple[str, ...]) -> Word:
+def _letters(text: str, index: dict[str, int]) -> list[tuple[int, int]]:
+    """The (generator index, exponent) pair of each token, not yet reduced."""
     pairs = []
     for token in text.split():
-        if "^" in token:
-            name, _, exp_text = token.partition("^")
+        name, caret, exp_text = token.partition("^")
+        if caret:
             try:
                 exp = int(exp_text)
             except ValueError:
                 raise UnknownGenerator(f"bad exponent in token {token!r}") from None
         else:
-            name, exp = token, 1
-        if name not in generators:
+            exp = 1
+        g = index.get(name)
+        if g is None:
             raise UnknownGenerator(f"no generator named {name!r}")
-        pairs.append((generators.index(name), exp))
-    return free_reduce(pairs)
+        pairs.append((g, exp))
+    return pairs
+
+
+def parse_word(text: str, generators: tuple[str, ...]) -> Word:
+    index = {g: i for i, g in reversed(list(enumerate(generators)))}  # first of a repeat
+    return free_reduce(_letters(text, index))
 
 
 def format_word(word: Word, generators: tuple[str, ...]) -> str:
@@ -160,7 +167,7 @@ class PresentationFile:
 
 def parse_presentation(text: str) -> PresentationFile:
     generators: tuple[str, ...] | None = None
-    relators: list[Word] = []
+    relators: list[list[tuple[int, int]]] = []
     subgens: list[Word] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -171,11 +178,16 @@ def parse_presentation(text: str) -> PresentationFile:
             if generators is not None:
                 raise UnknownGenerator("more than one gens line")
             generators = tuple(rest.split())
+            index = {g: i for i, g in enumerate(generators)}  # duplicates raise below
         elif keyword in ("rel", "sub"):
             if generators is None:
                 raise UnknownGenerator("gens line must come first")
-            word = parse_word(rest, generators)
-            (relators if keyword == "rel" else subgens).append(word)
+            word = _letters(rest, index)
+            # relators are reduced once, by FinitePresentation
+            if keyword == "rel":
+                relators.append(word)
+            else:
+                subgens.append(free_reduce(word))
         else:
             raise UnknownGenerator(f"unknown line keyword {keyword!r}")
     if generators is None:

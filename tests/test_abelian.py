@@ -109,6 +109,31 @@ def large_matrices(draw, max_dim=12):
     return rows
 
 
+@st.composite
+def unit_heavy_matrices(draw, max_dim=10):
+    """(rows, cols, entries) with entries from {-1, 0, 1} as often as from
+    [-9, 9], so the unit pass fires before and between Hermite steps;
+    shapes 0..max_dim, rectangular as often as square, and the last
+    `dependent` rows integer combinations of the rows before them."""
+    r = draw(st.integers(0, max_dim))
+    c = draw(st.one_of(st.just(r), st.integers(0, max_dim)))
+    dependent = draw(st.integers(0, max(r - 1, 0)))
+    entry = st.one_of(st.sampled_from((-1, 0, 1)), st.integers(-9, 9))
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                         min_size=r - dependent, max_size=r - dependent))
+    for _ in range(dependent):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(k * row[j] for k, row in zip(coeffs, rows)) for j in range(c)])
+    return r, c, rows
+
+
+def unit_heavy(seed, n):
+    """Seeded n x n matrix, each entry from {-1, 0, 1} or [-9, 9] by a coin."""
+    rng = random.Random(seed)
+    return [[rng.choice((-1, 0, 1)) if rng.random() < 0.5 else rng.randint(-9, 9)
+             for _ in range(n)] for _ in range(n)]
+
+
 def dense(seed, n, m=None):
     """Seeded n x m (default n x n) matrix with entries in [-9, 9]."""
     rng = random.Random(seed)
@@ -190,6 +215,46 @@ class TestSmithNormalForm:
             presentation_of_rows(rows, M.cols)
         ) == group_of_diagonal(D.diagonal(), M.cols)
 
+    @settings(max_examples=300, deadline=None)
+    @given(unit_heavy_matrices())
+    def test_unit_heavy_matrices(self, case):
+        r, c, rows = case
+        M = IntMatrix(r, c, tuple(x for row in rows for x in row))
+        D, U, V = smith_normal_form(M)
+        assert_smith_form(M, D, U, V)
+        assert abelianization_of_presentation(
+            presentation_of_rows(rows, c)
+        ) == group_of_diagonal(D.diagonal(), c)
+        if max(r, c) <= 5:
+            assert D.diagonal() == snf_diagonal_via_minors(rows)
+
+    @pytest.mark.parametrize("rows, diagonal", [
+        ([[2, 0], [-1, -1]], [1, 2]),  # relator matrix of (0, 1, (2,))
+        ([[-1, 0], [0, -2]], [1, 2]),
+        ([[-1, 0, 0], [0, -1, 0], [0, 0, -1]], [1, 1, 1]),
+        ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], [1, 1, 1]),  # permutation matrix
+        ([[0, -1, 0], [0, 0, 3], [-2, 0, 0]], [1, 1, 6]),
+        # the unit pass after a Hermite step leaves -6 and -2 on the diagonal
+        ([[-2, 2], [0, 3]], [1, 6]),
+        ([[-1, 1, 1], [1, -1, 1], [2, 0, 5], [-1, 7, -1], [1, -3, -1]], [1, 1, 2]),
+    ])
+    def test_unit_pivots_leave_no_negative_diagonal(self, rows, diagonal):
+        M = IntMatrix.from_rows(rows)
+        D, U, V = smith_normal_form(M)
+        assert D.diagonal() == diagonal
+        assert_smith_form(M, D, U, V)
+        assert abelianization_of_presentation(
+            presentation_of_rows(rows, M.cols)
+        ) == group_of_diagonal(diagonal, M.cols)
+
+    @pytest.mark.parametrize("sig, expected", [
+        (OrbSignature(0, 1, (2,)), AbelianGroup(0, (2,))),  # [[2, 0], [-1, -1]]
+        (OrbSignature(0, 1, (3, 6, 8)), AbelianGroup(0, (6, 24))),
+    ])
+    def test_unit_pivot_signs_on_signature_routes(self, sig, expected):
+        assert abelianization_of_presentation(presentation_of(sig)) == expected
+        assert abelianization(sig) == expected
+
     @pytest.mark.parametrize("seed, shape, kind", [
         *((n, (n, n), "dense") for n in range(1, 11)),
         (20, (6, 9), "dense"), (21, (9, 6), "dense"),
@@ -231,6 +296,36 @@ class TestCoefficientGrowth:
     def test_12x12_transform_bits_stay_small(self, seed):
         _, U, V = smith_normal_form(IntMatrix.from_rows(dense(100 + seed, 12)))
         assert max(abs(e).bit_length() for e in U.entries + V.entries) <= 256
+
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_12x12_unit_heavy_transform_bits_stay_small(self, seed):
+        rows = unit_heavy(200 + seed, 12)
+        M = IntMatrix.from_rows(rows)
+        D, U, V = smith_normal_form(M)
+        assert_smith_form(M, D, U, V)
+        assert max(abs(e).bit_length() for e in U.entries + V.entries) <= 256
+
+
+class TestIntMatrixEntries:
+    @pytest.mark.parametrize("entries", [(2.7, 1), (2, 3.0), ("2", 1), (2, True), (False, 0)])
+    def test_non_integer_entries_rejected(self, entries):
+        with pytest.raises(TypeError):
+            IntMatrix(1, 2, entries)
+
+    @pytest.mark.parametrize("rows", [[[2.9, 0], [0, "3"]], [[2.5, 0], [0, 3.9]], [[True]]])
+    def test_from_rows_rejects_non_integers(self, rows):
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows(rows)
+
+    def test_index_types_become_ints(self):
+        class Three:
+            def __index__(self):
+                return 3
+
+        M = IntMatrix(1, 2, [Three(), 4])
+        assert M.entries == (3, 4) and type(M.entries[0]) is int
+        assert smith_normal_form(M)[0].diagonal() == [1]
 
 
 class TestAbelianGroup:

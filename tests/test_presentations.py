@@ -127,3 +127,27 @@ def test_standard_presentations_survive_text_round_trip():
         p = presentation_of(sig)
         again = parse_presentation(format_presentation(PresentationFile(p)))
         assert again.presentation == p
+
+
+def test_parsed_words_are_reduced():
+    pf = parse_presentation("gens x y\nrel x x^-1 y y\nrel y^0 x^2 x\nsub y^-1 y x x\n")
+    assert pf.presentation.relators == (((1, 2),), ((0, 3),))
+    assert pf.subgroup_generators == (((0, 2),),)
+    assert parse_word("y x^-1 x y^2", ("x", "y")) == ((1, 3),)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("gens x y\nrel x z\n", "no generator named 'z'"),
+    ("gens x y\nrel x^two\n", "bad exponent in token 'x^two'"),
+    ("gens x y\nrel ^2\n", "no generator named ''"),
+    ("gens x x\nrel x^2\n", "duplicate generator names: ('x', 'x')"),
+    ("gens x x\nrel y\n", "no generator named 'y'"),
+    ("gens x\ngens y\n", "more than one gens line"),
+    ("rel x\n", "gens line must come first"),
+    ("gens x\nbogus x\n", "unknown line keyword 'bogus'"),
+    ("# empty\n", "missing gens line"),
+])
+def test_presentation_file_error_messages(text, message):
+    with pytest.raises(UnknownGenerator) as info:
+        parse_presentation(text)
+    assert str(info.value) == message
