@@ -6,14 +6,18 @@
 
 Each layer runs its certificates (from `certbench/inputs.py`) in a fresh
 process, REPEATS times; with several --src trees the trees alternate
-within each repeat.  Per layer and tree the JSON file gets the median wall
-time, certificates/s (and cosets/s or group elements/s where the layer has
-them), the largest peak RSS of the runs (`resource.getrusage` of the
-process that ran them; for the CLI layer, of the largest CLI process),
-failed checks, and the speed probe of `certbench/speed.py` as a ratio to
-its reference time (above 1 on a host slower than the reference).  Wall
-times are not scaled by the probe.  Standard library only; certbench is
-imported, never changed.
+within each repeat.  Around each run the speed probe of `certbench/speed.py`
+is sampled, and its median time over its reference time is the run's
+probe ratio (above 1 on a host slower than the reference).  The run's
+`scaled_wall_s` is its wall time divided by that ratio: the time it would
+take on the reference host.  The ten probes last a few milliseconds in all,
+so the ratio misses changes of host speed during a long run.  Per layer
+and tree the JSON file gets the median scaled wall time, certificates/s
+(and cosets/s or group elements/s where the layer has them) derived from
+it, the raw median and per-run wall times, the median probe ratio, the
+largest peak RSS of the runs (`resource.getrusage` of the process that ran
+them; for the CLI layer, of the largest CLI process) and failed checks.
+Standard library only; certbench is imported, never changed.
 """
 
 from __future__ import annotations
@@ -89,18 +93,13 @@ LAYERS = ("closed-forms", "dense-snf", "signature-snf", "todd-coxeter", "group-o
           "wallpaper", "triangle", "cli")
 
 
-def probe_ratio() -> float:
+def run_layer(name: str) -> dict:
+    """One run of a layer in this process, between two sets of probes."""
     from speed import REFERENCE_S, SpeedProbe
 
     probe = SpeedProbe()
     for _ in range(5):
         probe.sample()
-    return statistics.median(probe.took) / REFERENCE_S
-
-
-def run_layer(name: str) -> dict:
-    """One run of a layer in this process."""
-    ratio = probe_ratio()
     units = unit = None
     if name == "cli":
         walls, failed = [], 0
@@ -119,7 +118,11 @@ def run_layer(name: str) -> dict:
         failed = sum(cert.check(r) is not None for cert, r in zip(certs, results))
         count, rss = len(certs), resource.RUSAGE_SELF
         units = sum(map(measure, results)) if measure and not failed else None
-    return {"wall_s": wall, "certs": count, "failed": failed, "unit": unit, "units": units,
+    for _ in range(5):
+        probe.sample()
+    ratio = statistics.median(probe.took) / REFERENCE_S
+    return {"wall_s": wall, "scaled_wall_s": wall / ratio, "certs": count, "failed": failed,
+            "unit": unit, "units": units,
             "peak_rss_mb": resource.getrusage(rss).ru_maxrss / 1024, "probe_ratio": ratio}
 
 
@@ -131,18 +134,20 @@ def child(src: str, name: str) -> dict:
 
 
 def summarize(runs: list[dict]) -> dict:
-    wall = statistics.median(r["wall_s"] for r in runs)
+    scaled = statistics.median(r["scaled_wall_s"] for r in runs)
     out = {
-        "wall_s": wall,
+        "scaled_wall_s": scaled,
+        "scaled_walls_s": [r["scaled_wall_s"] for r in runs],
+        "wall_s": statistics.median(r["wall_s"] for r in runs),
         "walls_s": [r["wall_s"] for r in runs],
         "certs": runs[0]["certs"],
-        "certs_per_s": runs[0]["certs"] / wall,
+        "certs_per_s": runs[0]["certs"] / scaled,
         "peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
         "probe_ratio": statistics.median(r["probe_ratio"] for r in runs),
         "failed": sum(r["failed"] for r in runs),
     }
     if runs[0]["unit"] and all(r["units"] is not None for r in runs):
-        out[runs[0]["unit"]] = runs[0]["units"] / wall
+        out[runs[0]["unit"]] = runs[0]["units"] / scaled
     return out
 
 
@@ -178,8 +183,9 @@ def main(argv) -> int:
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for label, layers in record["trees"].items():
         for name, row in layers.items():
-            print(f"{label:10s} {name:14s} {row['wall_s']:9.4f} s {row['certs_per_s']:10.1f}"
-                  f" certs/s {row['peak_rss_mb']:7.1f} MB probe x{row['probe_ratio']:.2f}"
+            print(f"{label:10s} {name:14s} {row['scaled_wall_s']:9.4f} s scaled"
+                  f" ({row['wall_s']:.4f} s raw, probe x{row['probe_ratio']:.2f})"
+                  f" {row['certs_per_s']:10.1f} certs/s {row['peak_rss_mb']:7.1f} MB"
                   f" failed {row['failed']}")
     return 0
 

@@ -3,6 +3,9 @@
 JSON mode (the default) is the stable machine interface; text mode is for
 humans.  Exit codes: 0 success, 1 domain error, 2 a resource bound was hit,
 3 a verification suite reported a failure.  Diagnostics go to stderr only.
+
+Each `cmd_*` handler returns (JSON payload, text lines, passed) or raises;
+`run` alone prints the result and picks the exit code.
 """
 
 from __future__ import annotations
@@ -13,12 +16,13 @@ import os
 import sys
 from fractions import Fraction
 
-from .abelian import AbelianGroup, abelianization, abelianization_of_presentation
+from .abelian import abelianization, abelianization_of_presentation
 from .cosets import (
     DEFAULT_MAX_COSETS,
     Exceeded,
     coset_enumeration,
     format_cycles,
+    generator_permutations,
     parse_cycles,
     PermutationImages,
 )
@@ -28,11 +32,7 @@ from .covers import (
     verify_torsion_free_kernel,
 )
 from .errors import OrbicurveError
-from .fixtures import (
-    check_triangle_rep,
-    triangle_representation,
-    verify_example,
-)
+from .fixtures import check_triangle_rep, triangle_representation, verify_example
 from .isomorphism import decide_isomorphism
 from .presentations import parse_presentation, presentation_of
 from .serre import plane_curve_realizability
@@ -54,14 +54,18 @@ EXIT_EXCEEDED = 2
 EXIT_VERIFY_FAILED = 3
 
 
+class _BoundExceeded(Exception):
+    """A resource bound tripped: the message goes to stderr, and the bound
+    to stdout as {"bound": N, "exceeded": true} in either format."""
+
+    def __init__(self, message: str, bound: int):
+        super().__init__(message)
+        self.bound = bound
+
+
 def rational_str(q: Fraction) -> str:
     """Always 'p/q' with q >= 1 and the fraction reduced."""
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
 
 
 def parse_signature(text: str) -> OrbSignature:
@@ -80,44 +84,27 @@ def parse_signature(text: str) -> OrbSignature:
     return canonicalize(OrbSignature(g, r, tuple(m)))
 
 
-def signature_json(sig: OrbSignature) -> dict:
-    return {"g": sig.g, "r": sig.r, "m": list(sig.m)}
-
-
-def abelian_json(ab: AbelianGroup) -> dict:
-    return {"rank": ab.rank, "torsion": list(ab.torsion)}
-
-
-def _emit(args, payload: dict, text_lines=None) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines or [json.dumps(payload, sort_keys=True)]:
-            print(line)
-
-
 def _default_bound() -> int:
     env = os.environ.get("ORBICURVE_MAX_COSETS")
     return int(env) if env else DEFAULT_MAX_COSETS
 
 
+def _read_presentation(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return parse_presentation(fh.read())
+
+
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (payload, text lines, passed)
 
 
-def cmd_chi(args) -> int:
+def cmd_chi(args):
     sig = parse_signature(args.sig)
-    chi = euler_characteristic(sig)
-    kind = classify_kind(sig)
-    _emit(
-        args,
-        {"chi": rational_str(chi), "kind": kind.name.value},
-        [f"chi = {rational_str(chi)} ({kind.name.value})"],
-    )
-    return EXIT_OK
+    chi, kind = rational_str(euler_characteristic(sig)), classify_kind(sig).name.value
+    return {"chi": chi, "kind": kind}, [f"chi = {chi} ({kind})"], True
 
 
-def cmd_kind(args) -> int:
+def cmd_kind(args):
     sig = parse_signature(args.sig)
     kind = classify_kind(sig)
     ninf = satisfies_ninf(sig)
@@ -130,58 +117,49 @@ def cmd_kind(args) -> int:
     if ninf.witness:
         payload["ninf_witness"] = ninf.witness
     size = f"finite of order {kind.order}" if kind.finite else "infinite"
-    _emit(args, payload, [f"{kind.name.value}, {size}, ninf: {ninf.verdict.value}"])
-    return EXIT_OK
+    return payload, [f"{kind.name.value}, {size}, ninf: {ninf.verdict.value}"], True
 
 
-def cmd_order(args) -> int:
-    sig = parse_signature(args.sig)
-    order = finite_order(sig)
-    payload = {"order": "infinite" if order is INFINITE else order}
-    _emit(args, payload, [f"order: {payload['order']}"])
-    return EXIT_OK
+def cmd_order(args):
+    order = finite_order(parse_signature(args.sig))
+    order = "infinite" if order is INFINITE else order
+    return {"order": order}, [f"order: {order}"], True
 
 
-def cmd_abelianize(args) -> int:
+def cmd_abelianize(args):
     if args.sig and args.presentation:
         raise OrbicurveError("abelianize takes --sig or --presentation, not both")
     if args.sig:
         ab = abelianization(parse_signature(args.sig))
     elif args.presentation:
-        with open(args.presentation, encoding="utf-8") as fh:
-            pf = parse_presentation(fh.read())
-        ab = abelianization_of_presentation(pf.presentation)
+        ab = abelianization_of_presentation(_read_presentation(args.presentation).presentation)
     else:
         raise OrbicurveError("abelianize needs --sig or --presentation")
-    _emit(args, abelian_json(ab), [f"rank {ab.rank}, torsion {list(ab.torsion)}"])
-    return EXIT_OK
+    return ({"rank": ab.rank, "torsion": list(ab.torsion)},
+            [f"rank {ab.rank}, torsion {list(ab.torsion)}"], True)
 
 
-def cmd_iso(args) -> int:
+def cmd_iso(args):
     verdict = decide_isomorphism(parse_signature(args.a), parse_signature(args.b))
     payload = {"isomorphic": verdict.isomorphic, "reason": verdict.reason}
     if verdict.detail:
         payload["detail"] = verdict.detail
-    _emit(args, payload, [f"{'isomorphic' if verdict.isomorphic else 'not isomorphic'}"
-                          f" ({verdict.reason}{': ' + verdict.detail if verdict.detail else ''})"])
-    return EXIT_OK
+    return payload, [f"{'isomorphic' if verdict.isomorphic else 'not isomorphic'}"
+                     f" ({verdict.reason}{': ' + verdict.detail if verdict.detail else ''})"], True
 
 
-def cmd_serre(args) -> int:
+def cmd_serre(args):
     verdict = plane_curve_realizability(parse_signature(args.sig))
     payload = {
         "verdict": verdict.outcome,
         "rule": verdict.rule,
         "degree": verdict.degree,
     }
-    _emit(args, payload, [f"{verdict.outcome} ({verdict.rule}"
-                          + (f", degree {verdict.degree})" if verdict.degree else ")")])
-    return EXIT_OK
+    return payload, [f"{verdict.outcome} ({verdict.rule}"
+                     + (f", degree {verdict.degree})" if verdict.degree else ")")], True
 
 
-def cmd_cover(args) -> int:
-    if args.mode == "verify":
-        return cmd_cover_verify(args)
+def cmd_cover(args):
     if args.sig is None:
         raise OrbicurveError("cover needs --sig")
     sig = parse_signature(args.sig)
@@ -194,31 +172,37 @@ def cmd_cover(args) -> int:
     else:
         raise OrbicurveError("cover needs --index <d> or --lcm")
     payload = {"d": report.d, "rho": report.rho, "compact": report.compact}
-    _emit(args, payload, [f"index {report.d}: rho = {report.rho}"
-                          f" ({'compact' if report.compact else 'open'} cover)"])
-    return EXIT_OK
+    return payload, [f"index {report.d}: rho = {report.rho}"
+                     f" ({'compact' if report.compact else 'open'} cover)"], True
 
 
 def _load_permutations(path: str, sig: OrbSignature) -> PermutationImages:
-    p = presentation_of(sig)
+    """Read at most one `degree N` line and one `name = cycles` line for each
+    generator of the standard presentation of `sig`; any other line is an error."""
+    generators = presentation_of(sig).generators
     with open(path, encoding="utf-8") as fh:
         lines = [ln.split("#", 1)[0].strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
     degree = None
     assignments: dict[str, str] = {}
-    for line in lines:
-        if line.startswith("degree "):
+    for line in filter(None, lines):
+        name, equals, cycles = line.partition("=")
+        name = name.strip()
+        if not equals:
+            words = line.split()
+            if words[0] != "degree" or len(words) != 2:
+                raise OrbicurveError(f"expected 'degree N' or 'name = cycles', got {line!r}")
             if degree is not None:
                 raise OrbicurveError("permutation file has more than one degree line")
-            degree = int(line.split()[1])
+            degree = int(words[1])
             if degree < 1:
                 raise OrbicurveError(f"degree must be >= 1, got {degree}")
-            continue
-        name, _, cycles = line.partition("=")
-        name = name.strip()
-        if name in assignments:
+        elif name not in generators:
+            raise OrbicurveError(f"permutation file assigns {name!r}, which is not one of "
+                                 f"the generators {' '.join(generators)}")
+        elif name in assignments:
             raise OrbicurveError(f"permutation file assigns generator {name!r} twice")
-        assignments[name] = cycles.strip()
+        else:
+            assignments[name] = cycles.strip()
     if degree is None:
         # infer from the largest point mentioned
         degree = 1
@@ -226,78 +210,67 @@ def _load_permutations(path: str, sig: OrbSignature) -> PermutationImages:
             for token in cycles.replace("(", " ").replace(")", " ").replace(",", " ").split():
                 degree = max(degree, int(token))
     images = []
-    for name in p.generators:
+    for name in generators:
         if name not in assignments:
             raise OrbicurveError(f"permutation file missing generator {name!r}")
         images.append(parse_cycles(assignments[name], degree))
     return PermutationImages(degree, tuple(images))
 
 
-def cmd_cover_verify(args) -> int:
+def cmd_cover_verify(args):
     sig = parse_signature(args.sig)
     cap = _default_bound() if args.cap is None else args.cap
     if cap < 1:
         raise OrbicurveError("cap must be >= 1")
-    images = _load_permutations(args.perms, sig)
-    result = verify_torsion_free_kernel(sig, images, cap=cap)
+    result = verify_torsion_free_kernel(sig, _load_permutations(args.perms, sig), cap=cap)
     if isinstance(result, Exceeded):
-        print(f"group order exceeded cap {result.bound}", file=sys.stderr)
-        _emit(args, {"exceeded": True, "bound": result.bound})
-        return EXIT_EXCEEDED
+        raise _BoundExceeded(f"group order exceeded cap {result.bound}", result.bound)
     payload: dict = {"verdict": result.verdict}
     if result.index is not None:
         payload["index"] = result.index
     if result.generator is not None:
         payload["generator"] = result.generator
-    _emit(args, payload, [result.verdict + (f", index {result.index}"
-                          if result.index else "")])
-    return EXIT_OK if result.verdict == "torsion_free_kernel" else EXIT_VERIFY_FAILED
+    return (payload, [result.verdict + (f", index {result.index}" if result.index else "")],
+            result.verdict == "torsion_free_kernel")
 
 
-def cmd_todd_coxeter(args) -> int:
-    with open(args.presentation, encoding="utf-8") as fh:
-        pf = parse_presentation(fh.read())
+def cmd_todd_coxeter(args):
+    pf = _read_presentation(args.presentation)
     bound = _default_bound() if args.max_cosets is None else args.max_cosets
     result = coset_enumeration(pf.presentation, pf.subgroup_generators, bound)
     if isinstance(result, Exceeded):
-        print(f"enumeration exceeded {result.bound} cosets", file=sys.stderr)
-        _emit(args, {"exceeded": True, "bound": result.bound})
-        return EXIT_EXCEEDED
+        raise _BoundExceeded(f"enumeration exceeded {result.bound} cosets", result.bound)
     payload = {"cosets": result.rows, "complete": result.complete}
     if args.table:
-        payload["generators"] = list(result.presentation.generators)
-        payload["permutations"] = {
-            name: format_cycles(tuple(result.action[c][2 * g] for c in range(result.rows)))
-            for g, name in enumerate(result.presentation.generators)
-        }
-    _emit(args, payload, [f"{result.rows} cosets (complete)"])
-    return EXIT_OK
+        names = result.presentation.generators
+        payload["generators"] = list(names)
+        payload["permutations"] = dict(zip(
+            names, map(format_cycles, generator_permutations(result).images)))
+    return payload, [f"{result.rows} cosets (complete)"], True
 
 
-def cmd_verify(args) -> int:
-    if args.what == "wallpaper":
-        bound = _default_bound()
-        if args.samples > bound:
-            print(f"sample count {args.samples} exceeds bound {bound}", file=sys.stderr)
-            _emit(args, {"exceeded": True, "bound": bound})
-            return EXIT_EXCEEDED
-        report = run_wallpaper_suite(args.k, args.samples, args.seed)
-        payload = {
-            "pass": report.passed,
-            "k": report.k,
-            "samples": report.samples,
-            "seed": report.seed,
-            "checks": [
-                {"name": c.name, "pass": c.passed, "detail": c.detail}
-                for c in report.checks
-            ],
-        }
-        lines = [f"k={report.k}: " + ("PASS" if report.passed else "FAIL")] + [
-            f"  {'ok ' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in report.checks
-        ]
-        _emit(args, payload, lines)
-        return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
-    # named example
+def cmd_verify_wallpaper(args):
+    bound = _default_bound()
+    if args.samples > bound:
+        raise _BoundExceeded(f"sample count {args.samples} exceeds bound {bound}", bound)
+    report = run_wallpaper_suite(args.k, args.samples, args.seed)
+    payload = {
+        "pass": report.passed,
+        "k": report.k,
+        "samples": report.samples,
+        "seed": report.seed,
+        "checks": [
+            {"name": c.name, "pass": c.passed, "detail": c.detail}
+            for c in report.checks
+        ],
+    }
+    lines = [f"k={report.k}: " + ("PASS" if report.passed else "FAIL")] + [
+        f"  {'ok ' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in report.checks
+    ]
+    return payload, lines, report.passed
+
+
+def cmd_verify_example(args):
     report = verify_example(args.name)
     payload = {
         "pass": report.passed,
@@ -311,11 +284,10 @@ def cmd_verify(args) -> int:
     lines = [f"{report.name}: " + ("PASS" if report.passed else "FAIL")] + [
         f"  {'ok ' if f.passed else 'FAIL'} {f.fact} ({f.detail})" for f in report.facts
     ] + [f"  note: {n}" for n in report.notes]
-    _emit(args, payload, lines)
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+    return payload, lines, report.passed
 
 
-def cmd_triangle_rep(args) -> int:
+def cmd_triangle_rep(args):
     m = tuple(int(tok) for tok in args.m.split(","))
     if len(m) != 3:
         raise OrbicurveError("--m needs three comma-separated integers")
@@ -330,9 +302,8 @@ def cmd_triangle_rep(args) -> int:
         "order_resolutions": list(checks.order_resolutions),
         "premature_closeness": list(checks.premature_closeness),
     }
-    _emit(args, payload, [f"triangle {m}: " + ("PASS" if checks.passed else "FAIL"),
-                          f"  product deviation {checks.product_deviation:.3e}"])
-    return EXIT_OK if checks.passed else EXIT_VERIFY_FAILED
+    return payload, [f"triangle {m}: " + ("PASS" if checks.passed else "FAIL"),
+                     f"  product deviation {checks.product_deviation:.3e}"], checks.passed
 
 
 # ---------------------------------------------------------------------------
@@ -352,66 +323,65 @@ def build_parser() -> argparse.ArgumentParser:
         prog="orbicurve",
         description="exact computations with curve orbifold groups",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser.set_defaults(format="json")
+    # every parser below the top takes --format; with no default of its own,
+    # a nested parser keeps a value given before its name
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
 
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--format", choices=("json", "text"), default="json")
+    def add(subparsers, name, handler=None, **kwargs):
+        p = subparsers.add_parser(name, parents=[fmt], **kwargs)
         p.set_defaults(handler=handler)
         return p
 
-    p = add("chi", cmd_chi, help="orbifold Euler characteristic and kind")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = add(sub, "chi", cmd_chi, help="orbifold Euler characteristic and kind")
     p.add_argument("--sig", required=True, help='signature JSON {"g":..,"r":..,"m":[..]}')
 
-    p = add("kind", cmd_kind, help="kind, finiteness, order, NINF status")
+    p = add(sub, "kind", cmd_kind, help="kind, finiteness, order, NINF status")
     p.add_argument("--sig", required=True)
 
-    p = add("order", cmd_order, help="group order or 'infinite'")
+    p = add(sub, "order", cmd_order, help="group order or 'infinite'")
     p.add_argument("--sig", required=True)
 
-    p = add("abelianize", cmd_abelianize, help="abelianization in divisor-chain form")
+    p = add(sub, "abelianize", cmd_abelianize, help="abelianization in divisor-chain form")
     p.add_argument("--sig")
     p.add_argument("--presentation", help="presentation file (gens/rel lines)")
 
-    p = add("iso", cmd_iso, help="decide isomorphism of two signatures")
+    p = add(sub, "iso", cmd_iso, help="decide isomorphism of two signatures")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
 
-    p = add("serre", cmd_serre, help="plane-curve-complement realizability")
+    p = add(sub, "serre", cmd_serre, help="plane-curve-complement realizability")
     p.add_argument("--sig", required=True)
 
-    p = add("cover", cmd_cover, help="torsion-free cover arithmetic")
+    p = add(sub, "cover", cmd_cover, help="torsion-free cover arithmetic")
     p.add_argument("--sig")
     p.add_argument("--index", type=int)
     p.add_argument("--lcm", action="store_true")
-    p.set_defaults(mode=None, cap=None)
-    cover_sub = p.add_subparsers(dest="mode")
-    pv = cover_sub.add_parser("verify", help="certify a permutation quotient")
+    # the dests "mode" and "what" only name the choice in usage errors
+    pv = add(p.add_subparsers(dest="mode"), "verify", cmd_cover_verify,
+             help="certify a permutation quotient")
     pv.add_argument("--sig", required=True)
     pv.add_argument("--perms", required=True, help="file of 'name = (cycles)' lines")
     pv.add_argument("--cap", type=int)
-    pv.add_argument("--format", choices=("json", "text"), default="json")
-    pv.set_defaults(handler=cmd_cover, mode="verify")
 
-    p = add("todd-coxeter", cmd_todd_coxeter, help="bounded coset enumeration")
+    p = add(sub, "todd-coxeter", cmd_todd_coxeter, help="bounded coset enumeration")
     p.add_argument("--presentation", required=True)
     p.add_argument("--max-cosets", type=int, default=None)
     p.add_argument("--table", action="store_true", help="include generator permutations")
 
-    p = add("verify", None, help="run a verification suite")
-    verify_sub = p.add_subparsers(dest="what", required=True)
-    pw = verify_sub.add_parser("wallpaper")
-    pw.add_argument("--k", type=int, required=True)
-    pw.add_argument("--samples", type=int, required=True)
-    pw.add_argument("--seed", type=int, required=True)
-    pw.add_argument("--format", choices=("json", "text"), default="json")
-    pw.set_defaults(handler=cmd_verify, what="wallpaper")
-    pe = verify_sub.add_parser("example")
-    pe.add_argument("--name", required=True)
-    pe.add_argument("--format", choices=("json", "text"), default="json")
-    pe.set_defaults(handler=cmd_verify, what="example")
+    suites = add(sub, "verify", help="run a verification suite").add_subparsers(
+        dest="what", required=True)
+    p = add(suites, "wallpaper", cmd_verify_wallpaper)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p = add(suites, "example", cmd_verify_example)
+    p.add_argument("--name", required=True)
 
-    p = add("triangle-rep", cmd_triangle_rep, help="hyperbolic triangle matrices")
+    p = add(sub, "triangle-rep", cmd_triangle_rep, help="hyperbolic triangle matrices")
     p.add_argument("--m", required=True, help="comma-separated m1,m2,m3")
     p.add_argument("--tol", type=float, default=None,
                    help="default: min(1e-9, pi/(4m(m+1))) over the orders")
@@ -421,13 +391,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        payload, lines, passed = args.handler(args)
+        code = EXIT_OK if passed else EXIT_VERIFY_FAILED
+    except _BoundExceeded as exc:
+        print(exc, file=sys.stderr)
+        payload, lines, code = {"bound": exc.bound, "exceeded": True}, None, EXIT_EXCEEDED
     except (OrbicurveError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR
+    if args.format == "text" and lines:
+        print("\n".join(lines))
+    else:
+        print(json.dumps(payload, sort_keys=True))
+    return code
 
 
 def main() -> None:

@@ -201,9 +201,6 @@ def example_presentation(name: str) -> NamedExample:
     raise UnknownExample(f"no example named {name!r}")
 
 
-EXAMPLE_NAMES = ("quartic-b3p1", "sextic-b4p1", "quintic-237", "artal(d,a,b)")
-
-
 @dataclass(frozen=True)
 class FactResult:
     fact: str

@@ -7,7 +7,6 @@ from orbicurve.cli import (
     EXIT_EXCEEDED,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
-    parse_rational,
     parse_signature,
     rational_str,
     run,
@@ -40,10 +39,6 @@ class TestRationalFormat:
         assert rational_str(Fraction(-1, 42)) == "-1/42"
         assert rational_str(Fraction(0)) == "0/1"
         assert rational_str(Fraction(4, 2)) == "2/1"
-
-    def test_round_trip(self):
-        for text in ("-1/42", "0/1", "7/3"):
-            assert rational_str(parse_rational(text)) == text
 
 
 class TestSignatureJson:
@@ -300,6 +295,34 @@ class TestCover:
         assert (code, out) == (EXIT_DOMAIN_ERROR, "")
         assert err == f"error: degree must be >= 1, got {degree}\n"
 
+    @pytest.mark.parametrize("line, message", [
+        ("z = (1 2)",
+         "permutation file assigns 'z', which is not one of the generators x1 x2 x3"),
+        ("x1 (1 2)", "expected 'degree N' or 'name = cycles', got 'x1 (1 2)'"),
+        ("degree", "expected 'degree N' or 'name = cycles', got 'degree'"),
+        ("degree 8 99", "expected 'degree N' or 'name = cycles', got 'degree 8 99'"),
+    ], ids=["unknown-generator", "no-equals", "degree-without-number", "degree-two-numbers"])
+    def test_verify_unusable_line_exits_1(self, capsys, tmp_path, line, message):
+        # each of these used to be skipped, and the fixture certified (exit 0)
+        path = self.fixture_file(tmp_path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        code, out, err = invoke(
+            capsys, "cover", "verify", "--sig", '{"g":0,"r":0,"m":[2,3,7]}', "--perms", path
+        )
+        assert (code, out, err) == (EXIT_DOMAIN_ERROR, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("cover", "--format", "text", "verify"),
+        ("cover", "verify", "--format", "text"),
+    ], ids=["format-first", "format-last"])
+    def test_verify_text_format_in_either_position(self, capsys, tmp_path, argv):
+        code, out, err = invoke(
+            capsys, *argv, "--sig", '{"g":0,"r":0,"m":[2,3,7]}',
+            "--perms", self.fixture_file(tmp_path)
+        )
+        assert (code, out, err) == (EXIT_OK, "torsion_free_kernel, index 168\n", "")
+
     def test_verify_perms_directory_exits_1(self, capsys, tmp_path):
         code, out, err = invoke(
             capsys, "cover", "verify", "--sig", '{"g":0,"r":0,"m":[2,3,7]}',
@@ -425,6 +448,19 @@ class TestVerify:
     def test_example_report(self, capsys):
         code, data = out_json(capsys, "verify", "example", "--name", "quartic-b3p1")
         assert code == EXIT_OK and data["pass"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--format", "text", "example", "--name", "quartic-b3p1"),
+        ("verify", "example", "--format", "text", "--name", "quartic-b3p1"),
+        ("verify", "--format", "text", "wallpaper", "--k", "2", "--samples", "3", "--seed", "5"),
+        ("verify", "wallpaper", "--k", "2", "--samples", "3", "--seed", "5", "--format", "text"),
+    ], ids=["example-format-first", "example-format-last", "wallpaper-format-first",
+            "wallpaper-format-last"])
+    def test_text_format_in_either_position(self, capsys, argv):
+        # a --format before the suite name used to be reset to json by the suite's parser
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.split("\n")[0] in ("quartic-b3p1: PASS", "k=2: PASS")
 
     def test_unknown_example_exits_1(self, capsys):
         code, _, err = invoke(capsys, "verify", "example", "--name", "nope")
@@ -608,12 +644,6 @@ class TestDeterminism:
         _, out1, _ = invoke(capsys, *argv)
         _, out2, _ = invoke(capsys, *argv)
         assert out1 == out2
-
-    def test_signature_round_trip(self, capsys):
-        from orbicurve.cli import signature_json
-
-        sig = parse_signature('{"g":2,"r":1,"m":[3,2]}')
-        assert parse_signature(json.dumps(signature_json(sig))) == sig
 
 
 class TestTextMode:
