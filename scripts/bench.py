@@ -6,12 +6,13 @@
 
 Each layer runs its certificates (from `certbench/inputs.py`) in a fresh
 process, REPEATS times; with several --src trees the trees alternate
-within each repeat.  Around each run the speed probe of `certbench/speed.py`
-is sampled, and its median time over its reference time is the run's
-probe ratio (above 1 on a host slower than the reference).  The run's
-`scaled_wall_s` is its wall time divided by that ratio: the time it would
-take on the reference host.  The ten probes last a few milliseconds in all,
-so the ratio misses changes of host speed during a long run.  Per layer
+within each repeat.  The speed probe of `certbench/speed.py` is sampled
+between certificates (at most every 50 ms), and each certificate's time
+is scaled by `SpeedProbe.scale` over the probes around it, as certbench
+does: the time it would take where the probe takes its reference time.
+A run's `scaled_wall_s` is the sum of those, and its probe ratio is raw
+over scaled wall time (above 1 on a host slower than the reference).  The
+CLI layer scales each process the same way and takes medians.  Per layer
 and tree the JSON file gets the median scaled wall time, certificates/s
 (and cosets/s or group elements/s where the layer has them) derived from
 it, the raw median and per-run wall times, the median probe ratio, the
@@ -94,36 +95,38 @@ LAYERS = ("closed-forms", "dense-snf", "signature-snf", "todd-coxeter", "group-o
 
 
 def run_layer(name: str) -> dict:
-    """One run of a layer in this process, between two sets of probes."""
-    from speed import REFERENCE_S, SpeedProbe
+    """One run of a layer in this process, each certificate scaled by the
+    probes sampled around it."""
+    from speed import SpeedProbe
 
     probe = SpeedProbe()
-    for _ in range(5):
-        probe.sample()
-    units = unit = None
+    intervals, units, unit = [], None, None
+
+    def timed(fn):
+        probe.maybe_sample()
+        t0 = time.perf_counter()
+        result = fn()
+        intervals.append((t0, time.perf_counter()))
+        return result
+
     if name == "cli":
-        walls, failed = [], 0
-        for _ in range(CLI_PROCESSES):
-            t0 = time.perf_counter()
-            done = subprocess.run([sys.executable, "-m", "orbicurve.cli", *CLI_ARGV],
-                                  capture_output=True, text=True, check=False)
-            walls.append(time.perf_counter() - t0)
-            failed += done.stdout != CLI_STDOUT
-        wall, count, rss = statistics.median(walls), 1, resource.RUSAGE_CHILDREN
+        argv = [sys.executable, "-m", "orbicurve.cli", *CLI_ARGV]
+        done = [timed(lambda: subprocess.run(argv, capture_output=True, text=True, check=False))
+                for _ in range(CLI_PROCESSES)]
+        failed = sum(d.stdout != CLI_STDOUT for d in done)
+        count, rss, total = 1, resource.RUSAGE_CHILDREN, statistics.median
     else:
         certs, measure, unit = layer_certs(name)
-        t0 = time.perf_counter()
-        results = [cert.run() for cert in certs]
-        wall = time.perf_counter() - t0
+        results = [timed(cert.run) for cert in certs]
         failed = sum(cert.check(r) is not None for cert, r in zip(certs, results))
-        count, rss = len(certs), resource.RUSAGE_SELF
+        count, rss, total = len(certs), resource.RUSAGE_SELF, sum
         units = sum(map(measure, results)) if measure and not failed else None
-    for _ in range(5):
-        probe.sample()
-    ratio = statistics.median(probe.took) / REFERENCE_S
-    return {"wall_s": wall, "scaled_wall_s": wall / ratio, "certs": count, "failed": failed,
+    probe.sample()
+    wall = total(t1 - t0 for t0, t1 in intervals)
+    scaled = total((t1 - t0) * probe.scale(t0, t1) for t0, t1 in intervals)
+    return {"wall_s": wall, "scaled_wall_s": scaled, "certs": count, "failed": failed,
             "unit": unit, "units": units,
-            "peak_rss_mb": resource.getrusage(rss).ru_maxrss / 1024, "probe_ratio": ratio}
+            "peak_rss_mb": resource.getrusage(rss).ru_maxrss / 1024, "probe_ratio": wall / scaled}
 
 
 def child(src: str, name: str) -> dict:

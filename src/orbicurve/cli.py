@@ -218,7 +218,13 @@ def _load_permutations(path: str, sig: OrbSignature) -> PermutationImages:
 
 
 def cmd_cover_verify(args):
-    sig = parse_signature(args.sig)
+    # options of `cover` itself land in the same namespace; given before
+    # `verify` they would be dropped without a word
+    if args.index is not None or args.lcm:
+        raise OrbicurveError(f"cover verify takes no {'--lcm' if args.lcm else '--index'}")
+    if args.sig is not None:
+        raise OrbicurveError("cover verify takes --sig after 'verify', not before it")
+    sig = parse_signature(args.verify_sig)
     cap = _default_bound() if args.cap is None else args.cap
     if cap < 1:
         raise OrbicurveError("cap must be >= 1")
@@ -363,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the dests "mode" and "what" only name the choice in usage errors
     pv = add(p.add_subparsers(dest="mode"), "verify", cmd_cover_verify,
              help="certify a permutation quotient")
-    pv.add_argument("--sig", required=True)
+    pv.add_argument("--sig", dest="verify_sig", metavar="SIG", required=True)
     pv.add_argument("--perms", required=True, help="file of 'name = (cycles)' lines")
     pv.add_argument("--cap", type=int)
 

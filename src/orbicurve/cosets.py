@@ -7,26 +7,33 @@ Coincidences go through a union-find with queued edge transfer; the table
 is compacted whenever dead rows outnumber live ones, so memory stays linear
 in the live-coset count.  Everything is deterministic.
 
-The table is one flat list.  Coset c is stored as its row offset c * width
-(width = 2 * number of generators): `table[c * width + letter]` is the
+The table is one flat list of rows.  With width = 2 * number of
+generators, a row is `width` edge slots and one parent slot, and coset c
+is stored as its row offset c * (width + 1): `table[c + letter]` is the
 offset of its neighbor, or -1 for a hole, so one scan step is
-`f = table[f + letter]`.  The union-find `parent` is indexed by the same
-offsets and holds -1 off the row starts.  Every edge is stored together
-with its back edge, and processing a dead coset deletes every back edge
-into it, so outside `coincidence` every entry of a live row is a hole or a
-live coset: scans and compaction read the table without find().
+`f = table[f + letter]`, and `table[c + width]` is its union-find parent,
+c itself while c is live.  A definition appends one row.  Every edge is
+stored together with its back edge, and processing a dead coset deletes
+every back edge into it, so outside `coincidence` every entry of a live
+row is a hole or a live coset: scans and compaction read the table without
+find().  Compaction and the final numbering overwrite the parent column
+with the new numbers, which maps every edge in one pass.  `group_order`
+only counts the live cosets; the numbered `CosetTable` is built for
+`coset_enumeration` alone.
 
-A relator given as one power l^n of a letter is not scanned at a live coset
-alpha when beta = alpha * l^-1 is defined and beta < alpha.  beta is live
-(live rows point at live cosets) and was processed before alpha (rows are
-processed in offset order, new rows go after alpha, compaction keeps the
-order), so beta * l^n = beta with every edge defined, either by beta's own
-scan or, by induction, because beta too was skipped.  Coincidences map the
-table onto a quotient, where a closed l-cycle stays closed with a length
-dividing n.  alpha lies on beta's l-cycle, so its scan would trace n
-defined edges back to alpha and change nothing: skipping it keeps every
-definition, deduction and coincidence, hence the table, its numbering and
-the point where the bound trips.
+A relator given as a proper power w^n (one letter l^n, or syllables that
+repeat with a period) is not scanned at a live coset alpha when
+beta = alpha * w^-1 is defined, traced back through |w| edges, and
+beta < alpha.  beta is live (live rows point at live cosets) and was
+processed before alpha (rows are processed in offset order, new rows go
+after alpha, compaction keeps the order), so beta * w^n = beta with every
+edge defined, either by beta's own scan or, by induction, because beta too
+was skipped.  Coincidences map the table onto a quotient, where a closed
+w-cycle stays closed with a length dividing n.  alpha = beta * w lies on
+beta's w-cycle, so its scan would trace n|w| defined edges back to alpha
+and change nothing: skipping it keeps every definition, deduction and
+coincidence, hence the table, its numbering and the point where the bound
+trips.
 
 The order of a permutation group is found by one of two routes, with the
 same integer and the same cap rule on both.  A regular group is certified
@@ -56,16 +63,33 @@ class Exceeded:
     bound: int
 
 
-def _scan_word(word: Word) -> tuple[tuple[int, ...], tuple[int, ...], int, int | None]:
-    """A word ready to scan: its letters (generator g is 2g, its inverse
-    2g+1), the inverse of each letter, its last index and, when the word is
-    one nonzero power l^n, the inverse of l for the skip in `run` (else
-    None)."""
-    letters = tuple(itertools.chain.from_iterable(
+def _letters(word: Word) -> tuple[int, ...]:
+    """Generator g is letter 2g, its inverse 2g+1."""
+    return tuple(itertools.chain.from_iterable(
         itertools.repeat(2 * g if e > 0 else 2 * g + 1, abs(e)) for g, e in word))
-    inverse = tuple(x ^ 1 for x in letters)
-    back = inverse[0] if len(word) == 1 and letters else None
-    return letters, inverse, len(letters) - 1, back
+
+
+def _root(word: Word) -> Word | None:
+    """w when the word is w^n with n >= 2 as given: one syllable l^n, or
+    syllables that repeat with a period p (word[p:] == word[:-p]) dividing
+    their number.  Only syllables are compared, never expanded letters."""
+    if len(word) == 1:
+        (g, e), = word
+        return ((g, 1 if e > 0 else -1),) if abs(e) > 1 else None
+    for p in range(1, len(word) // 2 + 1):
+        if len(word) % p == 0 and word[p:] == word[:-p]:
+            return word[:p]
+    return None
+
+
+def _scan_word(word: Word) -> tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...] | None]:
+    """A word ready to scan: its letters, the inverse of each letter, its
+    last index and, when the word is a proper power w^n, the letters of
+    w^-1 for the skip in `enumerate` (else None)."""
+    letters = _letters(word)
+    root = _root(word)
+    back = None if root is None else tuple(x ^ 1 for x in reversed(_letters(root)))
+    return letters, tuple(x ^ 1 for x in letters), len(letters) - 1, back
 
 
 @dataclass(frozen=True)
@@ -90,18 +114,17 @@ class _Enumerator:
         self.relators = [_scan_word(w) for w in presentation.relators]
         self.subgens = [_scan_word(w) for w in subgroup_generators]
         self.max_cosets = max_cosets
-        self.holes = [-1] * self.width
-        self.table = list(self.holes)  # coset 0, the subgroup's
-        self.parent = [0] + self.holes[1:]
+        self.holes = [-1] * (self.width + 1)  # a new row; its parent is set after
+        self.table = self.holes[1:] + [0]  # coset 0, the subgroup's
         self.live = 1
 
     def find(self, c: int) -> int:
-        parent = self.parent
+        table, width = self.table, self.width
         root = c
-        while parent[root] != root:
-            root = parent[root]
-        while parent[c] != root:
-            parent[c], c = root, parent[c]
+        while table[root + width] != root:
+            root = table[root + width]
+        while table[c + width] != root:
+            table[c + width], c = root, table[c + width]
         return root
 
     def coincidence(self, a: int, b: int) -> None:
@@ -109,23 +132,23 @@ class _Enumerator:
         forces; the smaller coset of each pair survives.  Each dead coset's
         edges move to its representative and its back edges are deleted, so
         on return no live row points at a dead coset."""
-        table, parent, find = self.table, self.parent, self.find
+        table, width, find = self.table, self.width, self.find
         if b < a:
             a, b = b, a
-        parent[b] = a
+        table[b + width] = a
         queue = [b]
         for dead in queue:  # grows while it is walked
-            for letter in range(self.width):
+            for letter in range(width):
                 delta = table[dead + letter]
                 if delta < 0:
                     continue
                 back = letter ^ 1
                 if table[delta + back] == dead:
                     table[delta + back] = -1
-                mu = parent[dead]
-                if parent[mu] != mu:
+                mu = table[dead + width]
+                if table[mu + width] != mu:
                     mu = find(mu)
-                nu = delta if parent[delta] == delta else find(delta)
+                nu = delta if table[delta + width] == delta else find(delta)
                 a = table[mu + letter]
                 if a >= 0:
                     b = nu
@@ -137,14 +160,14 @@ class _Enumerator:
                         continue
                     b = mu
                 # merge a and b
-                if parent[a] != a:
+                if table[a + width] != a:
                     a = find(a)
-                if parent[b] != b:
+                if table[b + width] != b:
                     b = find(b)
                 if a != b:
                     if b < a:
                         a, b = b, a
-                    parent[b] = a
+                    table[b + width] = a
                     queue.append(b)
         self.live -= len(queue)
 
@@ -185,84 +208,92 @@ class _Enumerator:
                 return False
             new = len(table)
             table += self.holes
-            self.parent += self.holes
-            self.parent[new] = new
+            table[new + self.width] = new
             self.live += 1
             table[f + word[i]] = new
             table[new + inverse[i]] = f
             f = new
             i += 1
 
-    def renumber(self, step: int) -> list[int]:
-        """Turn `parent`, which find() no longer needs, into the renumbering:
-        the offset of the k-th live row maps to k * step, the start of a dead
-        row to -1.  Every other slot of `parent` is -1 already, so a hole
-        maps to -1 as well."""
-        remap, rank = self.parent, 0
-        for c in range(0, len(self.table), self.width):
-            if remap[c] == c:
-                remap[c], rank = rank, rank + step
+    def renumber(self, step: int) -> None:
+        """Overwrite the parent column, which find() no longer needs, with
+        the renumbering: the k-th live row gets k * step, a dead row -1."""
+        table, width, rank = self.table, self.width, 0
+        for c in range(0, len(table), width + 1):
+            if table[c + width] == c:
+                table[c + width], rank = rank, rank + step
             else:
-                remap[c] = -1
-        return remap
+                table[c + width] = -1
 
     def compact(self, cursor: int) -> int:
         """Renumber live cosets in order; returns the relocated cursor."""
-        table, width = self.table, self.width
-        remap = self.renumber(width)
-        cursor = width * sum(remap[c] >= 0 for c in range(0, cursor, width))
-        self.table = [remap[x] for c in range(0, len(table), width) if remap[c] >= 0
-                      for x in table[c:c + width]]
-        self.parent = [-1] * len(self.table)
-        self.parent[::width] = range(0, len(self.table), width)
+        table, width, stride = self.table, self.width, self.width + 1
+        self.renumber(stride)
+        cursor = stride * sum(table[c + width] >= 0 for c in range(0, cursor, stride))
+        # the parent slot is mapped like an edge, to a wrong value, and then
+        # set again from the renumbered column, whose int objects it shares
+        self.table = [-1 if x < 0 else table[x + width]
+                      for c in range(0, len(table), stride) if table[c + width] >= 0
+                      for x in table[c:c + stride]]
+        self.table[width::stride] = [x for x in table[width::stride] if x >= 0]
         return cursor
 
-    def run(self) -> CosetTable | Exceeded:
-        width = self.width
-        if width == 0:
-            return CosetTable(self.presentation, 1, ((),), True)
+    def enumerate(self) -> int | None:
+        """Run HLT to the end: the number of live cosets, or None when a
+        definition would pass the bound."""
+        width, stride = self.width, self.width + 1
         for word, inverse, last, _ in self.subgens:
             if not self.scan_and_fill(0, word, inverse, last):
-                return Exceeded(self.max_cosets)
-        table, parent, holes = self.table, self.parent, self.holes
+                return None
+        table, holes = self.table, self.holes
         alpha = 0
         while alpha < len(table):
-            if len(table) - self.live * width > max(self.live, 256) * width:
+            if len(table) - self.live * stride > max(self.live, 256) * stride:
                 alpha = self.compact(alpha)
-                table, parent = self.table, self.parent
+                table = self.table
                 continue  # bound and liveness must be re-checked
-            if parent[alpha] != alpha:
-                alpha += width
+            if table[alpha + width] != alpha:
+                alpha += stride
                 continue
             for word, inverse, last, back in self.relators:
-                if back is not None and -1 < table[alpha + back] < alpha:
-                    continue  # alpha is on a closed l-cycle (module docstring)
+                if back is not None:
+                    beta = alpha
+                    for letter in back:
+                        beta = table[beta + letter]
+                        if beta < 0:
+                            break
+                    else:
+                        if beta < alpha:
+                            continue  # alpha is on a closed w-cycle (module docstring)
                 if not self.scan_and_fill(alpha, word, inverse, last):
-                    return Exceeded(self.max_cosets)
-                if parent[alpha] != alpha:
+                    return None
+                if table[alpha + width] != alpha:
                     break
             else:
                 for letter in range(width):
                     if table[alpha + letter] < 0:
                         if self.live >= self.max_cosets:
-                            return Exceeded(self.max_cosets)
+                            return None
                         new = len(table)
                         table += holes
-                        parent += holes
-                        parent[new] = new
+                        table[new + width] = new
                         self.live += 1
                         table[alpha + letter] = new
                         table[new + (letter ^ 1)] = alpha
-            alpha += width
-        number = self.renumber(1)
+            alpha += stride
+        return self.live
+
+    def coset_table(self) -> CosetTable:
+        """The enumerated table with its live cosets numbered 0, 1, ... in
+        order; holes, if any, are None."""
+        table, width = self.table, self.width
+        self.renumber(1)
         action = tuple(
-            tuple(None if x < 0 else number[x] for x in table[c:c + width])
-            for c in range(0, len(table), width) if number[c] >= 0
+            tuple(None if x < 0 else table[x + width] for x in table[c:c + width])
+            for c in range(0, len(table), width + 1) if table[c + width] >= 0
         )
         complete = all(None not in row for row in action)
         return CosetTable(self.presentation, len(action), action, complete)
-
-
 
 
 def coset_enumeration(
@@ -275,15 +306,17 @@ def coset_enumeration(
     On completion the row count is the index of the subgroup.  Returns
     Exceeded when the live-coset count would pass `max_cosets`.
     """
-    return _Enumerator(p, subgroup_generators, max_cosets).run()
+    enumerator = _Enumerator(p, subgroup_generators, max_cosets)
+    if enumerator.enumerate() is None:
+        return Exceeded(max_cosets)
+    return enumerator.coset_table()
 
 
 def group_order(p: FinitePresentation, bound: int = DEFAULT_MAX_COSETS) -> int | Exceeded:
-    """Order of the presented group by enumeration over the trivial subgroup."""
-    result = coset_enumeration(p, (), bound)
-    if isinstance(result, Exceeded):
-        return result
-    return result.rows
+    """Order of the presented group: the number of cosets of the trivial
+    subgroup, counted without building the table."""
+    rows = _Enumerator(p, (), bound).enumerate()
+    return Exceeded(bound) if rows is None else rows
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,13 @@ CASES = [
           "degree-two-numbers.txt"),
     *_one("verify-perms-format-first", "cover", "--format", "text", "verify", "--sig", SIG237,
           "--perms", "psl27.txt"),
+    # options of `cover` before `verify` are refused, not dropped
+    *_one("verify-perms-index-first", "cover", "--index", "6", "verify", "--sig", SIG237,
+          "--perms", "psl27.txt"),
+    *_one("verify-perms-lcm-first", "cover", "--lcm", "verify", "--sig", SIG237,
+          "--perms", "psl27.txt"),
+    *_one("verify-perms-sig-first", "cover", "--sig", '{"g":0,"r":0,"m":[2,3,8]}', "verify",
+          "--sig", SIG237, "--perms", "psl27.txt"),
     # Todd-Coxeter
     *_both("todd-coxeter", "todd-coxeter", "--presentation", "a4.txt"),
     *_both("todd-coxeter-sub", "todd-coxeter", "--presentation", "sub.txt"),
