@@ -79,6 +79,16 @@ def layer_certs(name: str):
         certs = [c for q in HURWITZ_Q for c in inputs.hurwitz_certs(q, 10, rng)
                  if c.group == "kernel"]
         return certs, _elements, "elements_per_s"
+    if name == "transitive-action":  # not regular: a 3584-point orbit in Schreier-Sims
+        from orbicurve import coset_enumeration, generator_permutations, permutation_group_order
+        from orbicurve.presentations import parse_presentation
+
+        pf = parse_presentation(inputs.G10752.replace("sub x", "sub y"))
+        perms = generator_permutations(
+            coset_enumeration(pf.presentation, pf.subgroup_generators, 10**6))
+        return [inputs.Cert("transitive", "order 10752 on the 3584 cosets of <y>",
+                            lambda: permutation_group_order(perms),
+                            lambda got: inputs._expect(got, 10752))], int, "elements_per_s"
     if name == "wallpaper":
         return [inputs.wallpaper_cert(k, 100, seed) for k in (2, 3, 4, 6)
                 for seed in range(3)], None, None
@@ -91,7 +101,7 @@ def layer_certs(name: str):
 
 
 LAYERS = ("closed-forms", "dense-snf", "signature-snf", "todd-coxeter", "group-order",
-          "wallpaper", "triangle", "cli")
+          "transitive-action", "wallpaper", "triangle", "cli")
 
 
 def run_layer(name: str) -> dict:
@@ -186,7 +196,7 @@ def main(argv) -> int:
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for label, layers in record["trees"].items():
         for name, row in layers.items():
-            print(f"{label:10s} {name:14s} {row['scaled_wall_s']:9.4f} s scaled"
+            print(f"{label:10s} {name:17s} {row['scaled_wall_s']:9.4f} s scaled"
                   f" ({row['wall_s']:.4f} s raw, probe x{row['probe_ratio']:.2f})"
                   f" {row['certs_per_s']:10.1f} certs/s {row['peak_rss_mb']:7.1f} MB"
                   f" failed {row['failed']}")

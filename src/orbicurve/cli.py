@@ -178,7 +178,8 @@ def cmd_cover(args):
 
 def _load_permutations(path: str, sig: OrbSignature) -> PermutationImages:
     """Read at most one `degree N` line and one `name = cycles` line for each
-    generator of the standard presentation of `sig`; any other line is an error."""
+    generator of the standard presentation of `sig`; any other line is an error.
+    A degree above the work bound is refused before a permutation is built."""
     generators = presentation_of(sig).generators
     with open(path, encoding="utf-8") as fh:
         lines = [ln.split("#", 1)[0].strip() for ln in fh]
@@ -209,6 +210,9 @@ def _load_permutations(path: str, sig: OrbSignature) -> PermutationImages:
         for cycles in assignments.values():
             for token in cycles.replace("(", " ").replace(")", " ").replace(",", " ").split():
                 degree = max(degree, int(token))
+    bound = _default_bound()
+    if degree > bound:
+        raise _BoundExceeded(f"permutation degree {degree} exceeds bound {bound}", bound)
     images = []
     for name in generators:
         if name not in assignments:

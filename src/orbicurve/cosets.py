@@ -404,20 +404,19 @@ class _StabilizerChain:
     """Base and strong generating set under construction.
 
     Level i holds the base point `base[i]`, the strong generators fixing
-    `base[:i]` paired with their inverses, and their Schreier tree: each
-    point of the orbit of `base[i]` mapped to a representative u taking
-    `base[i]` there (`reps`) and to u's inverse (`invs`).  A tree is
-    extended, never rebuilt, when a generator joins its level, so a
-    representative keeps its value once set.  `pending[i]` holds the
-    (point, generator index) pairs of level i whose Schreier generator is
-    still untested, and `sifted` counts the pairs taken from those lists.
+    `base[:i]` paired with their inverses, and their Schreier tree, one
+    permutation per orbit point: gamma maps to u_gamma^-1 (`invs`), where
+    u_gamma takes `base[i]` to gamma.  A tree is extended, never rebuilt,
+    when a generator joins its level, so a representative keeps its value
+    once set.  `pending[i]` holds the (point, generator index) pairs of
+    level i whose Schreier generator is still untested, and `sifted`
+    counts the pairs taken from those lists.
     """
 
     def __init__(self, degree: int):
         self.ident = identity_perm(degree)
         self.base: list[int] = []
         self.gens: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
-        self.reps: list[dict[int, tuple[int, ...]]] = []
         self.invs: list[dict[int, tuple[int, ...]]] = []
         self.pending: list[list[tuple[int, int]]] = []
         self.sifted = 0
@@ -434,8 +433,8 @@ class _StabilizerChain:
         order is the product of the basic orbit lengths.  That product over
         the orbits found so far is a lower bound on the order, so
         Exceeded(cap) is returned as soon as it passes `cap`, before memory
-        grows: the chain holds about 2 x base length x degree^2 points,
-        never `cap` group elements.
+        grows: the chain holds one permutation per orbit point, at most
+        base length x degree^2 points, never `cap` group elements.
         """
         for s in images:
             if s != self.ident:
@@ -451,7 +450,7 @@ class _StabilizerChain:
     def order_bound(self) -> int:
         """Product of the orbit lengths: a lower bound on the group order,
         equal to it once every level is complete."""
-        return math.prod(len(reps) for reps in self.reps)
+        return math.prod(len(invs) for invs in self.invs)
 
     def add(self, y, first_level: int) -> int:
         """Make y a strong generator on levels `first_level` through the
@@ -463,7 +462,6 @@ class _StabilizerChain:
             b = next(x for x, yx in enumerate(y) if yx != x)
             self.base.append(b)
             self.gens.append([])
-            self.reps.append({b: self.ident})
             self.invs.append({b: self.ident})
             self.pending.append([])
         y_inv = perm_inverse(y)
@@ -479,42 +477,43 @@ class _StabilizerChain:
         product of stored tuples, so it shares their int objects; the
         fresh ints of `perm_inverse` cost 28 bytes per entry, four times
         the tuple itself, at degrees above 256."""
-        gens, reps, invs = self.gens[level], self.reps[level], self.invs[level]
+        gens, invs = self.gens[level], self.invs[level]
         pending = self.pending[level]
         gens.append((y, y_inv))
         new = []
 
         def visit(beta, k, s, s_inv):
             gamma = s[beta]
-            if gamma in reps:
+            if gamma in invs:
                 pending.append((beta, k))
             else:
-                reps[gamma] = perm_mul(reps[beta], s)
                 invs[gamma] = perm_mul(s_inv, invs[beta])
                 new.append(gamma)
 
-        for beta in list(reps):
+        for beta in list(invs):
             visit(beta, len(gens) - 1, y, y_inv)
         for gamma in new:
             for k, (s, s_inv) in enumerate(gens):
                 visit(gamma, k, s, s_inv)
 
     def residue(self, level: int) -> tuple[int, ...] | None:
-        """Test the level's pending Schreier generators u_beta s u_{beta s}^-1
+        """Test the level's pending Schreier generators g = u_beta s u_{beta s}^-1
         until one does not sift to the identity through the levels below;
         return it sifted, or None when the list runs out.  A tested
         generator stays in the group of the levels below, because trees
         and generating sets only grow, so no pair is tested twice."""
         pending, gens = self.pending[level], self.gens[level]
-        reps, invs, ident = self.reps[level], self.invs[level], self.ident
+        invs, ident = self.invs[level], self.ident
+        g = list(ident)
         while pending:
             beta, k = pending.pop()
             self.sifted += 1
             s = gens[k][0]
-            t = invs[s[beta]]
-            g = tuple([t[s[x]] for x in reps[beta]])
-            if g != ident:
-                y = self._sift(g, level + 1)
+            v, h = invs[beta], perm_mul(s, invs[s[beta]])
+            if h != v:  # g takes v[x] to h[x], so g = 1 iff h == v
+                for x, hx in zip(v, h):
+                    g[x] = hx
+                y = self._sift(tuple(g), level + 1)
                 if y != ident:
                     return y
         return None

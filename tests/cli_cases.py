@@ -53,6 +53,8 @@ FILES = {
     "no-equals.txt": PSL27 + "x1 (1 2)\n",
     "bare-degree.txt": PSL27 + "degree\n",
     "degree-two-numbers.txt": PSL27.replace("degree 8", "degree 8 99"),
+    "degree11.txt": "degree 11\nx1 = ()\nx2 = ()\nx3 = ()\n",
+    "inferred11.txt": "x1 = (1 11)\nx2 = ()\nx3 = ()\n",
 }
 DIRECTORY = "a-directory"
 
@@ -113,6 +115,10 @@ CASES = [
           "--cap", "0"),
     *_one("verify-perms-env-cap", "cover", "verify", "--sig", SIG237, "--perms", "psl27.txt",
           env=BOUND10),
+    *_both("verify-perms-degree-above-bound", "cover", "verify", "--sig", SIG237, "--perms",
+           "degree11.txt", env=BOUND10),
+    *_one("verify-perms-inferred-degree-above-bound", "cover", "verify", "--sig", SIG237,
+          "--perms", "inferred11.txt", env=BOUND10),
     *_one("verify-perms-twice", "cover", "verify", "--sig", SIG237, "--perms", "twice.txt"),
     *_one("verify-perms-degree0", "cover", "verify", "--sig", SIG237, "--perms", "degree0.txt"),
     *_one("verify-perms-missing", "cover", "verify", "--sig", SIG237, "--perms", "missing.txt"),

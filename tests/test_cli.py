@@ -295,6 +295,26 @@ class TestCover:
         assert (code, out) == (EXIT_DOMAIN_ERROR, "")
         assert err == f"error: degree must be >= 1, got {degree}\n"
 
+    @pytest.mark.parametrize("text", ["degree 11\nx1 = ()\nx2 = ()\nx3 = ()\n",
+                                      "x1 = (1 11)\nx2 = ()\nx3 = ()\n"],
+                             ids=["stated", "inferred"])
+    def test_verify_degree_above_bound_exit_2(self, capsys, tmp_path, monkeypatch, text):
+        # a permutation of degree N is built as N points, so N is work taken
+        # from the input and is refused past the work bound, whatever the cap
+        monkeypatch.setenv("ORBICURVE_MAX_COSETS", "10")
+        path = tmp_path / "perms.txt"
+        argv = ("cover", "verify", "--sig", '{"g":0,"r":0,"m":[2,3,7]}', "--perms", str(path),
+                "--cap", "1000")
+        path.write_text(text)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (EXIT_EXCEEDED, '{"bound": 10, "exceeded": true}\n')
+        assert err == "permutation degree 11 exceeds bound 10\n"
+        # degree 10 is within the bound and reaches a verdict
+        path.write_text(text.replace("11", "10"))
+        code, out, _ = invoke(capsys, *argv)
+        assert code == EXIT_VERIFY_FAILED
+        assert "exceeded" not in out
+
     @pytest.mark.parametrize("line, message", [
         ("z = (1 2)",
          "permutation file assigns 'z', which is not one of the generators x1 x2 x3"),

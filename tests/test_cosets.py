@@ -2,7 +2,10 @@ import collections
 import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -43,6 +46,7 @@ from orbicurve.cosets import (
 from orbicurve.covers import _mobius_perm
 from orbicurve.presentations import parse_presentation
 
+import orbicurve
 from hlt_reference import reference_coset_enumeration
 
 
@@ -521,7 +525,7 @@ class TestOrderRoutes:
         images = tuple(tuple(rng.sample(range(n), n)) for _ in range(2))
         chain = _StabilizerChain(n)
         assert chain.schreier_sims(images, 10**80) == math.factorial(n)
-        pairs = sum(len(reps) * len(gens) for reps, gens in zip(chain.reps, chain.gens))
+        pairs = sum(len(invs) * len(gens) for invs, gens in zip(chain.invs, chain.gens))
         assert 0 < chain.sifted <= pairs
 
     def test_regular_order_10752_action_within_budget(self):
@@ -534,6 +538,35 @@ class TestOrderRoutes:
         assert permutation_group_order(perms) == 10752
         assert time.perf_counter() - start < 1.0
         assert permutation_group_order(perms, 10751) == Exceeded(10751)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    def test_transitive_3584_action_memory(self):
+        # the order-10752 group on the 3584 cosets of <y> is not regular, so
+        # Schreier-Sims keeps a 3584-point orbit of 3584-point permutations:
+        # about 93 MB with one permutation per orbit point, about 191 MB
+        # when each point also stored its representative.  ru_maxrss is the
+        # peak of the whole process, so the run gets a fresh one.
+        script = (
+            "import resource, sys\n"
+            "from orbicurve import coset_enumeration, generator_permutations, "
+            "permutation_group_order\n"
+            "from orbicurve.presentations import parse_presentation\n"
+            "pf = parse_presentation(sys.argv[1])\n"
+            "perms = generator_permutations("
+            "coset_enumeration(pf.presentation, pf.subgroup_generators, 10**6))\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "order = permutation_group_order(perms)\n"
+            "growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+            "print(perms.degree, order, growth // 1024)\n"
+        )
+        src = os.path.dirname(os.path.dirname(orbicurve.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", script, G10752_TEXT + "sub y\n"],
+                              capture_output=True, text=True, check=True, env=env)
+        degree, order, growth_mb = map(int, done.stdout.split())
+        assert (degree, order) == (3584, 10752)
+        assert growth_mb < 150
 
 
 class TestVerifyHomomorphism:
