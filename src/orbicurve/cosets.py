@@ -35,6 +35,17 @@ and change nothing: skipping it keeps every definition, deduction and
 coincidence, hence the table, its numbering and the point where the bound
 trips.
 
+`group_order` counts a group that outgrows a small HLT run as
+|G| = [G:<g>] * |<g>| for a generator g with a relator g^e.  The index
+comes from a completed enumeration of the cosets of <g>, and |<g>| = e is
+proved by a homomorphic image in which g has order exactly e: its
+permutation of those cosets, or the abelianization.  Otherwise HLT over the
+trivial subgroup runs under the full bound.  Every order it returns is
+proved, and equals the one HLT alone returns when HLT completes; since the
+cosets of <g> can fit under a bound that HLT over the trivial subgroup
+passes, Exceeded(bound) from `group_order` means that the work bound
+tripped, not that the order passes it.
+
 The order of a permutation group is found by one of two routes, with the
 same integer and the same cap rule on both.  A regular group is certified
 by a transitive centralizer, in O(degree x generators) per candidate
@@ -49,11 +60,15 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .abelian import abelianization_of_presentation
 from .errors import ArityMismatch, IncompleteTable
 from .presentations import FinitePresentation, Word
 
 DEFAULT_MAX_COSETS = 10**6
 DEFAULT_CLOSURE_CAP = 10**6
+# live cosets below which a table is never compacted, and the cap of
+# `group_order`'s first run over the trivial subgroup
+SMALL_TABLE = 256
 
 
 @dataclass(frozen=True)
@@ -106,12 +121,14 @@ class CosetTable:
 
 class _Enumerator:
     def __init__(self, presentation: FinitePresentation, subgroup_generators,
-                 max_cosets: int):
+                 max_cosets: int, relators=None):
+        """`relators`, when given, are the presentation's relators already
+        passed through `_scan_word`, shared by several enumerations."""
         if max_cosets < 1:
             raise ValueError("max_cosets must be >= 1")
         self.presentation = presentation
         self.width = 2 * presentation.ngens
-        self.relators = [_scan_word(w) for w in presentation.relators]
+        self.relators = relators or [_scan_word(w) for w in presentation.relators]
         self.subgens = [_scan_word(w) for w in subgroup_generators]
         self.max_cosets = max_cosets
         self.holes = [-1] * (self.width + 1)  # a new row; its parent is set after
@@ -248,7 +265,7 @@ class _Enumerator:
         table, holes = self.table, self.holes
         alpha = 0
         while alpha < len(table):
-            if len(table) - self.live * stride > max(self.live, 256) * stride:
+            if len(table) - self.live * stride > max(self.live, SMALL_TABLE) * stride:
                 alpha = self.compact(alpha)
                 table = self.table
                 continue  # bound and liveness must be re-checked
@@ -313,10 +330,68 @@ def coset_enumeration(
 
 
 def group_order(p: FinitePresentation, bound: int = DEFAULT_MAX_COSETS) -> int | Exceeded:
-    """Order of the presented group: the number of cosets of the trivial
-    subgroup, counted without building the table."""
-    rows = _Enumerator(p, (), bound).enumerate()
+    """Order of the presented group when it is at most `bound`, counted
+    without building a table; Exceeded(bound) when the work bound trips.
+
+    1. HLT over the trivial subgroup, capped at min(bound, SMALL_TABLE)
+       live cosets: its count when it completes.
+    2. For each generator g with a relator g^e or g^-e, e >= 2 (largest e
+       first, then by generator), the cosets of <g> under the cap
+       bound // e.  A run that trips ends this stage.  A completed run gives
+       the index i = [G:<g>], and i * e is returned when g has order exactly
+       e in a homomorphic image of G: its permutation of the cosets of <g>
+       (`_letter_order`), or G^ab (`_abelian_order`).  Then |<g>| >= e,
+       and |<g>| <= e because g^e = 1, so |G| = i * e <= bound.
+    3. HLT over the trivial subgroup under the full bound.
+
+    Stages 2 and 3 prove the true order, so every integer returned is the
+    one that HLT alone returns whenever HLT completes.  A group whose HLT
+    run passes `bound` but whose order does not may still be counted in
+    stage 2, so Exceeded(bound) says that the work bound tripped, not that
+    the order passes `bound`.  The relators are read into scan words once
+    and shared by every run.
+    """
+    relators = [_scan_word(w) for w in p.relators]
+    rows = _Enumerator(p, (), min(bound, SMALL_TABLE), relators).enumerate()
+    if rows is not None or bound <= SMALL_TABLE:
+        return Exceeded(bound) if rows is None else rows
+    powers = {(abs(w[0][1]), w[0][0]) for w in p.relators if len(w) == 1}
+    for e, g in sorted(powers, key=lambda eg: (-eg[0], eg[1])):
+        if e < 2 or e > bound:
+            continue
+        enumerator = _Enumerator(p, (((g, 1),),), bound // e, relators)
+        index = enumerator.enumerate()
+        if index is None:
+            break
+        if _letter_order(enumerator, 2 * g) == e or _abelian_order(p, g) == e:
+            return index * e
+    rows = _Enumerator(p, (), bound, relators).enumerate()
     return Exceeded(bound) if rows is None else rows
+
+
+def _letter_order(enumerator: _Enumerator, letter: int) -> int:
+    """The order of the permutation `letter` induces on the live cosets of
+    a completed enumeration, read on the flat table."""
+    table, width = enumerator.table, enumerator.width
+    seen, order = set(), 1
+    for c in range(0, len(table), width + 1):
+        if table[c + width] != c or c in seen:
+            continue
+        length, x = 1, table[c + letter]
+        while x != c:
+            seen.add(x)
+            length, x = length + 1, table[x + letter]
+        order = math.lcm(order, length)
+    return order
+
+
+def _abelian_order(p: FinitePresentation, g: int) -> int:
+    """The order of generator g's image in G^ab, when a relator g^e makes
+    it a torsion element: G^ab = Z^r + T with the image in T, and adding the
+    relator g divides T by the cyclic group it generates."""
+    quotient = FinitePresentation(p.generators, p.relators + (((g, 1),),))
+    return (abelianization_of_presentation(p).torsion_order()
+            // abelianization_of_presentation(quotient).torsion_order())
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,61 @@ class TestGroupOrder:
     def test_bound_returns_exceeded(self):
         assert isinstance(group_order(presentation_of(OrbSignature(2, 0, ())), 5000), Exceeded)
 
+    def test_order_through_cyclic_subgroup_where_hlt_trips(self):
+        # <x, y | x^2, y^8, (xy)^3, [x,y]^4> has order 336: HLT over the
+        # trivial subgroup passes 500 live cosets, the cosets of <y> do not
+        p = FinitePresentation(("x", "y"), (((0, 2),), ((1, 8),), ((0, 1), (1, 1)) * 3,
+                                            ((0, -1), (1, -1), (0, 1), (1, 1)) * 4))
+        assert group_order(p, 500) == 336
+        assert coset_enumeration(p, (), 500) == Exceeded(500)
+        assert coset_enumeration(p, (), 10**5).rows == 336
+
+    def test_candidate_without_certificate_is_skipped(self):
+        # x^600 and x^400 make x of order 200: the 3 cosets of <x> fit under
+        # the cap 10^4 // 600, but x has order 200 in every image, so
+        # neither x-candidate may count 3 * 600 or 3 * 400; y is certified
+        # in G^ab
+        p = FinitePresentation(("x", "y"), (((0, 600),), ((0, 400),),
+                                            ((0, -1), (1, -1), (0, 1), (1, 1)), ((1, 3),)))
+        assert coset_enumeration(p, (((0, 1),),), 10**4 // 600).rows == 3
+        assert group_order(p, 10**4) == 600
+
+    # the (2,2,n) bands and Z_a x Z_b x Z_c products of certbench `enumerate`
+    @pytest.mark.parametrize("n", [n for band in ((400, 404), (500, 505), (600, 606),
+                                                  (700, 707), (800, 808)) for n in band])
+    def test_dihedral_orders(self, n):
+        # <x3> is normal of index 2 and x3 has order 2 in G^ab, so neither
+        # certificate holds for it; x1 reflects the n cosets of <x1>
+        assert group_order(presentation_of(OrbSignature(0, 0, (2, 2, n))), 10**6) == 2 * n
+
+    @pytest.mark.parametrize("orders", [(10, 20, 50), (10, 25, 40), (16, 25, 25),
+                                        (20, 20, 25), (8, 25, 50)])
+    def test_abelian_orders(self, orders):
+        # every <g> is central, so its permutation is trivial: G^ab
+        # certifies, also at a bound that HLT over the trivial subgroup passes
+        p = _abelian3(*orders)
+        assert group_order(p, 10**6) == group_order(p, 2 * 10**4) == math.prod(orders)
+        assert coset_enumeration(p, (), 2 * 10**4) == Exceeded(2 * 10**4)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    def test_order_10752_memory(self):
+        # HLT over the trivial subgroup holds 272,596 rows at its first
+        # compaction and grows a fresh process by about 21 MB; the 3584
+        # cosets of <y> need a fraction of that
+        script = (
+            "import resource, sys\n"
+            "from orbicurve import group_order\n"
+            "from orbicurve.presentations import parse_presentation\n"
+            "p = parse_presentation(sys.argv[1]).presentation\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "order = group_order(p)\n"
+            "growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+            "print(order, growth // 1024)\n"
+        )
+        order, growth_mb = map(int, _fresh_python(script, G10752_TEXT).split())
+        assert order == 10752
+        assert growth_mb < 14
+
 
 # <x, y | x^2, y^3, (xy)^7, [x,y]^8> has order 10752
 G10752_TEXT = (
@@ -559,14 +614,19 @@ class TestOrderRoutes:
             "growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
             "print(perms.degree, order, growth // 1024)\n"
         )
-        src = os.path.dirname(os.path.dirname(orbicurve.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        done = subprocess.run([sys.executable, "-c", script, G10752_TEXT + "sub y\n"],
-                              capture_output=True, text=True, check=True, env=env)
-        degree, order, growth_mb = map(int, done.stdout.split())
+        degree, order, growth_mb = map(int, _fresh_python(script, G10752_TEXT + "sub y\n").split())
         assert (degree, order) == (3584, 10752)
         assert growth_mb < 150
+
+
+def _fresh_python(script: str, *args: str) -> str:
+    """stdout of `script` run in a new interpreter that imports this
+    orbicurve, for measurements of a whole process."""
+    src = os.path.dirname(os.path.dirname(orbicurve.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, check=True, env=env).stdout
 
 
 class TestVerifyHomomorphism:
@@ -748,8 +808,16 @@ def _assert_matches_reference(ngens, relators, subgroup, bound):
     reference = reference_coset_enumeration(p, subgroup, bound)
     assert coset_enumeration(p, subgroup, bound) == reference
     if all(e == 0 for w in subgroup for _, e in w):  # no letters: the trivial subgroup
-        rows = reference if isinstance(reference, Exceeded) else reference.rows
-        assert group_order(p, bound) == rows
+        order = group_order(p, bound)
+        if not isinstance(reference, Exceeded):
+            assert order == reference.rows
+        elif not isinstance(order, Exceeded):
+            # counted through a cyclic subgroup where HLT passes the bound:
+            # the order must be the one HLT finds with room to spare
+            assert order <= bound
+            assert order == reference_coset_enumeration(p, (), 50 * bound).rows
+        else:
+            assert order == Exceeded(bound)
 
 
 _exponents = st.integers(1, 40).flatmap(lambda n: st.sampled_from((n, -n)))
@@ -781,6 +849,21 @@ def test_enumerator_matches_reference_on_powers(ngens, groups, subgroup, bound):
     # power relators are where scans are skipped on closed cycles; the
     # table, its numbering and every Exceeded must still match
     _assert_matches_reference(ngens, [w for g in groups for w in g], subgroup, bound)
+
+
+_spherical = st.one_of(st.integers(2, 1200).map(lambda n: (2, 2, n)),
+                       st.sampled_from(((2, 3, 3), (2, 3, 4), (2, 3, 5)))).flatmap(st.permutations)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_spherical)
+def test_group_order_on_finite_triangle_family(abc):
+    # <g0, g1 | g0^a, g1^b, (g0 g1)^c> with 1/a + 1/b + 1/c > 1, in any
+    # order: the dihedral groups past SMALL_TABLE are counted through a
+    # cyclic subgroup, and must match the full table
+    a, b, c = abc
+    p = FinitePresentation(("g0", "g1"), (((0, a),), ((1, b),), ((0, 1), (1, 1)) * c))
+    assert group_order(p, 5000) == coset_enumeration(p, (), 10**5).rows
 
 
 @pytest.mark.parametrize("w", [[(0, 1), (1, 1)], [(0, -1), (1, -1), (0, 1), (1, 1)],
