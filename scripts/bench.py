@@ -14,7 +14,7 @@ A run's `scaled_wall_s` is the sum of those, and its probe ratio is raw
 over scaled wall time (above 1 on a host slower than the reference).  The
 CLI layer scales each process the same way and takes medians.  Per layer
 and tree the JSON file gets the median scaled wall time, certificates/s
-(and cosets/s or group elements/s where the layer has them) derived from
+(and group elements/s where the layer has them) derived from
 it, the raw median and per-run wall times, the median probe ratio, the
 largest peak RSS of the runs (`resource.getrusage` of the process that ran
 them; for the CLI layer, of the largest CLI process) and failed checks.
@@ -44,11 +44,6 @@ REPEATS = 3
 HURWITZ_Q = (43, 71, 83, 97, 113)  # q = +-1 mod 7, |PSL(2, q)| below the 10^6 cap
 
 
-def _sizes(result) -> int:
-    """Cosets of a Todd-Coxeter certificate: a group order or a table."""
-    return result if isinstance(result, int) else result.rows
-
-
 def _elements(result) -> int:
     """Group elements certified by a kernel certificate."""
     return result[0].index
@@ -74,7 +69,7 @@ def layer_certs(name: str):
                   for a, b, c in inputs.ABC_10K]
         certs += [inputs._grid_cert(OrbSignature(0, 0, (2, 2, lo)), "dihedral")
                   for lo, _ in inputs.DIHEDRAL_N]
-        return certs, _sizes, "cosets_per_s"
+        return certs, None, None
     if name == "group-order":
         certs = [c for q in HURWITZ_Q for c in inputs.hurwitz_certs(q, 10, rng)
                  if c.group == "kernel"]

@@ -72,7 +72,6 @@ from .signature import (
     NinfStatus,
     NinfVerdict,
     OrbSignature,
-    canonicalize,
     classify_kind,
     euler_characteristic,
     finite_order,

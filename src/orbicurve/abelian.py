@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 
 from .presentations import FinitePresentation, word_exponent_sums
-from .signature import OrbSignature, _require_canonical
+from .signature import OrbSignature
 
 
 @dataclass(frozen=True)
@@ -254,7 +254,6 @@ def abelianization(sig: OrbSignature) -> AbelianGroup:
     lcm(m) and generates a cyclic direct summand, so the quotient drops the
     last entry of the divisor chain.
     """
-    _require_canonical(sig)
     if sig.r >= 1:
         return AbelianGroup(2 * sig.g + sig.r - 1, divisor_chain(sig.m))
     return AbelianGroup(2 * sig.g, divisor_chain(sig.m)[:-1])

@@ -40,7 +40,6 @@ from .signature import (
     INFINITE,
     MalformedSignature,
     OrbSignature,
-    canonicalize,
     classify_kind,
     euler_characteristic,
     finite_order,
@@ -81,7 +80,7 @@ def parse_signature(text: str) -> OrbSignature:
         raise MalformedSignature("g and r must be ints, m a list of ints")
     if not all(type(e) is int for e in m):
         raise MalformedSignature("entries of m must be ints")
-    return canonicalize(OrbSignature(g, r, tuple(m)))
+    return OrbSignature(g, r, tuple(sorted(m)))
 
 
 def _default_bound() -> int:

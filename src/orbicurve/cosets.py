@@ -348,8 +348,10 @@ def group_order(p: FinitePresentation, bound: int = DEFAULT_MAX_COSETS) -> int |
     one that HLT alone returns whenever HLT completes.  A group whose HLT
     run passes `bound` but whose order does not may still be counted in
     stage 2, so Exceeded(bound) says that the work bound tripped, not that
-    the order passes `bound`.  The relators are read into scan words once
-    and shared by every run.
+    the order passes `bound`; a bound equal to the order can trip too
+    (Z_10 x Z_20 x Z_50 at 10**4: HLT's transient cosets overshoot the
+    index).  The relators are read into scan words once and shared by every
+    run.
     """
     relators = [_scan_word(w) for w in p.relators]
     rows = _Enumerator(p, (), min(bound, SMALL_TABLE), relators).enumerate()

@@ -28,7 +28,6 @@ from .presentations import presentation_of
 from .signature import (
     KindName,
     OrbSignature,
-    _require_canonical,
     classify_kind,
     euler_characteristic,
 )
@@ -51,7 +50,6 @@ def torsion_free_subgroup_rank(sig: OrbSignature, d: int) -> CoverReport:
     the cover invariant rho must come out a non-negative integer.  Raises
     when either fails: no such cover exists at that index.
     """
-    _require_canonical(sig)
     if d < 1:
         raise ValueError("index must be >= 1")
     torsion_lcm = lcm(*sig.m) if sig.m else 1
@@ -78,7 +76,6 @@ def lcm_cover_for_free_product(sig: OrbSignature) -> CoverReport:
     torsion element (conjugate into a finite free factor) survives, so the
     kernel is torsion-free of rank 1 - d*chi.
     """
-    _require_canonical(sig)
     if sig.r == 0:
         raise NotOpenGroup("the lcm cover construction needs r >= 1")
     d = lcm(*sig.m) if sig.m else 1
@@ -113,7 +110,6 @@ def verify_torsion_free_kernel(
     passes `cap`; the cap trips on a lower bound of the order, before memory
     grows.
     """
-    _require_canonical(sig)
     if sig.r == 0 and classify_kind(sig).name is KindName.SPHERICAL:
         raise UnsupportedKind(
             "torsion classification unavailable for spherical compact groups"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .signature import OrbSignature, _require_canonical, finite_order, is_finite_cyclic
+from .signature import OrbSignature, finite_order, is_finite_cyclic
 
 REASON_BOTH_TRIVIAL = "both_trivial"
 REASON_FINITE_CYCLIC = "finite_cyclic_equal_order"
@@ -40,8 +40,6 @@ class IsoVerdict:
 
 def decide_isomorphism(a: OrbSignature, b: OrbSignature) -> IsoVerdict:
     """Whether the two named groups are isomorphic, with the deciding rule."""
-    _require_canonical(a)
-    _require_canonical(b)
     a_cyclic, b_cyclic = is_finite_cyclic(a), is_finite_cyclic(b)
     if a_cyclic and b_cyclic:
         oa, ob = finite_order(a), finite_order(b)

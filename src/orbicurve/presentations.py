@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UnknownGenerator
-from .signature import OrbSignature, _require_canonical
+from .signature import OrbSignature
 
 Word = tuple[tuple[int, int], ...]
 
@@ -93,7 +93,6 @@ def presentation_of(sig: OrbSignature) -> FinitePresentation:
     expanded to a 4-letter word.  The long relator is dropped when it
     reduces to the empty word.
     """
-    _require_canonical(sig)
     g, r, m = sig.g, sig.r, sig.m
     names: list[str] = []
     for i in range(1, g + 1):

@@ -17,7 +17,6 @@ from math import gcd
 from .signature import (
     KindName,
     OrbSignature,
-    _require_canonical,
     classify_kind,
     finite_order,
     is_finite_cyclic,
@@ -61,7 +60,6 @@ def open_cell_degrees(m: tuple[int, int, int]) -> list[int]:
 
 
 def plane_curve_realizability(sig: OrbSignature) -> SerreVerdict:
-    _require_canonical(sig)
     if sig.r >= 1:
         if sig.n <= 1 or (sig.n == 2 and gcd(sig.m[0], sig.m[1]) == 1):
             return SerreVerdict(REALIZABLE, RULE_OPEN_COPRIME)
@@ -69,7 +67,7 @@ def plane_curve_realizability(sig: OrbSignature) -> SerreVerdict:
     if is_finite_cyclic(sig):
         # smooth curve complement; its degree is the group order
         return SerreVerdict(REALIZABLE, RULE_FINITE_CYCLIC, degree=finite_order(sig))
-    if sig == OrbSignature(1, 0, ()):
+    if sig.g == 1 and sig.n == 0:
         return SerreVerdict(REALIZABLE, RULE_TWO_TORUS)
     kind = classify_kind(sig).name
     if kind is KindName.SPHERICAL:

@@ -9,6 +9,7 @@ Python ints.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -25,38 +26,31 @@ class OrbSignature:
     m: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.g < 0 or self.r < 0:
+        try:
+            values = (self.g, self.r, *self.m)
+            if any(isinstance(x, bool) for x in values):
+                raise TypeError
+            g, r, *m = map(operator.index, values)
+        except TypeError:
+            raise MalformedSignature(f"g, r and m's entries must be integers: {self}") from None
+        for name, value in (("g", g), ("r", r), ("m", tuple(m))):
+            object.__setattr__(self, name, value)
+        if g < 0 or r < 0:
             raise MalformedSignature(f"g and r must be non-negative: {self}")
-        object.__setattr__(self, "m", tuple(int(e) for e in self.m))
-        for e in self.m:
-            if e < 2:
-                raise MalformedSignature(
-                    f"multiplicity entries must be >= 2 (punctures go in r): {self}"
-                )
+        if min(m, default=2) < 2:
+            raise MalformedSignature(
+                f"multiplicity entries must be >= 2 (punctures go in r): {self}"
+            )
+        if m != sorted(m):
+            raise MalformedSignature(f"multiplicities must be sorted: {self}")
 
     @property
     def n(self) -> int:
         return len(self.m)
 
-    def is_canonical(self) -> bool:
-        return all(a <= b for a, b in zip(self.m, self.m[1:]))
-
-
-def canonicalize(sig: OrbSignature) -> OrbSignature:
-    """Sort the multiplicities non-decreasingly; g and r are untouched."""
-    return OrbSignature(sig.g, sig.r, tuple(sorted(sig.m)))
-
-
-def _require_canonical(sig: OrbSignature) -> None:
-    if not sig.is_canonical():
-        raise MalformedSignature(f"multiplicities must be sorted: {sig}")
-
 
 def euler_characteristic(sig: OrbSignature) -> Fraction:
-    """Orbifold Euler characteristic 2 - 2g - r - sum(1 - 1/m_i), exact.
-
-    Permutation invariant, so non-canonical input is accepted.
-    """
+    """Orbifold Euler characteristic 2 - 2g - r - sum(1 - 1/m_i), exact."""
     chi = Fraction(2 - 2 * sig.g - sig.r)
     for e in sig.m:
         chi -= 1 - Fraction(1, e)
@@ -87,7 +81,6 @@ def is_finite_cyclic(sig: OrbSignature) -> bool:
     (g, r, m) tuples does not apply: compact ones with g = 0 and at most
     two marked points, and open ones that are a single finite cyclic factor.
     """
-    _require_canonical(sig)
     if sig.r == 0:
         return sig.g == 0 and sig.n <= 2
     return 2 * sig.g + sig.r - 1 == 0 and sig.n <= 1
@@ -96,35 +89,18 @@ def is_finite_cyclic(sig: OrbSignature) -> bool:
 def finite_order(sig: OrbSignature) -> int | Infinite:
     """Order of the group, or INFINITE.
 
-    Finite cases: trivial and cyclic groups, plus the spherical triangle
-    groups.  The (2,3,5) triangle group has order 60; this is the value the
-    coset-enumeration oracle certifies.
+    Finite cases: the finite cyclic groups (`is_finite_cyclic`) and the
+    spherical triangle groups, dihedral (2,2,n) of order 2n and the three
+    platonic ones; (2,3,5) has order 60, as coset enumeration certifies.
     """
-    _require_canonical(sig)
-    if sig.r >= 1:
-        if 2 * sig.g + sig.r - 1 != 0:
-            return INFINITE
-        if sig.n == 0:
-            return 1
-        if sig.n == 1:
-            return sig.m[0]
-        return INFINITE
-    # compact case
-    if sig.g >= 1:
-        return INFINITE
-    if sig.n == 0:
-        return 1
-    if sig.n == 1:
-        return 1
-    if sig.n == 2:
-        return gcd(sig.m[0], sig.m[1])
-    if sig.n == 3:
-        a, b, c = sig.m
-        if (a, b) == (2, 2):
-            return 2 * c
-        if (a, b) == (2, 3) and c in (3, 4, 5):
-            return {3: 12, 4: 24, 5: 60}[c]
-        return INFINITE
+    if is_finite_cyclic(sig):
+        if sig.r >= 1:
+            return sig.m[0] if sig.m else 1
+        return gcd(*sig.m) if sig.n == 2 else 1
+    if sig.r == sig.g == 0 and sig.n == 3:
+        if sig.m[:2] == (2, 2):
+            return 2 * sig.m[2]
+        return {(2, 3, 3): 12, (2, 3, 4): 24, (2, 3, 5): 60}.get(sig.m, INFINITE)
     return INFINITE
 
 
@@ -153,7 +129,6 @@ def classify_kind(sig: OrbSignature) -> Kind:
     The sign dichotomy extends to punctured signatures: the group is finite
     (a finite cyclic group when r >= 1) exactly when chi > 0.
     """
-    _require_canonical(sig)
     chi = euler_characteristic(sig)
     if chi > 0:
         name = KindName.SPHERICAL
@@ -203,7 +178,6 @@ def satisfies_ninf(sig: OrbSignature) -> NinfStatus:
     Euclidean compact one; the torus and (2,2,2,2) groups fail with an
     explicit witness; the remaining three wallpaper triangle groups are left
     undetermined."""
-    _require_canonical(sig)
     if sig in _NINF_FAILS:
         return NinfStatus(NinfVerdict.FAILS, _NINF_WITNESS)
     if sig in _NINF_UNDETERMINED:

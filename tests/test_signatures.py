@@ -10,7 +10,6 @@ from orbicurve import (
     MalformedSignature,
     NinfVerdict,
     OrbSignature,
-    canonicalize,
     classify_kind,
     euler_characteristic,
     finite_order,
@@ -31,10 +30,47 @@ def chi_by_hand(g, r, m):
     return Fraction(2) - 2 * g - r - sum(Fraction(e - 1, e) for e in m)
 
 
-def test_canonicalize_sorts():
-    assert canonicalize(OrbSignature(0, 0, (7, 2, 3))) == OrbSignature(0, 0, (2, 3, 7))
-    assert canonicalize(OrbSignature(1, 0, ())) == OrbSignature(1, 0, ())
-    assert canonicalize(OrbSignature(0, 2, (5, 5, 2))) == OrbSignature(0, 2, (2, 5, 5))
+def test_unsorted_multiplicities_refused():
+    for m in [(7, 2, 3), (5, 5, 2), (3, 2)]:
+        with pytest.raises(MalformedSignature, match="multiplicities must be sorted"):
+            OrbSignature(0, 0, m)
+
+
+@given(st.lists(st.integers(2, 12), min_size=2, max_size=5).flatmap(st.permutations))
+def test_every_unsorted_arrangement_refused(m):
+    if m == sorted(m):
+        assert OrbSignature(0, 0, tuple(m)).m == tuple(m)
+    else:
+        with pytest.raises(MalformedSignature, match="multiplicities must be sorted"):
+            OrbSignature(0, 0, tuple(m))
+
+
+@pytest.mark.parametrize(
+    "g, r, m",
+    [
+        (0, 0, (2.9, 3, 7)),
+        (0.5, 0, ()),
+        (0, 1.0, ()),
+        (True, 0, ()),
+        (0, False, ()),
+        (0, 0, (True, 3)),
+        (0, 0, ("2", 3)),
+        (0, 0, 7),
+    ],
+)
+def test_non_integers_refused(g, r, m):
+    with pytest.raises(MalformedSignature, match="must be integers"):
+        OrbSignature(g, r, m)
+
+
+def test_integer_like_fields_become_ints():
+    class Two:
+        def __index__(self):
+            return 2
+
+    sig = OrbSignature(Two(), 0, [Two(), 3])
+    assert sig == OrbSignature(2, 0, (2, 3))
+    assert type(sig.g) is int and type(sig.m) is tuple
 
 
 def test_bad_entries_rejected():
@@ -71,9 +107,9 @@ def test_euler_characteristic_values(sig, expected):
     st.lists(st.integers(2, 12), max_size=5),
 )
 def test_euler_characteristic_permutation_invariant(g, r, m):
-    base = euler_characteristic(OrbSignature(g, r, tuple(m)))
-    assert base == euler_characteristic(OrbSignature(g, r, tuple(reversed(m))))
-    assert base == euler_characteristic(canonicalize(OrbSignature(g, r, tuple(m))))
+    # the sorted signature stands for every arrangement of its multiplicities
+    sig = OrbSignature(g, r, tuple(sorted(m)))
+    assert euler_characteristic(sig) == chi_by_hand(g, r, m)
 
 
 @pytest.mark.parametrize(
