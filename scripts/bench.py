@@ -14,10 +14,11 @@ A run's `scaled_wall_s` is the sum of those, and its probe ratio is raw
 over scaled wall time (above 1 on a host slower than the reference).  The
 CLI layer scales each process the same way and takes medians.  Per layer
 and tree the JSON file gets the median scaled wall time, certificates/s
-(and group elements/s where the layer has them) derived from
-it, the raw median and per-run wall times, the median probe ratio, the
-largest peak RSS of the runs (`resource.getrusage` of the process that ran
-them; for the CLI layer, of the largest CLI process) and failed checks.
+derived from it, the raw median and per-run wall times, the median probe
+ratio, the largest peak RSS of the runs (`resource.getrusage` of the
+process that ran them; for the CLI layer, of the largest CLI process) and
+failed checks.  No layer reports a rate of group elements or cosets: an
+order is certified without enumerating that many of either.
 Standard library only; certbench is imported, never changed.
 """
 
@@ -44,23 +45,18 @@ REPEATS = 3
 HURWITZ_Q = (43, 71, 83, 97, 113)  # q = +-1 mod 7, |PSL(2, q)| below the 10^6 cap
 
 
-def _elements(result) -> int:
-    """Group elements certified by a kernel certificate."""
-    return result[0].index
-
-
 def layer_certs(name: str):
-    """(certificates, per-result count or None, name of that count)."""
+    """The layer's certificates."""
     import inputs
     from orbicurve.signature import OrbSignature
 
     rng = random.Random(f"bench/{name}")
     if name == "closed-forms":
-        return inputs.closed_form_certs(rng, 4000), None, None
+        return inputs.closed_form_certs(rng, 4000)
     if name == "dense-snf":
-        return inputs.dense_certs(rng, {8: 300}), None, None
+        return inputs.dense_certs(rng, {8: 300})
     if name == "signature-snf":  # sparse relator matrices; 30 rounds make a run last ~0.2 s
-        return inputs.signature_route_certs() * 30, None, None
+        return inputs.signature_route_certs() * 30
     if name == "todd-coxeter":
         certs = [inputs._order_cert("order10752", "order 10752", inputs.G10752, 10752),
                  inputs._subgroup_cert()]
@@ -69,11 +65,10 @@ def layer_certs(name: str):
                   for a, b, c in inputs.ABC_10K]
         certs += [inputs._grid_cert(OrbSignature(0, 0, (2, 2, lo)), "dihedral")
                   for lo, _ in inputs.DIHEDRAL_N]
-        return certs, None, None
+        return certs
     if name == "group-order":
-        certs = [c for q in HURWITZ_Q for c in inputs.hurwitz_certs(q, 10, rng)
-                 if c.group == "kernel"]
-        return certs, _elements, "elements_per_s"
+        return [c for q in HURWITZ_Q for c in inputs.hurwitz_certs(q, 10, rng)
+                if c.group == "kernel"]
     if name == "transitive-action":  # not regular: a 3584-point orbit in Schreier-Sims
         from orbicurve import coset_enumeration, generator_permutations, permutation_group_order
         from orbicurve.presentations import parse_presentation
@@ -83,15 +78,15 @@ def layer_certs(name: str):
             coset_enumeration(pf.presentation, pf.subgroup_generators, 10**6))
         return [inputs.Cert("transitive", "order 10752 on the 3584 cosets of <y>",
                             lambda: permutation_group_order(perms),
-                            lambda got: inputs._expect(got, 10752))], int, "elements_per_s"
+                            lambda got: inputs._expect(got, 10752))]
     if name == "wallpaper":
         return [inputs.wallpaper_cert(k, 100, seed) for k in (2, 3, 4, 6)
-                for seed in range(3)], None, None
+                for seed in range(3)]
     if name == "triangle":
         triples = [(a, b, c) for a in range(2, 25) for b in range(a, 25) for c in range(b, 25)
                    if b * c + a * c + a * b < a * b * c]
         triples += [(2, 3, lo) for lo, _ in inputs.PASSING_M + inputs.GAP_M]
-        return [inputs.triangle_cert(t) for t in triples], None, None
+        return [inputs.triangle_cert(t) for t in triples]
     raise ValueError(f"unknown layer {name!r}")
 
 
@@ -105,7 +100,7 @@ def run_layer(name: str) -> dict:
     from speed import SpeedProbe
 
     probe = SpeedProbe()
-    intervals, units, unit = [], None, None
+    intervals = []
 
     def timed(fn):
         probe.maybe_sample()
@@ -121,16 +116,14 @@ def run_layer(name: str) -> dict:
         failed = sum(d.stdout != CLI_STDOUT for d in done)
         count, rss, total = 1, resource.RUSAGE_CHILDREN, statistics.median
     else:
-        certs, measure, unit = layer_certs(name)
+        certs = layer_certs(name)
         results = [timed(cert.run) for cert in certs]
         failed = sum(cert.check(r) is not None for cert, r in zip(certs, results))
         count, rss, total = len(certs), resource.RUSAGE_SELF, sum
-        units = sum(map(measure, results)) if measure and not failed else None
     probe.sample()
     wall = total(t1 - t0 for t0, t1 in intervals)
     scaled = total((t1 - t0) * probe.scale(t0, t1) for t0, t1 in intervals)
     return {"wall_s": wall, "scaled_wall_s": scaled, "certs": count, "failed": failed,
-            "unit": unit, "units": units,
             "peak_rss_mb": resource.getrusage(rss).ru_maxrss / 1024, "probe_ratio": wall / scaled}
 
 
@@ -143,7 +136,7 @@ def child(src: str, name: str) -> dict:
 
 def summarize(runs: list[dict]) -> dict:
     scaled = statistics.median(r["scaled_wall_s"] for r in runs)
-    out = {
+    return {
         "scaled_wall_s": scaled,
         "scaled_walls_s": [r["scaled_wall_s"] for r in runs],
         "wall_s": statistics.median(r["wall_s"] for r in runs),
@@ -154,9 +147,6 @@ def summarize(runs: list[dict]) -> dict:
         "probe_ratio": statistics.median(r["probe_ratio"] for r in runs),
         "failed": sum(r["failed"] for r in runs),
     }
-    if runs[0]["unit"] and all(r["units"] is not None for r in runs):
-        out[runs[0]["unit"]] = runs[0]["units"] / scaled
-    return out
 
 
 def main(argv) -> int:

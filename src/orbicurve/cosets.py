@@ -36,15 +36,16 @@ coincidence, hence the table, its numbering and the point where the bound
 trips.
 
 `group_order` counts a group that outgrows a small HLT run as
-|G| = [G:<g>] * |<g>| for a generator g with a relator g^e.  The index
-comes from a completed enumeration of the cosets of <g>, and |<g>| = e is
-proved by a homomorphic image in which g has order exactly e: its
-permutation of those cosets, or the abelianization.  Otherwise HLT over the
-trivial subgroup runs under the full bound.  Every order it returns is
-proved, and equals the one HLT alone returns when HLT completes; since the
-cosets of <g> can fit under a bound that HLT over the trivial subgroup
-passes, Exceeded(bound) from `group_order` means that the work bound
-tripped, not that the order passes it.
+|G| = [G:<w>] * |<w>| for a word w with a relator w^n, one letter (g^e)
+or a longer root ((xy)^7, [x,y]^8).  The index comes from a completed
+enumeration of the cosets of <w>, and |<w>| = n is proved by a homomorphic
+image in which w has order exactly n: its permutation of those cosets, or
+the abelianization.  Otherwise HLT over the trivial subgroup runs under
+the full bound.  Every order it returns is proved, and equals the one HLT
+alone returns when HLT completes; since the cosets of <w> can fit under a
+bound that HLT over the trivial subgroup passes, Exceeded(bound) from
+`group_order` means that the work bound tripped, not that the order
+passes it.
 
 The order of a permutation group is found by one of two routes, with the
 same integer and the same cap rule on both.  A regular group is certified
@@ -62,7 +63,7 @@ from dataclasses import dataclass
 
 from .abelian import abelianization_of_presentation
 from .errors import ArityMismatch, IncompleteTable
-from .presentations import FinitePresentation, Word
+from .presentations import FinitePresentation, Word, invert_word
 
 DEFAULT_MAX_COSETS = 10**6
 DEFAULT_CLOSURE_CAP = 10**6
@@ -335,13 +336,14 @@ def group_order(p: FinitePresentation, bound: int = DEFAULT_MAX_COSETS) -> int |
 
     1. HLT over the trivial subgroup, capped at min(bound, SMALL_TABLE)
        live cosets: its count when it completes.
-    2. For each generator g with a relator g^e or g^-e, e >= 2 (largest e
-       first, then by generator), the cosets of <g> under the cap
-       bound // e.  A run that trips ends this stage.  A completed run gives
-       the index i = [G:<g>], and i * e is returned when g has order exactly
-       e in a homomorphic image of G: its permutation of the cosets of <g>
-       (`_letter_order`), or G^ab (`_abelian_order`).  Then |<g>| >= e,
-       and |<g>| <= e because g^e = 1, so |G| = i * e <= bound.
+    2. For each relator that `_root` reads as a proper power w^n, n >= 2
+       (by -n, then w; of w and w^-1 the larger tuple, so g^-1 becomes g),
+       the cosets of <w> under the cap bound // n.  A run that trips ends
+       this stage.  A completed run gives the index i = [G:<w>], and i * n
+       is returned when w has order exactly n in a homomorphic image of G:
+       its permutation of the cosets of <w> (`_word_order`), or G^ab
+       (`_abelian_order`).  Then |<w>| >= n, and |<w>| <= n because
+       w^n = 1, so |G| = i * n <= bound.
     3. HLT over the trivial subgroup under the full bound.
 
     Stages 2 and 3 prove the true order, so every integer returned is the
@@ -357,41 +359,50 @@ def group_order(p: FinitePresentation, bound: int = DEFAULT_MAX_COSETS) -> int |
     rows = _Enumerator(p, (), min(bound, SMALL_TABLE), relators).enumerate()
     if rows is not None or bound <= SMALL_TABLE:
         return Exceeded(bound) if rows is None else rows
-    powers = {(abs(w[0][1]), w[0][0]) for w in p.relators if len(w) == 1}
-    for e, g in sorted(powers, key=lambda eg: (-eg[0], eg[1])):
-        if e < 2 or e > bound:
+    powers = set()
+    for word in p.relators:
+        root = _root(word)
+        if root is not None:  # w and w^-1 generate one subgroup
+            powers.add((len(_letters(word)) // len(_letters(root)), max(root, invert_word(root))))
+    for n, w in sorted(powers, key=lambda nw: (-nw[0], nw[1])):
+        if n > bound:
             continue
-        enumerator = _Enumerator(p, (((g, 1),),), bound // e, relators)
+        enumerator = _Enumerator(p, (w,), bound // n, relators)
         index = enumerator.enumerate()
         if index is None:
             break
-        if _letter_order(enumerator, 2 * g) == e or _abelian_order(p, g) == e:
-            return index * e
+        if _word_order(enumerator, _letters(w)) == n or _abelian_order(p, w) == n:
+            return index * n
     rows = _Enumerator(p, (), bound, relators).enumerate()
     return Exceeded(bound) if rows is None else rows
 
 
-def _letter_order(enumerator: _Enumerator, letter: int) -> int:
-    """The order of the permutation `letter` induces on the live cosets of
-    a completed enumeration, read on the flat table."""
+def _word_order(enumerator: _Enumerator, letters: tuple[int, ...]) -> int:
+    """The order of the permutation the word with these letters induces on
+    the live cosets of a completed enumeration: each cycle is traced on the
+    flat table, one pass through the letters per step."""
     table, width = enumerator.table, enumerator.width
     seen, order = set(), 1
     for c in range(0, len(table), width + 1):
         if table[c + width] != c or c in seen:
             continue
-        length, x = 1, table[c + letter]
-        while x != c:
+        length, x = 0, c
+        while True:
+            for letter in letters:
+                x = table[x + letter]
+            length += 1
+            if x == c:
+                break
             seen.add(x)
-            length, x = length + 1, table[x + letter]
         order = math.lcm(order, length)
     return order
 
 
-def _abelian_order(p: FinitePresentation, g: int) -> int:
-    """The order of generator g's image in G^ab, when a relator g^e makes
-    it a torsion element: G^ab = Z^r + T with the image in T, and adding the
-    relator g divides T by the cyclic group it generates."""
-    quotient = FinitePresentation(p.generators, p.relators + (((g, 1),),))
+def _abelian_order(p: FinitePresentation, w: Word) -> int:
+    """The order of w's image in G^ab, when a relator w^n makes it a torsion
+    element: G^ab = Z^r + T with the image in T, and adding the relator w
+    divides T by the cyclic group it generates."""
+    quotient = FinitePresentation(p.generators, p.relators + (w,))
     return (abelianization_of_presentation(p).torsion_order()
             // abelianization_of_presentation(quotient).torsion_order())
 

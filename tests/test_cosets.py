@@ -30,9 +30,11 @@ from orbicurve import (
 from orbicurve.cosets import (
     DEFAULT_CLOSURE_CAP,
     CosetTable,
+    _abelian_order,
     _Enumerator,
     _is_regular,
     _StabilizerChain,
+    _word_order,
     cycles_of,
     evaluate_word,
     format_cycles,
@@ -44,7 +46,7 @@ from orbicurve.cosets import (
     perm_power,
 )
 from orbicurve.covers import _mobius_perm
-from orbicurve.presentations import parse_presentation
+from orbicurve.presentations import invert_word, parse_presentation
 
 import orbicurve
 from hlt_reference import reference_coset_enumeration
@@ -213,6 +215,26 @@ ORDER_CASES = [
 ]
 
 
+@pytest.fixture
+def enumerations(monkeypatch):
+    """(subgroup generators, index or None when the bound tripped) of every
+    enumeration that `group_order` runs, in order."""
+    runs = []
+
+    class Recording(_Enumerator):
+        def __init__(self, presentation, subgroup_generators, *args):
+            super().__init__(presentation, subgroup_generators, *args)
+            self.words = tuple(subgroup_generators)
+
+        def enumerate(self):
+            index = super().enumerate()
+            runs.append((self.words, index))
+            return index
+
+    monkeypatch.setattr(orbicurve.cosets, "_Enumerator", Recording)
+    return runs
+
+
 class TestGroupOrder:
     @pytest.mark.parametrize("sig, order", ORDER_CASES)
     def test_known_orders(self, sig, order):
@@ -243,6 +265,60 @@ class TestGroupOrder:
         assert coset_enumeration(p, (((0, 1),),), 10**4 // 600).rows == 3
         assert group_order(p, 10**4) == 600
 
+    def test_order_10752_counted_on_commutator_cosets(self, enumerations):
+        # [x,y]^8 is the longest power, so <[x,y]> (index 1344) is tried
+        # first and its permutation certifies |<[x,y]>| = 8; the integer
+        # alone does not pin this route, since HLT or the 3584 cosets of
+        # <y> give 10752 too
+        p = parse_presentation(G10752_TEXT).presentation
+        commutator = p.relators[3][:4]
+        assert group_order(p) == 10752
+        assert enumerations == [((), None), ((max(commutator, invert_word(commutator)),), 1344)]
+
+    def test_word_candidate_without_certificate_is_skipped(self, enumerations):
+        # (xy)^600 and (xy)^400 make xy of order 200: the 3 cosets of <xy>
+        # fit under the caps 10^4 // 600 and 10^4 // 400, but neither
+        # candidate may count 3 * 600 or 3 * 400; y is certified in G^ab
+        xy = ((0, 1), (1, 1))
+        p = FinitePresentation(("x", "y"), (((0, -1), (1, -1), (0, 1), (1, 1)), ((1, 3),),
+                                            xy * 600, xy * 400))
+        assert group_order(p, 10**4) == 600
+        sub = max(xy, invert_word(xy))  # <xy> is enumerated on one of xy, (xy)^-1
+        assert enumerations == [((), None), ((sub,), 3), ((sub,), 3), ((((1, 1),),), 200)]
+
+    def test_central_word_certified_by_abelianization(self, enumerations):
+        # xy is central, so it fixes each of the 2 cosets of <xy>; only
+        # G^ab = Z_300 x Z_2 shows that it has order 300
+        xy = ((0, 1), (1, 1))
+        p = FinitePresentation(("x", "y"), (xy * 300, ((0, -1), (1, -1), (0, 1), (1, 1)),
+                                            ((1, 2),)))
+        enumerator = _Enumerator(p, (xy,), 10**4 // 300)
+        assert enumerator.enumerate() == 2
+        assert _word_order(enumerator, (0, 2)) == 1
+        assert _abelian_order(p, xy) == 300
+        assert group_order(p, 10**4) == 600
+        assert enumerations[1:] == [((max(xy, invert_word(xy)),), 2)]
+
+    def test_trivial_root_is_never_certified(self, enumerations):
+        # x x^-1 x x^-1 reduces to the empty word, which is no power; and an
+        # unreduced root x x^-1 has order 1 in both images, so it could not
+        # count 300 * 2 either
+        p = parse_presentation("gens x\nrel x x^-1 x x^-1\nrel x^300\n").presentation
+        assert p.relators == ((), ((0, 300),))
+        assert group_order(p, 10**6) == 300
+        assert enumerations == [((), None), ((((0, 1),),), 1)]
+        root = ((0, 1), (0, -1))
+        enumerator = _Enumerator(p, (root,), 10**4)
+        assert enumerator.enumerate() == 300
+        assert _word_order(enumerator, (0, 1)) == 1
+        assert _abelian_order(p, root) == 1
+
+    def test_one_syllable_candidates_by_exponent_then_generator(self, enumerations):
+        # y^25 and z^25 tie: y, the lower generator, is tried first, and G^ab
+        # certifies it on the 400 cosets of <y>
+        assert group_order(_abelian3(16, 25, 25), 10**6) == 10**4
+        assert enumerations == [((), None), ((((1, 1),),), 400)]
+
     # the (2,2,n) bands and Z_a x Z_b x Z_c products of certbench `enumerate`
     @pytest.mark.parametrize("n", [n for band in ((400, 404), (500, 505), (600, 606),
                                                   (700, 707), (800, 808)) for n in band])
@@ -263,8 +339,8 @@ class TestGroupOrder:
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
     def test_order_10752_memory(self):
         # HLT over the trivial subgroup holds 272,596 rows at its first
-        # compaction and grows a fresh process by about 21 MB; the 3584
-        # cosets of <y> need a fraction of that
+        # compaction and grows a fresh process by about 21 MB; the 1344
+        # cosets of <[x,y]> need a fraction of that
         script = (
             "import resource, sys\n"
             "from orbicurve import group_order\n"
