@@ -2,7 +2,8 @@
 capped order of a permutation group.
 
 The enumerator is the HLT strategy: process live cosets in definition
-order, scan-and-fill every relator, then define any still-missing neighbor.
+order, scan-and-fill every relator, then define any still-missing neighbor,
+with a lookahead pass at a doubling live-coset limit (below).
 Coincidences go through a union-find with queued edge transfer; the table
 is compacted whenever dead rows outnumber live ones, so memory stays linear
 in the live-coset count.  Everything is deterministic.
@@ -32,8 +33,31 @@ was skipped.  Coincidences map the table onto a quotient, where a closed
 w-cycle stays closed with a length dividing n.  alpha = beta * w lies on
 beta's w-cycle, so its scan would trace n|w| defined edges back to alpha
 and change nothing: skipping it keeps every definition, deduction and
-coincidence, hence the table, its numbering and the point where the bound
-trips.
+coincidence of the run, hence its table and its numbering.
+
+HLT pauses for a lookahead pass when the live count reaches LOOKAHEAD_LIVE,
+a limit that doubles after each pass.  The pass scans every relator at each
+live coset from the cursor on, the rows HLT has not processed (a processed
+row has every relator closed), and deduces edges and merges cosets but
+defines none; a power w^n is skipped where alpha * w^-1 is a processed row,
+as above.  Compaction then runs as usual.  The numbering is HLT's:
+- Every row stands for a coset of H, and a merge joins two rows of one coset
+  and keeps the smaller, so the first row of each coset of H survives.  A
+  completed table holds exactly those rows, so its numbering is the order
+  in which the cosets of H first get a row.
+- A row that HLT processes after an earlier row of the same coset of H gives
+  no new coset of H: every relator path and every neighbor at that earlier
+  row was already defined.
+- Lookahead only merges and deduces, so when the run reaches the next first
+  row, the same cosets of H have rows as in HLT alone.  Scans and fills at
+  that row define rows along the same relator prefixes and letters in the
+  same order, and a prefix that one run already reaches has a row in both.
+  So the sequence of first appearances is unchanged, and the table with it
+  whenever the run completes.
+The live count is not HLT's, so a run may complete under a bound that HLT
+alone passes: Exceeded means that the work bound tripped.  A run under a
+bound below LOOKAHEAD_LIVE never pauses and is HLT's, to the point where the
+bound trips.
 
 `group_order` counts a group that outgrows a small HLT run as
 |G| = [G:<w>] * |<w>| for a word w with a relator w^n, one letter (g^e)
@@ -70,6 +94,9 @@ DEFAULT_CLOSURE_CAP = 10**6
 # live cosets below which a table is never compacted, and the cap of
 # `group_order`'s first run over the trivial subgroup
 SMALL_TABLE = 256
+# live cosets at which HLT first pauses for a lookahead pass; the limit
+# doubles after each pass
+LOOKAHEAD_LIVE = 16384
 
 
 @dataclass(frozen=True)
@@ -190,10 +217,11 @@ class _Enumerator:
         self.live -= len(queue)
 
     def scan_and_fill(self, alpha: int, word: tuple[int, ...],
-                      inverse: tuple[int, ...], last: int) -> bool:
+                      inverse: tuple[int, ...], last: int, cap: int) -> bool:
         """Trace `word` from alpha forwards and backwards, deduce the one
         missing edge or define cosets until the word closes.  Returns False
-        when a definition would pass the bound."""
+        when a definition would pass `cap` live cosets (at cap 0, the
+        lookahead's, the scan only deduces and merges)."""
         table = self.table
         f, i = alpha, 0
         b, j = alpha, last
@@ -222,7 +250,7 @@ class _Enumerator:
                 table[f + word[i]] = b
                 table[b + inverse[i]] = f
                 return True
-            if self.live >= self.max_cosets:
+            if self.live >= cap:
                 return False
             new = len(table)
             table += self.holes
@@ -256,20 +284,47 @@ class _Enumerator:
         self.table[width::stride] = [x for x in table[width::stride] if x >= 0]
         return cursor
 
+    def lookahead(self, cursor: int) -> None:
+        """Scan every relator at each live coset from the cursor on, the
+        rows HLT has not processed, with deductions and coincidences only;
+        a power w^n is skipped where gamma * w^-1 is a processed row
+        (module docstring)."""
+        table, width = self.table, self.width
+        for gamma in range(cursor, len(table), width + 1):
+            for word, inverse, last, back in self.relators:
+                if table[gamma + width] != gamma:
+                    break
+                if back is not None:
+                    beta = gamma
+                    for letter in back:
+                        beta = table[beta + letter]
+                        if beta < 0:
+                            break
+                    else:
+                        if beta < cursor:
+                            continue
+                self.scan_and_fill(gamma, word, inverse, last, 0)
+
     def enumerate(self) -> int | None:
         """Run HLT to the end: the number of live cosets, or None when a
-        definition would pass the bound."""
+        definition would pass the bound.  A lookahead pass runs whenever
+        the live count reaches a limit, LOOKAHEAD_LIVE at first and
+        doubled after each pass."""
         width, stride = self.width, self.width + 1
         for word, inverse, last, _ in self.subgens:
-            if not self.scan_and_fill(0, word, inverse, last):
+            if not self.scan_and_fill(0, word, inverse, last, self.max_cosets):
                 return None
         table, holes = self.table, self.holes
-        alpha = 0
+        alpha, limit = 0, LOOKAHEAD_LIVE
         while alpha < len(table):
             if len(table) - self.live * stride > max(self.live, SMALL_TABLE) * stride:
                 alpha = self.compact(alpha)
                 table = self.table
                 continue  # bound and liveness must be re-checked
+            if self.live >= limit:
+                self.lookahead(alpha)
+                limit *= 2
+                continue  # compaction and liveness must be re-checked
             if table[alpha + width] != alpha:
                 alpha += stride
                 continue
@@ -283,7 +338,7 @@ class _Enumerator:
                     else:
                         if beta < alpha:
                             continue  # alpha is on a closed w-cycle (module docstring)
-                if not self.scan_and_fill(alpha, word, inverse, last):
+                if not self.scan_and_fill(alpha, word, inverse, last, self.max_cosets):
                     return None
                 if table[alpha + width] != alpha:
                     break
@@ -321,8 +376,12 @@ def coset_enumeration(
 ) -> CosetTable | Exceeded:
     """Enumerate cosets of the subgroup generated by the given words.
 
-    On completion the row count is the index of the subgroup.  Returns
-    Exceeded when the live-coset count would pass `max_cosets`.
+    On completion the row count is the index of the subgroup and the
+    table, numbering included, is the one HLT alone gives.  Returns
+    Exceeded when the live-coset count would pass `max_cosets`: the work
+    bound tripped.  Above LOOKAHEAD_LIVE the lookahead passes keep the count
+    lower than HLT's, so a run may complete where HLT alone passes the bound
+    (module docstring).
     """
     enumerator = _Enumerator(p, subgroup_generators, max_cosets)
     if enumerator.enumerate() is None:
@@ -336,10 +395,11 @@ def group_order(p: FinitePresentation, bound: int = DEFAULT_MAX_COSETS) -> int |
 
     1. HLT over the trivial subgroup, capped at min(bound, SMALL_TABLE)
        live cosets: its count when it completes.
-    2. For each relator that `_root` reads as a proper power w^n, n >= 2
-       (by -n, then w; of w and w^-1 the larger tuple, so g^-1 becomes g),
-       the cosets of <w> under the cap bound // n.  A run that trips ends
-       this stage.  A completed run gives the index i = [G:<w>], and i * n
+    2. For each root w that `_root` reads in relators w^a, w^b, ... (of w
+       and w^-1 the larger tuple, so g^-1 becomes g) with n = gcd(a, b, ...)
+       >= 2, since w^a = w^b = 1 gives w^n = 1 (by -n, then w), the cosets
+       of <w> under the cap bound // n.  A run that trips ends this
+       stage.  A completed run gives the index i = [G:<w>], and i * n
        is returned when w has order exactly n in a homomorphic image of G:
        its permutation of the cosets of <w> (`_word_order`), or G^ab
        (`_abelian_order`).  Then |<w>| >= n, and |<w>| <= n because
@@ -359,13 +419,14 @@ def group_order(p: FinitePresentation, bound: int = DEFAULT_MAX_COSETS) -> int |
     rows = _Enumerator(p, (), min(bound, SMALL_TABLE), relators).enumerate()
     if rows is not None or bound <= SMALL_TABLE:
         return Exceeded(bound) if rows is None else rows
-    powers = set()
+    powers = {}
     for word in p.relators:
         root = _root(word)
         if root is not None:  # w and w^-1 generate one subgroup
-            powers.add((len(_letters(word)) // len(_letters(root)), max(root, invert_word(root))))
-    for n, w in sorted(powers, key=lambda nw: (-nw[0], nw[1])):
-        if n > bound:
+            w = max(root, invert_word(root))
+            powers[w] = math.gcd(powers.get(w, 0), len(_letters(word)) // len(_letters(root)))
+    for w, n in sorted(powers.items(), key=lambda wn: (-wn[1], wn[0])):
+        if n < 2 or n > bound:
             continue
         enumerator = _Enumerator(p, (w,), bound // n, relators)
         index = enumerator.enumerate()

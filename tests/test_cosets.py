@@ -256,10 +256,9 @@ class TestGroupOrder:
         assert coset_enumeration(p, (), 10**5).rows == 336
 
     def test_candidate_without_certificate_is_skipped(self):
-        # x^600 and x^400 make x of order 200: the 3 cosets of <x> fit under
-        # the cap 10^4 // 600, but x has order 200 in every image, so
-        # neither x-candidate may count 3 * 600 or 3 * 400; y is certified
-        # in G^ab
+        # x^600 and x^400 make x of order 200, one candidate x^gcd: the 3
+        # cosets of <x> fit under the cap 10^4 // 200, and G^ab certifies
+        # that x has order 200; neither 3 * 600 nor 3 * 400 may be counted
         p = FinitePresentation(("x", "y"), (((0, 600),), ((0, 400),),
                                             ((0, -1), (1, -1), (0, 1), (1, 1)), ((1, 3),)))
         assert coset_enumeration(p, (((0, 1),),), 10**4 // 600).rows == 3
@@ -276,15 +275,32 @@ class TestGroupOrder:
         assert enumerations == [((), None), ((max(commutator, invert_word(commutator)),), 1344)]
 
     def test_word_candidate_without_certificate_is_skipped(self, enumerations):
-        # (xy)^600 and (xy)^400 make xy of order 200: the 3 cosets of <xy>
-        # fit under the caps 10^4 // 600 and 10^4 // 400, but neither
-        # candidate may count 3 * 600 or 3 * 400; y is certified in G^ab
+        # x^200 y^200 and [x,y] make xy of order 200: the 3 cosets of <xy>
+        # fit under the cap 10^6 // 600, but the candidate (xy)^600 may not
+        # count 3 * 600 = 1800; y is certified in G^ab
+        xy = ((0, 1), (1, 1))
+        p = FinitePresentation(("x", "y"), (((0, -1), (1, -1), (0, 1), (1, 1)), ((1, 3),),
+                                            xy * 600, ((0, 200), (1, 200))))
+        assert group_order(p, 10**6) == 600
+        sub = max(xy, invert_word(xy))  # <xy> is enumerated on one of xy, (xy)^-1
+        assert enumerations == [((), None), ((sub,), 3), ((((1, 1),),), 200)]
+
+    def test_powers_of_one_root_make_one_candidate(self, enumerations):
+        # (xy)^600 and (xy)^400 give (xy)^200 = 1: one run over <xy>, where
+        # G^ab certifies 3 * 200
         xy = ((0, 1), (1, 1))
         p = FinitePresentation(("x", "y"), (((0, -1), (1, -1), (0, 1), (1, 1)), ((1, 3),),
                                             xy * 600, xy * 400))
         assert group_order(p, 10**4) == 600
-        sub = max(xy, invert_word(xy))  # <xy> is enumerated on one of xy, (xy)^-1
-        assert enumerations == [((), None), ((sub,), 3), ((sub,), 3), ((((1, 1),),), 200)]
+        assert enumerations == [((), None), ((max(xy, invert_word(xy)),), 3)]
+
+    def test_root_with_coprime_powers_is_no_candidate(self, enumerations):
+        # x^2 and x^3 give x = 1, so <x> is no candidate; y^900 is one but
+        # y^300 x makes y of order 300, so HLT counts Z_300
+        p = FinitePresentation(("x", "y"), (((0, 2),), ((0, 3),), ((1, 900),),
+                                            ((1, 300), (0, 1))))
+        assert group_order(p, 10**4) == 300
+        assert enumerations == [((), None), ((((1, 1),),), 1), ((), 300)]
 
     def test_central_word_certified_by_abelianization(self, enumerations):
         # xy is central, so it fixes each of the 2 cosets of <xy>; only
@@ -331,10 +347,13 @@ class TestGroupOrder:
                                         (20, 20, 25), (8, 25, 50)])
     def test_abelian_orders(self, orders):
         # every <g> is central, so its permutation is trivial: G^ab
-        # certifies, also at a bound that HLT over the trivial subgroup passes
+        # certifies, also at a bound that HLT over the trivial subgroup
+        # passes; there the lookahead at LOOKAHEAD_LIVE live cosets lets
+        # `coset_enumeration` finish, with HLT's table
         p = _abelian3(*orders)
         assert group_order(p, 10**6) == group_order(p, 2 * 10**4) == math.prod(orders)
-        assert coset_enumeration(p, (), 2 * 10**4) == Exceeded(2 * 10**4)
+        assert reference_coset_enumeration(p, (), 2 * 10**4) == Exceeded(2 * 10**4)
+        assert coset_enumeration(p, (), 2 * 10**4) == reference_coset_enumeration(p, (), 10**6)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
     def test_order_10752_memory(self):
@@ -411,30 +430,59 @@ class TestTableIdentity:
         assert (table.rows, table.complete) == (rows, True)
         assert _table_digest(table) == digest
 
+    @pytest.mark.parametrize("p, subgroup, rows, digest", PINNED_TABLES)
+    def test_pinned_tables_with_lookahead_at_every_doubling(self, monkeypatch, p, subgroup,
+                                                            rows, digest):
+        # a lookahead pass at 1, 2, 4, ... live cosets merges and deduces
+        # from the start, and the numbering still comes out the same
+        monkeypatch.setattr(orbicurve.cosets, "LOOKAHEAD_LIVE", 1)
+        self.test_pinned_tables(p, subgroup, rows, digest)
+
     def test_pinned_bounded_run(self):
         p = _G10752_X.presentation
         assert coset_enumeration(p, (), 3000) == Exceeded(3000)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    def test_x_cosets_memory(self):
+        # HLT alone holds 147,908 rows at its first compaction and grows a
+        # fresh process by about 11 MB; the lookahead passes at 16384 and
+        # 32768 live cosets merge back to near the index of 5376
+        script = (
+            "import resource, sys\n"
+            "from orbicurve import coset_enumeration\n"
+            "from orbicurve.presentations import parse_presentation\n"
+            "parsed = parse_presentation(sys.argv[1])\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "table = coset_enumeration(parsed.presentation, parsed.subgroup_generators)\n"
+            "growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+            "print(table.rows, growth // 1024)\n"
+        )
+        rows, growth_mb = map(int, _fresh_python(script, G10752_TEXT + "sub x\n").split())
+        assert rows == 5376
+        assert growth_mb < 5
 
 
 _D806 = presentation_of(OrbSignature(0, 0, (2, 2, 806)))
 
 
-@pytest.mark.parametrize("p, subgroup, rows, digest, scans, bounded", [
+@pytest.mark.parametrize("p, subgroup, rows, digest, scans, lookahead, bounded", [
     pytest.param(_D806, (), 1612,
                  "a9bf0bc9782b7a843ecc7bf478ab6d917c06d8fa457cc69d4da6d50c686234a9",
-                 [1610, 1609, 3, 1612], True, id="(2,2,806)"),
+                 [1610, 1609, 3, 1612], [0, 0, 0, 0], True, id="(2,2,806)"),
     pytest.param(_abelian3(16, 25, 25), (), 10000,
                  "a4650dce9dd47b2429ae57401a9113074ef7d6710676f3f8b68aa1bdbae33da8",
-                 [625, 400, 400, 10000, 10000, 10000], True, id="Z16xZ25xZ25"),
+                 [625, 400, 400, 10000, 10000, 10000], [8166, 7876, 7875, 8215, 8215, 8215],
+                 True, id="Z16xZ25xZ25"),
     pytest.param(_G10752_X.presentation, (), 10752,
                  "425aa5ea3f7dc0fa504c632cd5710bf25e205284aa99a106860088d059e03f52",
-                 [13048, 14476, 14477, 16004], False, id="order-10752"),
+                 [6529, 6807, 6808, 7326], [45107, 41787, 41774, 41462], False, id="order-10752"),
     pytest.param(_G10752_X.presentation, _G10752_X.subgroup_generators, 5376,
                  "65a272e0adca5d980a9cfbd07f685481207bd1497616c27a57daa67370b9fcb7",
-                 [7111, 7865, 7866, 8701], False, id="x-in-order-10752"),
+                 [3200, 3324, 3325, 3562], [20172, 18711, 18699, 18556], False,
+                 id="x-in-order-10752"),
 ])
 def test_power_relator_scans_skip_closed_cycles(monkeypatch, p, subgroup, rows, digest, scans,
-                                                bounded):
+                                                lookahead, bounded):
     # a power w^n is not scanned at a coset alpha when alpha * w^-1 is
     # defined and smaller than alpha, so a long one-letter power is scanned
     # about once per cycle, index/n times, where every coset used to scan
@@ -443,24 +491,28 @@ def test_power_relator_scans_skip_closed_cycles(monkeypatch, p, subgroup, rows, 
     # almost everywhere: their counts are pinned and the bound is asserted
     # for one-letter powers with n >= 3 only.  In the order-10752 group
     # most cosets are reached along other letters than y, so y^3 is still
-    # scanned at 14,476 of them, and the word powers (xy)^7 and [x,y]^8,
-    # which every coset used to scan, skip at 39-45% of them: no bound there.
+    # scanned at most cosets HLT processes, and the word powers (xy)^7 and
+    # [x,y]^8 skip at some of them only: no bound there.  `scans` counts
+    # HLT's scans, `lookahead` the scans of the passes at LOOKAHEAD_LIVE
+    # live cosets and its doublings, which define nothing; (2,2,806) never
+    # reaches the limit
     counts = collections.Counter()
     scan = _Enumerator.scan_and_fill
 
-    def counting(self, alpha, word, inverse, last):
-        counts[word] += 1
-        return scan(self, alpha, word, inverse, last)
+    def counting(self, alpha, word, inverse, last, cap):
+        counts[word, cap > 0] += 1
+        return scan(self, alpha, word, inverse, last, cap)
 
     monkeypatch.setattr(_Enumerator, "scan_and_fill", counting)
     table = coset_enumeration(p, subgroup, 10**6)
     assert (table.rows, table.complete) == (rows, True)
     assert _table_digest(table) == digest
     words = [w for w, *_ in _Enumerator(p, (), 1).relators]
-    assert [counts[w] for w in words] == scans
+    assert [counts[w, True] for w in words] == scans
+    assert [counts[w, False] for w in words] == lookahead
     for w in words:
         if bounded and len(w) >= 3 and len(set(w)) == 1:
-            assert counts[w] <= rows // len(w) + 1
+            assert counts[w, True] <= rows // len(w) + 1
 
 
 class TestEnumeratorEdgeCases:
@@ -874,13 +926,18 @@ def test_enumerator_matches_reference(ngens, relators, subgroup, bound):
     _assert_matches_reference(ngens, relators, subgroup, bound)
 
 
-def _assert_matches_reference(ngens, relators, subgroup, bound):
+def _drawn(ngens, relators, subgroup):
+    """The drawn presentation on `ngens` generators and its subgroup."""
     def over(word):
         return tuple((g % ngens, e) for g, e in word)
 
-    p = FinitePresentation(tuple(f"g{i}" for i in range(ngens)),
-                           tuple(over(w) for w in relators))
-    subgroup = tuple(over(w) for w in subgroup)
+    return (FinitePresentation(tuple(f"g{i}" for i in range(ngens)),
+                               tuple(over(w) for w in relators)),
+            tuple(over(w) for w in subgroup))
+
+
+def _assert_matches_reference(ngens, relators, subgroup, bound):
+    p, subgroup = _drawn(ngens, relators, subgroup)
     reference = reference_coset_enumeration(p, subgroup, bound)
     assert coset_enumeration(p, subgroup, bound) == reference
     if all(e == 0 for w in subgroup for _, e in w):  # no letters: the trivial subgroup
@@ -925,6 +982,27 @@ def test_enumerator_matches_reference_on_powers(ngens, groups, subgroup, bound):
     # power relators are where scans are skipped on closed cycles; the
     # table, its numbering and every Exceeded must still match
     _assert_matches_reference(ngens, [w for g in groups for w in g], subgroup, bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.lists(_power_heavy, max_size=4), st.lists(_words, max_size=2),
+       st.sampled_from((50, 500, 5000)))
+def test_lookahead_at_every_doubling_matches_reference(ngens, groups, subgroup, bound):
+    # with a lookahead pass at 1, 2, 4, ... live cosets: a completed table
+    # is HLT's; where HLT passes the bound and the lookahead lets the run
+    # finish, the table is the one HLT finds with room to spare; Exceeded
+    # only where HLT trips too
+    p, subgroup = _drawn(ngens, [w for g in groups for w in g], subgroup)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(orbicurve.cosets, "LOOKAHEAD_LIVE", 1)
+        result = coset_enumeration(p, subgroup, bound)
+    reference = reference_coset_enumeration(p, subgroup, bound)
+    if isinstance(result, Exceeded):
+        assert reference == result
+    elif isinstance(reference, Exceeded):
+        assert result == reference_coset_enumeration(p, subgroup, 50 * bound)
+    else:
+        assert result == reference
 
 
 _spherical = st.one_of(st.integers(2, 1200).map(lambda n: (2, 2, n)),
