@@ -70,12 +70,11 @@ def layer_certs(name: str):
         return [c for q in HURWITZ_Q for c in inputs.hurwitz_certs(q, 10, rng)
                 if c.group == "kernel"]
     if name == "transitive-action":  # not regular: a 3584-point orbit in Schreier-Sims
-        from orbicurve import coset_enumeration, generator_permutations, permutation_group_order
+        from orbicurve import coset_enumeration, permutation_group_order
         from orbicurve.presentations import parse_presentation
 
         pf = parse_presentation(inputs.G10752.replace("sub x", "sub y"))
-        perms = generator_permutations(
-            coset_enumeration(pf.presentation, pf.subgroup_generators, 10**6))
+        perms = coset_enumeration(pf.presentation, pf.subgroup_generators, 10**6)
         return [inputs.Cert("transitive", "order 10752 on the 3584 cosets of <y>",
                             lambda: permutation_group_order(perms),
                             lambda got: inputs._expect(got, 10752))]

@@ -20,7 +20,6 @@ from .cosets import (
     Exceeded,
     PermutationImages,
     coset_enumeration,
-    generator_permutations,
     group_order,
     permutation_group_order,
     verify_homomorphism,
@@ -37,7 +36,6 @@ from .errors import (
     ArityMismatch,
     BadK,
     BadParameters,
-    IncompleteTable,
     LcmNotDividing,
     MalformedSignature,
     NonIntegralRank,

@@ -22,7 +22,6 @@ from .cosets import (
     Exceeded,
     coset_enumeration,
     format_cycles,
-    generator_permutations,
     parse_cycles,
     PermutationImages,
 )
@@ -251,10 +250,9 @@ def cmd_todd_coxeter(args):
         raise _BoundExceeded(f"enumeration exceeded {result.bound} cosets", result.bound)
     payload = {"cosets": result.rows, "complete": result.complete}
     if args.table:
-        names = result.presentation.generators
+        names = pf.presentation.generators
         payload["generators"] = list(names)
-        payload["permutations"] = dict(zip(
-            names, map(format_cycles, generator_permutations(result).images)))
+        payload["permutations"] = dict(zip(names, map(format_cycles, result.images)))
     return payload, [f"{result.rows} cosets (complete)"], True
 
 

@@ -18,9 +18,11 @@ stored together with its back edge, and processing a dead coset deletes
 every back edge into it, so outside `coincidence` every entry of a live
 row is a hole or a live coset: scans and compaction read the table without
 find().  Compaction and the final numbering overwrite the parent column
-with the new numbers, which maps every edge in one pass.  `group_order`
-only counts the live cosets; the numbered `CosetTable` is built for
-`coset_enumeration` alone.
+with the new numbers, which maps every edge in one pass.  The forward
+columns, read through the final numbering, are the finished table: a
+`CosetTable`, which is the permutation action of the generators on the
+cosets.  `coset_enumeration` returns it, and `group_order` reads the
+permutation of w from it in each run over a cyclic subgroup <w>.
 
 A relator given as a proper power w^n (one letter l^n, or syllables that
 repeat with a period) is not scanned at a live coset alpha when
@@ -86,7 +88,7 @@ import math
 from dataclasses import dataclass
 
 from .abelian import abelianization_of_presentation
-from .errors import ArityMismatch, IncompleteTable
+from .errors import ArityMismatch
 from .presentations import FinitePresentation, Word, invert_word
 
 DEFAULT_MAX_COSETS = 10**6
@@ -135,18 +137,6 @@ def _scan_word(word: Word) -> tuple[tuple[int, ...], tuple[int, ...], int, tuple
     return letters, tuple(x ^ 1 for x in letters), len(letters) - 1, back
 
 
-@dataclass(frozen=True)
-class CosetTable:
-    """Completed coset table: `action[c][2g]` is the image of coset c under
-    generator g, `action[c][2g+1]` under its inverse.  Coset 0 is the coset
-    of the subgroup."""
-
-    presentation: FinitePresentation
-    rows: int
-    action: tuple[tuple[int, ...], ...]
-    complete: bool
-
-
 class _Enumerator:
     def __init__(self, presentation: FinitePresentation, subgroup_generators,
                  max_cosets: int, relators=None):
@@ -154,7 +144,6 @@ class _Enumerator:
         passed through `_scan_word`, shared by several enumerations."""
         if max_cosets < 1:
             raise ValueError("max_cosets must be >= 1")
-        self.presentation = presentation
         self.width = 2 * presentation.ngens
         self.relators = relators or [_scan_word(w) for w in presentation.relators]
         self.subgens = [_scan_word(w) for w in subgroup_generators]
@@ -357,16 +346,16 @@ class _Enumerator:
         return self.live
 
     def coset_table(self) -> CosetTable:
-        """The enumerated table with its live cosets numbered 0, 1, ... in
-        order; holes, if any, are None."""
+        """The live cosets numbered 0, 1, ... in order, with each
+        generator's forward column as its permutation of them.  A hole
+        stays -1, which is no coset, so an unfinished table fails the
+        permutation check with ArityMismatch."""
         table, width = self.table, self.width
         self.renumber(1)
-        action = tuple(
-            tuple(None if x < 0 else table[x + width] for x in table[c:c + width])
-            for c in range(0, len(table), width + 1) if table[c + width] >= 0
-        )
-        complete = all(None not in row for row in action)
-        return CosetTable(self.presentation, len(action), action, complete)
+        live = [c for c in range(0, len(table), width + 1) if table[c + width] >= 0]
+        return CosetTable(len(live), tuple(
+            tuple(-1 if table[c + letter] < 0 else table[table[c + letter] + width] for c in live)
+            for letter in range(0, width, 2)))
 
 
 def coset_enumeration(
@@ -390,8 +379,8 @@ def coset_enumeration(
 
 
 def group_order(p: FinitePresentation, bound: int = DEFAULT_MAX_COSETS) -> int | Exceeded:
-    """Order of the presented group when it is at most `bound`, counted
-    without building a table; Exceeded(bound) when the work bound trips.
+    """Order of the presented group when it is at most `bound`; Exceeded(bound)
+    when the work bound trips.  Stages 1 and 3 only count live cosets.
 
     1. HLT over the trivial subgroup, capped at min(bound, SMALL_TABLE)
        live cosets: its count when it completes.
@@ -401,9 +390,9 @@ def group_order(p: FinitePresentation, bound: int = DEFAULT_MAX_COSETS) -> int |
        of <w> under the cap bound // n.  A run that trips ends this
        stage.  A completed run gives the index i = [G:<w>], and i * n
        is returned when w has order exactly n in a homomorphic image of G:
-       its permutation of the cosets of <w> (`_word_order`), or G^ab
-       (`_abelian_order`).  Then |<w>| >= n, and |<w>| <= n because
-       w^n = 1, so |G| = i * n <= bound.
+       its permutation of the cosets of <w> (`evaluate_word` on the run's
+       `coset_table`), or G^ab (`_abelian_order`).  Then |<w>| >= n, and
+       |<w>| <= n because w^n = 1, so |G| = i * n <= bound.
     3. HLT over the trivial subgroup under the full bound.
 
     Stages 2 and 3 prove the true order, so every integer returned is the
@@ -429,34 +418,13 @@ def group_order(p: FinitePresentation, bound: int = DEFAULT_MAX_COSETS) -> int |
         if n < 2 or n > bound:
             continue
         enumerator = _Enumerator(p, (w,), bound // n, relators)
-        index = enumerator.enumerate()
-        if index is None:
+        if enumerator.enumerate() is None:
             break
-        if _word_order(enumerator, _letters(w)) == n or _abelian_order(p, w) == n:
-            return index * n
+        table = enumerator.coset_table()
+        if perm_order(evaluate_word(w, table)) == n or _abelian_order(p, w) == n:
+            return table.rows * n
     rows = _Enumerator(p, (), bound, relators).enumerate()
     return Exceeded(bound) if rows is None else rows
-
-
-def _word_order(enumerator: _Enumerator, letters: tuple[int, ...]) -> int:
-    """The order of the permutation the word with these letters induces on
-    the live cosets of a completed enumeration: each cycle is traced on the
-    flat table, one pass through the letters per step."""
-    table, width = enumerator.table, enumerator.width
-    seen, order = set(), 1
-    for c in range(0, len(table), width + 1):
-        if table[c + width] != c or c in seen:
-            continue
-        length, x = 0, c
-        while True:
-            for letter in letters:
-                x = table[x + letter]
-            length += 1
-            if x == c:
-                break
-            seen.add(x)
-        order = math.lcm(order, length)
-    return order
 
 
 def _abelian_order(p: FinitePresentation, w: Word) -> int:
@@ -538,15 +506,19 @@ class PermutationImages:
                 raise ArityMismatch(f"not a permutation of degree {self.degree}: {p}")
 
 
-def generator_permutations(t: CosetTable) -> PermutationImages:
-    """Right-multiplication action of each generator on the cosets."""
-    if not t.complete:
-        raise IncompleteTable("coset table has undefined entries")
-    images = tuple(
-        tuple(t.action[c][2 * g] for c in range(t.rows))
-        for g in range(t.presentation.ngens)
-    )
-    return PermutationImages(t.rows, images)
+class CosetTable(PermutationImages):
+    """A completed coset table, which is the permutation action of the
+    generators on the cosets (Holt-Eick-O'Brien, Handbook of Computational
+    Group Theory, 5.1): `images[g][c]` is the coset c * g, and coset 0 is
+    the coset of the subgroup.  A generator's inverse acts by the inverse
+    permutation.  `rows` is the index of the subgroup, and `complete` is
+    always true, because a table with a hole is no permutation."""
+
+    complete = True
+
+    @property
+    def rows(self) -> int:
+        return self.degree
 
 
 class _StabilizerChain:

@@ -13,10 +13,6 @@ class UnknownGenerator(OrbicurveError):
     """A word refers to a generator that the presentation does not have."""
 
 
-class IncompleteTable(OrbicurveError):
-    """Operation requires a completed coset table."""
-
-
 class ArityMismatch(OrbicurveError):
     """Number or degree of permutation images does not fit the presentation."""
 

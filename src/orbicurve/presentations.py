@@ -149,13 +149,6 @@ def parse_word(text: str, generators: tuple[str, ...]) -> Word:
     return free_reduce(_letters(text, index))
 
 
-def format_word(word: Word, generators: tuple[str, ...]) -> str:
-    tokens = []
-    for g, e in word:
-        tokens.append(generators[g] if e == 1 else f"{generators[g]}^{e}")
-    return " ".join(tokens)
-
-
 @dataclass(frozen=True)
 class PresentationFile:
     """Parse result of the line-oriented presentation format."""
@@ -194,11 +187,3 @@ def parse_presentation(text: str) -> PresentationFile:
     return PresentationFile(
         FinitePresentation(generators, tuple(relators)), tuple(subgens)
     )
-
-
-def format_presentation(pf: PresentationFile) -> str:
-    p = pf.presentation
-    lines = ["gens " + " ".join(p.generators)]
-    lines += ["rel " + format_word(w, p.generators) for w in p.relators]
-    lines += ["sub " + format_word(w, p.generators) for w in pf.subgroup_generators]
-    return "\n".join(lines) + "\n"

@@ -30,7 +30,6 @@ class ReferenceEnumerator:
                  max_cosets: int):
         if max_cosets < 1:
             raise ValueError("max_cosets must be >= 1")
-        self.presentation = presentation
         self.width = 2 * presentation.ngens
         self.relators = [_letters(w) for w in presentation.relators]
         self.subgens = [_letters(w) for w in subgroup_generators]
@@ -170,9 +169,10 @@ class ReferenceEnumerator:
                             return Exceeded(self.max_cosets)
             alpha += 1
         self.compact(0)
-        action = tuple(tuple(row) for row in self.table)
-        complete = all(x is not None for row in action for x in row)
-        return CosetTable(self.presentation, len(action), action, complete)
+        # a hole becomes -1, which fails CosetTable's permutation check
+        return CosetTable(len(self.table), tuple(
+            tuple(-1 if row[letter] is None else row[letter] for row in self.table)
+            for letter in range(0, self.width, 2)))
 
 
 def reference_coset_enumeration(p: FinitePresentation, subgroup_generators=(),

@@ -16,11 +16,9 @@ from orbicurve import (
     ArityMismatch,
     Exceeded,
     FinitePresentation,
-    IncompleteTable,
     OrbSignature,
     PermutationImages,
     coset_enumeration,
-    generator_permutations,
     group_order,
     permutation_group_order,
     presentation_of,
@@ -34,7 +32,6 @@ from orbicurve.cosets import (
     _Enumerator,
     _is_regular,
     _StabilizerChain,
-    _word_order,
     cycles_of,
     evaluate_word,
     format_cycles,
@@ -189,7 +186,7 @@ class TestCosetEnumeration:
         p = presentation_of(OrbSignature(0, 0, (2, 3, 4)))
         first = coset_enumeration(p, (), 10**4)
         second = coset_enumeration(p, (), 10**4)
-        assert first.action == second.action
+        assert first == second
 
     def test_relators_trace_closed_from_every_coset(self):
         # exhaustive post-hoc closure check
@@ -200,10 +197,9 @@ class TestCosetEnumeration:
         ):
             p = presentation_of(sig)
             table = coset_enumeration(p, (), 10**4)
-            perms = generator_permutations(table)
             ident = identity_perm(table.rows)
             for rel in p.relators:
-                assert evaluate_word(rel, perms) == ident
+                assert evaluate_word(rel, table) == ident
 
 
 ORDER_CASES = [
@@ -310,7 +306,7 @@ class TestGroupOrder:
                                             ((1, 2),)))
         enumerator = _Enumerator(p, (xy,), 10**4 // 300)
         assert enumerator.enumerate() == 2
-        assert _word_order(enumerator, (0, 2)) == 1
+        assert perm_order(evaluate_word(xy, enumerator.coset_table())) == 1
         assert _abelian_order(p, xy) == 300
         assert group_order(p, 10**4) == 600
         assert enumerations[1:] == [((max(xy, invert_word(xy)),), 2)]
@@ -326,7 +322,7 @@ class TestGroupOrder:
         root = ((0, 1), (0, -1))
         enumerator = _Enumerator(p, (root,), 10**4)
         assert enumerator.enumerate() == 300
-        assert _word_order(enumerator, (0, 1)) == 1
+        assert perm_order(evaluate_word(root, enumerator.coset_table())) == 1
         assert _abelian_order(p, root) == 1
 
     def test_one_syllable_candidates_by_exponent_then_generator(self, enumerations):
@@ -416,13 +412,18 @@ PINNED_TABLES = [
 
 
 def _table_digest(table) -> str:
-    return hashlib.sha256(repr(table.action).encode()).hexdigest()
+    """The digest of the rows as the enumerator with one list per row
+    stored them: the image of each coset under each generator, then under
+    its inverse."""
+    columns = [c for p in table.images for c in (p, perm_inverse(p))]
+    rows = tuple(tuple(column[c] for column in columns) for c in range(table.rows))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
 class TestTableIdentity:
     """The coset numbering is part of the output (`todd-coxeter --table`):
-    these digests of `repr(table.action)` were taken from the enumerator
-    with one list per row, and any rewrite must reproduce them."""
+    these digests of the rows (`_table_digest`) were taken from the
+    enumerator with one list per row, and any rewrite must reproduce them."""
 
     @pytest.mark.parametrize("p, subgroup, rows, digest", PINNED_TABLES)
     def test_pinned_tables(self, p, subgroup, rows, digest):
@@ -518,7 +519,7 @@ def test_power_relator_scans_skip_closed_cycles(monkeypatch, p, subgroup, rows, 
 class TestEnumeratorEdgeCases:
     def test_no_generators(self):
         table = coset_enumeration(FinitePresentation((), ()), (), 1)
-        assert (table.rows, table.action, table.complete) == (1, ((),), True)
+        assert table == CosetTable(1, ())
         assert group_order(FinitePresentation((), ()), 1) == 1
 
     def test_bound_one_on_free_cyclic_group(self):
@@ -541,30 +542,27 @@ class TestEnumeratorEdgeCases:
 
     def test_one_letter_relator(self):
         table = coset_enumeration(FinitePresentation(("x",), (((0, 1),),)), (), 10)
-        assert table.action == ((0, 0),)
+        assert table == CosetTable(1, ((0,),))
 
 
 class TestPermutations:
     def test_z2_regular_action(self):
         p = FinitePresentation(("x",), (((0, 2),),))
         table = coset_enumeration(p, (), 100)
-        perms = generator_permutations(table)
-        assert perms.degree == 2
-        assert perms.images[0] == (1, 0)
+        assert table.degree == 2
+        assert table.images[0] == (1, 0)
 
     def test_klein_double_transpositions(self):
         table = coset_enumeration(presentation_of(OrbSignature(0, 0, (2, 2, 2))), (), 100)
-        perms = generator_permutations(table)
-        assert perms.degree == 4
-        for image in perms.images:
+        assert table.degree == 4
+        for image in table.images:
             assert perm_order(image) == 2
             assert len(cycles_of(image)) == 2  # two 2-cycles: no fixed points
 
     def test_regular_representation_order_matches(self):
         table = coset_enumeration(presentation_of(OrbSignature(0, 0, (2, 3, 3))), (), 10**4)
-        perms = generator_permutations(table)
-        assert perms.degree == 12
-        assert permutation_group_order(perms) == 12
+        assert table.degree == 12
+        assert permutation_group_order(table) == 12
 
     def test_regular_representation_across_finite_family(self):
         # closure of the coset action is an independent recount of the order
@@ -576,18 +574,22 @@ class TestPermutations:
             OrbSignature(0, 1, (8,)),
         ):
             table = coset_enumeration(presentation_of(sig), (), 10**4)
-            assert permutation_group_order(generator_permutations(table)) == table.rows
+            assert permutation_group_order(table) == table.rows
 
     def test_full_subgroup_gives_one_coset_in_infinite_group(self):
         p = FinitePresentation(("x", "y"), (((0, 2),), ((1, 3),)))
         table = coset_enumeration(p, (((0, 1),), ((1, 1),)), 100)
         assert table.rows == 1
 
-    def test_incomplete_table_rejected(self):
-        p = FinitePresentation(("x",), ())
-        table = CosetTable(p, 1, ((None, None),), complete=False)
-        with pytest.raises(IncompleteTable):
-            generator_permutations(table)
+    def test_unfinished_table_is_no_permutation(self):
+        # in the free group on x, y the subgroup scan closes a y-loop at
+        # coset 0, and the bound 1 trips before its x-edge is defined; the
+        # hole must fail the permutation check, not be read as the slot
+        # before the parent column, the y^-1 edge, which would make x fix 0
+        enumerator = _Enumerator(FinitePresentation(("x", "y"), ()), (((1, 1),),), 1)
+        assert enumerator.enumerate() is None
+        with pytest.raises(ArityMismatch):
+            enumerator.coset_table()
 
     def test_not_a_permutation_rejected(self):
         with pytest.raises(ArityMismatch):
@@ -652,10 +654,9 @@ class TestOrderRoutes:
         assert len(FINITE_GRID) == 102
         for sig in FINITE_GRID:
             table = coset_enumeration(presentation_of(sig), (), 10**4)
-            perms = generator_permutations(table)
-            assert _is_regular(perms), sig
-            assert (permutation_group_order(perms) == chain_order(perms)
-                    == closure_order(perms) == table.rows), sig
+            assert _is_regular(table), sig
+            assert (permutation_group_order(table) == chain_order(table)
+                    == closure_order(table) == table.rows), sig
 
     @pytest.mark.parametrize("q", [5, 7, 13, 17])
     def test_certificate_declines_psl2_on_projective_line(self, q):
@@ -692,8 +693,7 @@ class TestOrderRoutes:
         assert permutation_group_order(perms) == 1
 
     def test_cap_boundary_on_regular_action(self):
-        perms = generator_permutations(
-            coset_enumeration(presentation_of(OrbSignature(0, 0, (2, 3, 5))), (), 10**4))
+        perms = coset_enumeration(presentation_of(OrbSignature(0, 0, (2, 3, 5))), (), 10**4)
         assert _is_regular(perms) and perms.degree == 60
         for route in (permutation_group_order, chain_order):
             assert route(perms, 60) == 60
@@ -716,11 +716,10 @@ class TestOrderRoutes:
         # point operations (about 30 s); the certificate costs a few
         # O(degree x generators) passes
         table = coset_enumeration(_G10752_X.presentation, (), 10**6)
-        perms = generator_permutations(table)
         start = time.perf_counter()
-        assert permutation_group_order(perms) == 10752
+        assert permutation_group_order(table) == 10752
         assert time.perf_counter() - start < 1.0
-        assert permutation_group_order(perms, 10751) == Exceeded(10751)
+        assert permutation_group_order(table, 10751) == Exceeded(10751)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
     def test_transitive_3584_action_memory(self):
@@ -731,12 +730,10 @@ class TestOrderRoutes:
         # peak of the whole process, so the run gets a fresh one.
         script = (
             "import resource, sys\n"
-            "from orbicurve import coset_enumeration, generator_permutations, "
-            "permutation_group_order\n"
+            "from orbicurve import coset_enumeration, permutation_group_order\n"
             "from orbicurve.presentations import parse_presentation\n"
             "pf = parse_presentation(sys.argv[1])\n"
-            "perms = generator_permutations("
-            "coset_enumeration(pf.presentation, pf.subgroup_generators, 10**6))\n"
+            "perms = coset_enumeration(pf.presentation, pf.subgroup_generators, 10**6)\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "order = permutation_group_order(perms)\n"
             "growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
@@ -853,7 +850,7 @@ def test_enumerator_on_direct_products_of_cyclics(orders):
         expected *= a
     assert group_order(p, 10**4) == expected
     # regular action recount, by the certificate and by the chain
-    perms = generator_permutations(coset_enumeration(p, (), 10**4))
+    perms = coset_enumeration(p, (), 10**4)
     assert _is_regular(perms)
     assert permutation_group_order(perms) == chain_order(perms) == expected
 
@@ -870,13 +867,10 @@ def test_enumerator_on_dihedral_style_presentations(n, m, shift):
     result = coset_enumeration(p, (), 800)
     if isinstance(result, Exceeded):
         return
-    perms = generator_permutations(result)
-    assert _is_regular(perms)
-    assert (permutation_group_order(perms, 1000) == chain_order(perms, 1000)
-            == closure_order(perms) == result.rows)
-    ident = identity_perm(result.rows)
-    for rel in p.relators:
-        assert evaluate_word(rel, perms) == ident
+    assert _is_regular(result)
+    assert (permutation_group_order(result, 1000) == chain_order(result, 1000)
+            == closure_order(result) == result.rows)
+    assert verify_homomorphism(p, result)
 
 
 @settings(max_examples=40, deadline=None)
@@ -936,10 +930,21 @@ def _drawn(ngens, relators, subgroup):
             tuple(over(w) for w in subgroup))
 
 
+def _assert_is_coset_action(p, subgroup, table):
+    """Checks of a completed table that need no second enumerator: the
+    generators' permutations kill every relator, and each subgroup
+    generator fixes coset 0, the subgroup's."""
+    if not isinstance(table, Exceeded):
+        assert verify_homomorphism(p, table)
+        assert all(evaluate_word(w, table)[0] == 0 for w in subgroup)
+
+
 def _assert_matches_reference(ngens, relators, subgroup, bound):
     p, subgroup = _drawn(ngens, relators, subgroup)
     reference = reference_coset_enumeration(p, subgroup, bound)
-    assert coset_enumeration(p, subgroup, bound) == reference
+    result = coset_enumeration(p, subgroup, bound)
+    assert result == reference
+    _assert_is_coset_action(p, subgroup, result)
     if all(e == 0 for w in subgroup for _, e in w):  # no letters: the trivial subgroup
         order = group_order(p, bound)
         if not isinstance(reference, Exceeded):
@@ -997,6 +1002,7 @@ def test_lookahead_at_every_doubling_matches_reference(ngens, groups, subgroup, 
         m.setattr(orbicurve.cosets, "LOOKAHEAD_LIVE", 1)
         result = coset_enumeration(p, subgroup, bound)
     reference = reference_coset_enumeration(p, subgroup, bound)
+    _assert_is_coset_action(p, subgroup, result)
     if isinstance(result, Exceeded):
         assert reference == result
     elif isinstance(reference, Exceeded):

@@ -4,9 +4,7 @@ from hypothesis import strategies as st
 
 from orbicurve import FinitePresentation, OrbSignature, UnknownGenerator, presentation_of
 from orbicurve.presentations import (
-    PresentationFile,
     concat_words,
-    format_presentation,
     free_reduce,
     invert_word,
     parse_presentation,
@@ -86,7 +84,7 @@ def test_word_parsing():
         p.word("x^two")
 
 
-def test_presentation_file_round_trip():
+def test_presentation_file_parses():
     text = """\
 # the (2,3,3) von Dyck presentation
 gens x1 x2 x3
@@ -99,9 +97,8 @@ sub x1 x2
     pf = parse_presentation(text)
     assert pf.presentation.generators == ("x1", "x2", "x3")
     assert len(pf.presentation.relators) == 4
+    assert pf.presentation.relators[3] == ((2, -1), (1, -1), (0, -1))
     assert pf.subgroup_generators == (((0, 1), (1, 1)),)
-    again = parse_presentation(format_presentation(pf))
-    assert again == pf
 
 
 def test_presentation_file_errors():
@@ -116,17 +113,6 @@ def test_presentation_file_errors():
 def test_parse_word_requires_known_names():
     with pytest.raises(UnknownGenerator):
         parse_word("x1", ("a", "b"))
-
-
-def test_standard_presentations_survive_text_round_trip():
-    for sig in (
-        OrbSignature(0, 0, (2, 3, 7)),
-        OrbSignature(2, 1, (2, 4)),
-        OrbSignature(1, 0, ()),
-    ):
-        p = presentation_of(sig)
-        again = parse_presentation(format_presentation(PresentationFile(p)))
-        assert again.presentation == p
 
 
 def test_parsed_words_are_reduced():
