@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from orbicurve import (
     Exceeded,
-    FinitePresentation,
     OrbSignature,
     abelianization,
     abelianization_of_presentation,
@@ -21,6 +20,7 @@ from orbicurve import (
     coset_enumeration,
     finite_order,
     group_order,
+    parse_presentation,
     permutation_group_order,
     presentation_of,
     projective_triangle_fixture,
@@ -100,8 +100,9 @@ def main() -> int:
     print(f"  (2,3,7) index-168 kernel: {'PASS' if ok else 'FAIL'}, rho = {report.rho}")
     # <x, y | x^2, y^3, (xy)^7, [x,y]^8>: its regular action, counted by the
     # enumeration's rows and again as a permutation group
-    g10752 = FinitePresentation(("x", "y"), (
-        ((0, 2),), ((1, 3),), ((0, 1), (1, 1)) * 7, ((0, -1), (1, -1), (0, 1), (1, 1)) * 8))
+    g10752 = parse_presentation(
+        f"gens x y\nrel x^2\nrel y^3\nrel {'x y ' * 7}\nrel {'x^-1 y^-1 x y ' * 8}\n"
+    ).presentation
     table = coset_enumeration(g10752, (), 10**6)
     order = permutation_group_order(table)
     ok = table.rows == order == 10752

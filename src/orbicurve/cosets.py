@@ -17,9 +17,9 @@ c itself while c is live.  A definition appends one row.  Every edge is
 stored together with its back edge, and processing a dead coset deletes
 every back edge into it, so outside `coincidence` every entry of a live
 row is a hole or a live coset: scans and compaction read the table without
-find().  Compaction and the final numbering overwrite the parent column
-with the new numbers, which maps every edge in one pass.  The forward
-columns, read through the final numbering, are the finished table: a
+find().  Compaction overwrites the parent column with the new offsets,
+which maps every edge in one pass.  The forward columns, read through a
+map from live row offsets to their rank, are the finished table: a
 `CosetTable`, which is the permutation action of the generators on the
 cosets.  `coset_enumeration` returns it, and `group_order` reads the
 permutation of w from it in each run over a cyclic subgroup <w>.
@@ -250,20 +250,18 @@ class _Enumerator:
             f = new
             i += 1
 
-    def renumber(self, step: int) -> None:
-        """Overwrite the parent column, which find() no longer needs, with
-        the renumbering: the k-th live row gets k * step, a dead row -1."""
-        table, width, rank = self.table, self.width, 0
-        for c in range(0, len(table), width + 1):
+    def compact(self, cursor: int) -> int:
+        """Renumber live cosets in order; returns the relocated cursor.
+        The parent column, which find() no longer needs, is overwritten
+        with the new offsets: the k-th live row gets k * stride, a dead
+        row -1."""
+        table, width, stride = self.table, self.width, self.width + 1
+        offset = 0
+        for c in range(0, len(table), stride):
             if table[c + width] == c:
-                table[c + width], rank = rank, rank + step
+                table[c + width], offset = offset, offset + stride
             else:
                 table[c + width] = -1
-
-    def compact(self, cursor: int) -> int:
-        """Renumber live cosets in order; returns the relocated cursor."""
-        table, width, stride = self.table, self.width, self.width + 1
-        self.renumber(stride)
         cursor = stride * sum(table[c + width] >= 0 for c in range(0, cursor, stride))
         # the parent slot is mapped like an edge, to a wrong value, and then
         # set again from the renumbered column, whose int objects it shares
@@ -349,12 +347,13 @@ class _Enumerator:
         """The live cosets numbered 0, 1, ... in order, with each
         generator's forward column as its permutation of them.  A hole
         stays -1, which is no coset, so an unfinished table fails the
-        permutation check with ArityMismatch."""
+        permutation check with ArityMismatch.  The table is only read, so
+        the enumerator can build it again."""
         table, width = self.table, self.width
-        self.renumber(1)
-        live = [c for c in range(0, len(table), width + 1) if table[c + width] >= 0]
+        live = [c for c in range(0, len(table), width + 1) if table[c + width] == c]
+        number = dict(zip(live, range(len(live))))
         return CosetTable(len(live), tuple(
-            tuple(-1 if table[c + letter] < 0 else table[table[c + letter] + width] for c in live)
+            tuple(-1 if table[c + letter] < 0 else number[table[c + letter]] for c in live)
             for letter in range(0, width, 2)))
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .abelian import AbelianGroup, abelianization_of_presentation
 from .cosets import Exceeded, group_order
 from .errors import BadParameters, NotHyperbolic, UnknownExample
-from .presentations import FinitePresentation, Word, presentation_of
+from .presentations import FinitePresentation, Word, parse_presentation, presentation_of
 from .signature import OrbSignature
 from .wallpaper import mat_mul
 
@@ -69,19 +69,15 @@ def quotient_by_relators(p: FinitePresentation, extra) -> FinitePresentation:
 
 
 def _quartic() -> NamedExample:
-    p = FinitePresentation(
-        ("x", "y"),
-        (
-            # xyx = yxy
-            ((0, 1), (1, 1), (0, 1), (1, -1), (0, -1), (1, -1)),
-            # x y^2 x = 1
-            ((0, 1), (1, 2), (0, 1)),
-        ),
-    )
+    p = parse_presentation("""
+        gens x y
+        rel x y x y^-1 x^-1 y^-1  # xyx = yxy
+        rel x y^2 x
+    """).presentation
     # (xyx)^2 generates the center; quotienting by it leaves the (2,2,3)
     # triangle group.  The square of xy does not: it generates the normal
     # Z_3 and the quotient collapses to Z_4.
-    central_square: Word = ((0, 1), (1, 1), (0, 2), (1, 1), (0, 1))
+    central_square = p.word("x y x^2 y x")
     sig223 = OrbSignature(0, 0, (2, 2, 3))
     return NamedExample(
         name="quartic-b3p1",
@@ -95,20 +91,15 @@ def _quartic() -> NamedExample:
 
 
 def _sextic() -> NamedExample:
-    a1, a2, a3 = 0, 1, 2
-    p = FinitePresentation(
-        ("a1", "a2", "a3"),
-        (
-            ((a1, 1), (a2, 1), (a1, 1), (a2, -1), (a1, -1), (a2, -1)),
-            ((a2, 1), (a3, 1), (a2, 1), (a3, -1), (a2, -1), (a3, -1)),
-            ((a1, 1), (a3, 1), (a1, -1), (a3, -1)),
-            ((a1, 1), (a2, 1), (a3, 2), (a2, 1), (a1, 1)),
-        ),
-    )
+    p = parse_presentation("""
+        gens a1 a2 a3
+        rel a1 a2 a1 a2^-1 a1^-1 a2^-1
+        rel a2 a3 a2 a3^-1 a2^-1 a3^-1
+        rel a1 a3 a1^-1 a3^-1
+        rel a1 a2 a3^2 a2 a1
+    """).presentation
     # with x = a1 a2 a1, y = a1 a2, z = a3: kill x^2 and z x y
-    x_squared: Word = ((a1, 1), (a2, 1), (a1, 2), (a2, 1), (a1, 1))
-    zxy: Word = ((a3, 1), (a1, 1), (a2, 1), (a1, 2), (a2, 1))
-    extra = (x_squared, zxy)
+    extra = (p.word("a1 a2 a1^2 a2 a1"), p.word("a3 a1 a2 a1^2 a2"))
     return NamedExample(
         name="sextic-b4p1",
         presentation=p,
@@ -120,26 +111,22 @@ def _sextic() -> NamedExample:
 
 
 def _quintic() -> NamedExample:
-    a, b, c, v = 0, 1, 2, 3
-    p = FinitePresentation(
-        ("a", "b", "c", "v"),
-        (
-            ((v, 5), (a, -2)),
-            ((a, 2), (b, -3)),
-            ((b, 3), (c, -7)),
-            ((c, 7), (c, -1), (b, -1), (a, -1)),  # c^7 = a b c
-            ((v, 1), (a, 1), (v, -1), (a, -1)),
-            ((v, 1), (b, 1), (v, -1), (b, -1)),
-            ((v, 1), (c, 1), (v, -1), (c, -1)),
-        ),
-    )
-    kill_v: Word = ((v, 1),)
+    p = parse_presentation("""
+        gens a b c v
+        rel v^5 a^-2
+        rel a^2 b^-3
+        rel b^3 c^-7
+        rel c^7 c^-1 b^-1 a^-1  # c^7 = a b c
+        rel v a v^-1 a^-1
+        rel v b v^-1 b^-1
+        rel v c v^-1 c^-1
+    """).presentation
     return NamedExample(
         name="quintic-237",
         presentation=p,
         facts=(
             AbelianizationFact((), AbelianGroup(0, (5,))),
-            QuotientPresentationFact((kill_v,), OrbSignature(0, 0, (2, 3, 7))),
+            QuotientPresentationFact((p.word("v"),), OrbSignature(0, 0, (2, 3, 7))),
         ),
     )
 
@@ -151,20 +138,18 @@ def _artal(d: int, a: int, b: int) -> NamedExample:
         )
     q = math.gcd(2 * a + 1, 2 * b + 1)  # q = 2n + 1
     n = (q - 1) // 2
-    u, v = 0, 1
-    p = FinitePresentation(
-        ("u", "v"),
-        (
-            ((u, 2), (v, -q)),
-            (((v, -n), (u, 1)) * (d - 2) + ((v, -(d - 1)),)),
-        ),
-    )
+    cycle = f"v^-{n} u " * (d - 2)
+    p = parse_presentation(f"""
+        gens u v
+        rel u^2 v^-{q}
+        rel {cycle}v^-{d - 1}
+    """).presentation
     # the curve is irreducible of degree d, so first homology is Z_d
     facts: list[Fact] = [AbelianizationFact((), AbelianGroup(0, (d,)))]
     notes: list[str] = []
     if n > 0:
         triangle = OrbSignature(0, 0, tuple(sorted((2, q, d - 2))))
-        facts.append(QuotientPresentationFact((((u, 2),),), triangle))
+        facts.append(QuotientPresentationFact((p.word("u^2"),), triangle))
         notes.append(
             "u^2 is central, so the quotient by it should be the triangle "
             f"group of {triangle}; only abelianization and bounded-enumeration "
@@ -298,14 +283,11 @@ def _det(m: Mat2f) -> float:
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
-_IDENTITY: Mat2f = ((1.0, 0.0), (0.0, 1.0))
-
-
-def projective_distance(m: Mat2f, n: Mat2f = _IDENTITY) -> float:
-    """Entrywise distance to +n or -n, whichever is closer: the
+def projective_distance(m: Mat2f) -> float:
+    """Entrywise distance to +I or -I, whichever is closer: the
     representation only matters projectively."""
-    plus = max(abs(m[i][j] - n[i][j]) for i in range(2) for j in range(2))
-    minus = max(abs(m[i][j] + n[i][j]) for i in range(2) for j in range(2))
+    plus = max(abs(m[0][0] - 1.0), abs(m[0][1]), abs(m[1][0]), abs(m[1][1] - 1.0))
+    minus = max(abs(m[0][0] + 1.0), abs(m[0][1]), abs(m[1][0]), abs(m[1][1] + 1.0))
     return min(plus, minus)
 
 

@@ -29,13 +29,12 @@ _ISOMORPHIC_REASONS = {
 
 @dataclass(frozen=True)
 class IsoVerdict:
-    isomorphic: bool
     reason: str
     detail: str | None = None  # mismatched invariant, for invariant_mismatch
 
-    def __post_init__(self):
-        if self.isomorphic != (self.reason in _ISOMORPHIC_REASONS):
-            raise ValueError(f"reason {self.reason!r} inconsistent with outcome")
+    @property
+    def isomorphic(self) -> bool:
+        return self.reason in _ISOMORPHIC_REASONS
 
 
 def decide_isomorphism(a: OrbSignature, b: OrbSignature) -> IsoVerdict:
@@ -44,20 +43,20 @@ def decide_isomorphism(a: OrbSignature, b: OrbSignature) -> IsoVerdict:
     if a_cyclic and b_cyclic:
         oa, ob = finite_order(a), finite_order(b)
         if oa != ob:
-            return IsoVerdict(False, REASON_MISMATCH, "order")
+            return IsoVerdict(REASON_MISMATCH, "order")
         if oa == 1:
-            return IsoVerdict(True, REASON_BOTH_TRIVIAL)
-        return IsoVerdict(True, REASON_FINITE_CYCLIC)
+            return IsoVerdict(REASON_BOTH_TRIVIAL)
+        return IsoVerdict(REASON_FINITE_CYCLIC)
     if (a.r == 0) != (b.r == 0):
-        return IsoVerdict(False, REASON_MIXED)
+        return IsoVerdict(REASON_MIXED)
     if a.r == 0:
         if a.g != b.g:
-            return IsoVerdict(False, REASON_MISMATCH, "g")
+            return IsoVerdict(REASON_MISMATCH, "g")
         if a.m != b.m:
-            return IsoVerdict(False, REASON_MISMATCH, "m")
-        return IsoVerdict(True, REASON_COMPACT_TUPLES)
+            return IsoVerdict(REASON_MISMATCH, "m")
+        return IsoVerdict(REASON_COMPACT_TUPLES)
     if 2 * a.g + a.r != 2 * b.g + b.r:
-        return IsoVerdict(False, REASON_MISMATCH, "2g+r")
+        return IsoVerdict(REASON_MISMATCH, "2g+r")
     if a.m != b.m:
-        return IsoVerdict(False, REASON_MISMATCH, "m")
-    return IsoVerdict(True, REASON_OPEN_INVARIANTS)
+        return IsoVerdict(REASON_MISMATCH, "m")
+    return IsoVerdict(REASON_OPEN_INVARIANTS)

@@ -115,12 +115,11 @@ class Kind:
     """Sign class of the Euler characteristic plus finiteness data."""
 
     name: KindName
-    finite: bool
-    order: int | None = None  # filled iff finite
+    order: int | None  # None when the group is infinite
 
-    def __post_init__(self):
-        if self.finite != (self.order is not None):
-            raise ValueError("order must be present exactly when finite")
+    @property
+    def finite(self) -> bool:
+        return self.order is not None
 
 
 def classify_kind(sig: OrbSignature) -> Kind:
@@ -137,9 +136,7 @@ def classify_kind(sig: OrbSignature) -> Kind:
     else:
         name = KindName.HYPERBOLIC
     order = finite_order(sig)
-    if order is INFINITE:
-        return Kind(name, finite=False)
-    return Kind(name, finite=True, order=order)
+    return Kind(name, None if order is INFINITE else order)
 
 
 class NinfVerdict(enum.Enum):

@@ -214,9 +214,11 @@ def mat_mul(m: Mat2, n: Mat2) -> Mat2:
 MAT_IDENTITY: Mat2 = ((1, 0), (0, 1))
 
 
-def mat_order(m: Mat2, cap: int = 24) -> int | None:
+def mat_order(m: Mat2) -> int | None:
+    """The order of m when it is at most 24, else None (a 2x2 integer
+    matrix of finite order has order 1, 2, 3, 4 or 6)."""
     power = m
-    for j in range(1, cap + 1):
+    for j in range(1, 25):
         if power == MAT_IDENTITY:
             return j
         power = mat_mul(power, m)

@@ -161,6 +161,12 @@ CASES = [
     *_one("verify-wallpaper-no-seed", "verify", "wallpaper", "--k", "6", "--samples", "3"),
     *_both("verify-example", "verify", "example", "--name", "quartic-b3p1"),
     *_both("verify-example-notes", "verify", "example", "--name", "artal(4,1,1)"),
+    *_one("verify-example-sextic-json", "verify", "example", "--name", "sextic-b4p1",
+          "--format", "json"),
+    *_one("verify-example-quintic-json", "verify", "example", "--name", "quintic-237",
+          "--format", "json"),
+    *_one("verify-example-artal-10-7-1-json", "verify", "example", "--name", "artal(10,7,1)",
+          "--format", "json"),
     *_one("verify-example-unknown", "verify", "example", "--name", "nope"),
     *_one("verify-example-format-first", "verify", "--format", "text", "example", "--name",
           "quartic-b3p1"),

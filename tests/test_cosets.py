@@ -591,6 +591,21 @@ class TestPermutations:
         with pytest.raises(ArityMismatch):
             enumerator.coset_table()
 
+    @pytest.mark.parametrize("text, rows", [
+        ("gens x y\nrel x^2\nrel y^3\nrel x y x y x y\n", 12),
+        # compacted twice during the run
+        (f"gens x y\nrel x^2\nrel y^3\nrel {'x y ' * 7}\nrel {'x^-1 y^-1 x y ' * 8}\nsub x\n",
+         5376),
+    ], ids=["a4", "order-10752-over-x"])
+    def test_coset_table_read_twice(self, text, rows):
+        # building the table only reads the enumerator, so a second build
+        # gives the same table
+        pf = parse_presentation(text)
+        enumerator = _Enumerator(pf.presentation, pf.subgroup_generators, 10**6)
+        assert enumerator.enumerate() == rows
+        first = enumerator.coset_table()
+        assert first.rows == rows and enumerator.coset_table() == first
+
     def test_not_a_permutation_rejected(self):
         with pytest.raises(ArityMismatch):
             PermutationImages(2, ((0, 0),))
