@@ -50,6 +50,10 @@ EXIT_OK = 0
 EXIT_DOMAIN_ERROR = 1
 EXIT_EXCEEDED = 2
 EXIT_VERIFY_FAILED = 3
+# wider than any usage line, so usage never wraps: its text depends neither
+# on the terminal width (COLUMNS) nor on argparse's wrapping rules, which
+# differ between Python versions
+USAGE_WIDTH = 10**4
 
 
 class _BoundExceeded(Exception):
@@ -317,6 +321,12 @@ def cmd_triangle_rep(args):
 
 
 class _Parser(argparse.ArgumentParser):
+    # subparsers are built by add_parser as this class too, so every parser
+    # gets the fixed width
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs, formatter_class=lambda prog: argparse.HelpFormatter(
+            prog, width=USAGE_WIDTH))
+
     # usage errors are domain errors (exit 1); exit 2 is reserved for
     # bounded-resource outcomes
     def error(self, message):

@@ -55,6 +55,10 @@ FILES = {
     "degree-two-numbers.txt": PSL27.replace("degree 8", "degree 8 99"),
     "degree11.txt": "degree 11\nx1 = ()\nx2 = ()\nx3 = ()\n",
     "inferred11.txt": "x1 = (1 11)\nx2 = ()\nx3 = ()\n",
+    "no-parentheses.txt": "degree 8\nx1 = 1 8\nx2 = ()\nx3 = ()\n",
+    "point-out-of-range.txt": "degree 8\nx1 = (1 9)\nx2 = ()\nx3 = ()\n",
+    "repeated-point.txt": "degree 8\nx1 = (1 2 1)\nx2 = ()\nx3 = ()\n",
+    "overlapping-cycles.txt": "degree 8\nx1 = (1 2)(2 3)\nx2 = ()\nx3 = ()\n",
 }
 DIRECTORY = "a-directory"
 
@@ -133,6 +137,15 @@ CASES = [
           "bare-degree.txt"),
     *_one("verify-perms-degree-two-numbers", "cover", "verify", "--sig", SIG237, "--perms",
           "degree-two-numbers.txt"),
+    # the four refusals of cycle notation
+    *_one("verify-perms-no-parentheses", "cover", "verify", "--sig", SIG237, "--perms",
+          "no-parentheses.txt"),
+    *_one("verify-perms-point-out-of-range", "cover", "verify", "--sig", SIG237, "--perms",
+          "point-out-of-range.txt"),
+    *_one("verify-perms-repeated-point", "cover", "verify", "--sig", SIG237, "--perms",
+          "repeated-point.txt"),
+    *_one("verify-perms-overlapping-cycles", "cover", "verify", "--sig", SIG237, "--perms",
+          "overlapping-cycles.txt"),
     *_one("verify-perms-format-first", "cover", "--format", "text", "verify", "--sig", SIG237,
           "--perms", "psl27.txt"),
     # options of `cover` before `verify` are refused, not dropped
