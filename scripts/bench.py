@@ -81,6 +81,8 @@ def layer_certs(name: str):
     if name == "wallpaper":
         return [inputs.wallpaper_cert(k, 100, seed) for k in (2, 3, 4, 6)
                 for seed in range(3)]
+    if name == "examples":  # first calls in the process, so each derives its word maps
+        return [inputs._example_cert(example) for example in inputs.EXAMPLES]
     if name == "triangle":
         triples = [(a, b, c) for a in range(2, 25) for b in range(a, 25) for c in range(b, 25)
                    if b * c + a * c + a * b < a * b * c]
@@ -90,7 +92,7 @@ def layer_certs(name: str):
 
 
 LAYERS = ("closed-forms", "dense-snf", "signature-snf", "todd-coxeter", "group-order",
-          "transitive-action", "wallpaper", "triangle", "cli")
+          "transitive-action", "wallpaper", "triangle", "examples", "cli")
 
 
 def run_layer(name: str) -> dict:

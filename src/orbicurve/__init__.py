@@ -4,7 +4,9 @@ Invariants (Euler characteristic, kind, order, abelianization),
 isomorphism and plane-curve realizability decisions, torsion-free cover
 arithmetic, and brute-force certification oracles (Todd-Coxeter coset
 enumeration, Smith normal form, exact wallpaper arithmetic from the
-homology matrix, numeric hyperbolic triangle representations).
+homology matrix, numeric hyperbolic triangle representations), and
+word-map certificates that prove two presentations isomorphic by free
+reduction alone.
 """
 
 from .abelian import (
@@ -59,6 +61,8 @@ from .fixtures import (
 from .isomorphism import IsoVerdict, decide_isomorphism
 from .presentations import (
     FinitePresentation,
+    WordMaps,
+    check_word_maps,
     parse_presentation,
     presentation_of,
 )

@@ -3,12 +3,15 @@ plus a numeric matrix representation for hyperbolic triangle groups.
 
 Each named example carries the facts the rest of the package can certify:
 orders via coset enumeration, abelianizations via Smith normal form, and
-quotient comparisons against standard orbifold presentations.  Group orders
-are never taken on faith; the enumerator decides them.
+quotients that are isomorphic to standard orbifold presentations, proved
+by word maps between the two presentations whose every step is checked by
+free reduction (`presentations.check_word_maps`).  Group orders are never
+taken on faith; the enumerator decides them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -17,12 +20,21 @@ from fractions import Fraction
 from .abelian import AbelianGroup, abelianization_of_presentation
 from .cosets import Exceeded, group_order
 from .errors import BadParameters, NotHyperbolic, UnknownExample
-from .presentations import FinitePresentation, Word, parse_presentation, presentation_of
+from .presentations import (
+    Conjugate,
+    FinitePresentation,
+    Word,
+    WordMaps,
+    check_word_maps,
+    concat_words,
+    free_reduce,
+    parse_presentation,
+    presentation_of,
+)
 from .signature import OrbSignature
 from .wallpaper import mat_mul
 
 DEFAULT_ORDER_BOUND = 10_000
-DEFAULT_COMPARE_BOUND = 3_000
 
 
 @dataclass(frozen=True)
@@ -44,12 +56,14 @@ class AbelianizationFact:
 
 @dataclass(frozen=True)
 class QuotientPresentationFact:
-    """Adding the extra relators gives a group that matches the standard
-    presentation of the signature in abelianization and in bounded
-    enumeration behavior (equal order, or both past the same bound)."""
+    """Adding the extra relators gives a group isomorphic to the standard
+    presentation of the signature: `maps` are word maps between the two
+    presentations, with every relator image, and every round trip, written
+    as a product of conjugates of relators (`presentations.WordMaps`)."""
 
     extra: tuple[Word, ...]
     signature: OrbSignature
+    maps: WordMaps
 
 
 Fact = OrderFact | AbelianizationFact | QuotientPresentationFact
@@ -66,6 +80,121 @@ class NamedExample:
 def quotient_by_relators(p: FinitePresentation, extra) -> FinitePresentation:
     """Append relators; the presentation is not simplified."""
     return FinitePresentation(p.generators, p.relators + tuple(extra))
+
+
+# ---------------------------------------------------------------------------
+# deriving word maps.  Nothing here is trusted: `_check_fact` checks what it
+# builds with `check_word_maps`.  A derivation spells a word with one letter
+# per generator power: a, b, c, ... for generators 0, 1, 2, ... and A, B,
+# C, ... for their inverses.
+
+
+def _spell(word: Word) -> str:
+    return "".join((chr(97 + g) if e > 0 else chr(65 + g)) * abs(e) for g, e in word)
+
+
+def _unspell(s: str) -> Word:
+    return free_reduce((ord(c.lower()) - 97, 1 if c.islower() else -1) for c in s)
+
+
+def _inv(s: str) -> str:
+    return s[::-1].swapcase()
+
+
+def _reduce(s: str) -> str:
+    out: list[str] = []
+    for c in s:
+        if out and out[-1] == c.swapcase():
+            out.pop()
+        else:
+            out.append(c)
+    return "".join(out)
+
+
+def _conj(u: Word, proof) -> list[Conjugate]:
+    """The proof of u w u^-1 from a proof of w."""
+    return [(concat_words(u, c), i, e) for c, i, e in proof]
+
+
+def _inverse(proof) -> list[Conjugate]:
+    """The proof of w^-1 from a proof of w."""
+    return [(c, i, -e) for c, i, e in reversed(proof)]
+
+
+def _deriver(p: FinitePresentation):
+    """derive(word, rules): conjugates of p's relators whose product is
+    `word`.  A rule (old, new) says old = new in the group, where old new^-1
+    is conjugate to a power of one relator or of its inverse; the first rule
+    whose old occurs rewrites its first occurrence, until none does, and then
+    the word must be empty."""
+    lengths = [sum(abs(e) for _, e in r) for r in p.relators]
+    cycles: dict[int, tuple[str, str]] = {}  # spelled twice, so a rotation is a substring
+
+    def relator_power(t: str) -> list[Conjugate]:
+        k = 0
+        while k < len(t) - 1 - k and t[k] == t[-1 - k].swapcase():
+            k += 1
+        core = t[k:len(t) - k]
+        if not core:
+            return []
+        for i, n in enumerate(lengths):
+            if not n or len(core) % n or core != core[:n] * (len(core) // n):
+                continue
+            if i not in cycles:
+                f = _spell(p.relators[i])
+                cycles[i] = (f + f, _inv(f + f))
+            for e, ff in zip((1, -1), cycles[i]):
+                j = ff.find(core[:n])
+                if j >= 0:  # core[:n] = f[:j]^-1 f f[:j]
+                    return [(_unspell(t[:k] + _inv(ff[:j])), i, e)] * (len(core) // n)
+        raise ValueError(f"{t} is not conjugate to a power of a relator")
+
+    def derive(word: str, rules) -> list[Conjugate]:
+        w, proof = _reduce(word), []
+        while True:
+            for old, new in rules:
+                i = w.find(old)
+                if i >= 0:
+                    break
+            else:
+                if w:
+                    raise ValueError(f"{word} rewrites to {w}, not to the empty word")
+                return proof
+            steps = relator_power(_reduce(old + _inv(new)))
+            proof += _conj(_unspell(w[:i]), steps) if i else steps
+            w = _reduce(w[:i] + new + w[i + len(old):])
+
+    return derive
+
+
+def _rules(*texts: str) -> list[tuple[str, str]]:
+    """Rewriting rules written "old>new"."""
+    return [tuple(text.split(">")) for text in texts]
+
+
+def _word_maps(p, q, phi, psi, p_rules, q_rules) -> WordMaps:
+    """Word maps between p and q from spelled images; each word to prove
+    is rewritten by the rules of the side whose relators prove it."""
+
+    def image(s, images):
+        return "".join(images[ord(c) - 97] if c.islower() else _inv(images[ord(c) - 65]) for c in s)
+
+    on_p, on_q = (_deriver(p), _rules(*p_rules)), (_deriver(q), _rules(*q_rules))
+    words = [(on_q, image(_spell(r), phi)) for r in p.relators]
+    words += [(on_p, image(_spell(s), psi)) for s in q.relators]
+    words += [(on_p, image(w, psi) + chr(65 + g)) for g, w in enumerate(phi)]
+    words += [(on_q, image(w, phi) + chr(65 + x)) for x, w in enumerate(psi)]
+    return WordMaps(
+        tuple(map(_unspell, phi)),
+        tuple(map(_unspell, psi)),
+        tuple(tuple(derive(w, rules)) for (derive, rules), w in words),
+    )
+
+
+def _quotient_fact(p, extra, signature, *spelled) -> QuotientPresentationFact:
+    """The fact, with word maps `_word_maps(quotient, reference, *spelled)`."""
+    maps = _word_maps(quotient_by_relators(p, extra), presentation_of(signature), *spelled)
+    return QuotientPresentationFact(extra, signature, maps)
 
 
 def _quartic() -> NamedExample:
@@ -85,7 +214,14 @@ def _quartic() -> NamedExample:
         facts=(
             OrderFact(12),
             OrderFact(6, (central_square,)),
-            QuotientPresentationFact((central_square,), sig223),
+            # x, y <-> x1, x2, and x3 = (xy)^-1: x^2 = (xyx)^2 since
+            # y^2 = x^-2, then y^2 = x^-2 = 1, and (xy)^3 = (xyx)^2 by the
+            # braid relation
+            _quotient_fact(
+                p, (central_square,), sig223, ("a", "b"), ("a", "b", "BA"),
+                ("abaaba>", "ABAABA>", "aa>abaaba", "AA>ABAABA", "bb>AA", "BAB>ABA"),
+                ("BAC>", "aa>", "bb>", "CCC>", "A>a", "B>b", "ab>C"),
+            ),
         ),
     )
 
@@ -105,7 +241,13 @@ def _sextic() -> NamedExample:
         presentation=p,
         facts=(
             AbelianizationFact(extra, AbelianGroup(0, (6,))),
-            QuotientPresentationFact(extra, OrbSignature(0, 1, (2, 3))),
+            # x1, x2, y1 = x, y, z, and a1, a2 = x2^-1 x1, x1^-1 x2^2; the
+            # target is Z_2 * Z_3 once y1 = (x1 x2)^-1 is eliminated
+            _quotient_fact(
+                p, extra, OrbSignature(0, 1, (2, 3)), ("Ba", "Abb", "c"), ("aba", "ab", "c"),
+                ("abaaba>", "aabaab>", "CBAABA>", "bab>aba"),
+                ("c>BA", "C>ab", "aa>", "AA>", "A>a", "bbb>", "BBB>", "BB>b", "bb>B"),
+            ),
         ),
     )
 
@@ -126,8 +268,70 @@ def _quintic() -> NamedExample:
         presentation=p,
         facts=(
             AbelianizationFact((), AbelianGroup(0, (5,))),
-            QuotientPresentationFact((p.word("v"),), OrbSignature(0, 0, (2, 3, 7))),
+            # a, b, c <-> x1, x2, x3 and v -> 1: c^7 = b^3 = a^2 = v^5 = 1
+            _quotient_fact(
+                p, (p.word("v"),), OrbSignature(0, 0, (2, 3, 7)),
+                ("a", "b", "c", ""), ("a", "b", "c"),
+                ("d>", "D>", "aa>ddddd", "AA>DDDDD", "bbb>aa", "BBB>AA", "ccccccc>bbb",
+                 "CCCCCCC>BBB", "BA>CCCCCC"),
+                ("aa>", "AA>", "bbb>", "BBB>", "ccccccc>", "CCCCCCC>", "CBA>", "cccccc>C"),
+            ),
         ),
+    )
+
+
+def _artal_maps(p: FinitePresentation, tri: FinitePresentation, d: int, q: int) -> WordMaps:
+    """u, v <-> x, y, z of orders 2, q, d - 2 with x y z = 1, where
+    x, y, z = u, u^-1 v^-n u, u^-1 v^n and u, v = x, x y^2 x^-1.  Two facts
+    make these inverse: q | d - 1, so v^(d-1) = 1 in the quotient, and
+    2n = q - 1, so v = (v^-n)^2.  In p, u = a and v = b; x, y, z are a, b, c
+    here and are relabelled when d - 2 < q sorts the triangle as
+    (2, d - 2, q): then its generators are x^-1, z^-1, y^-1."""
+    n, m = (q - 1) // 2, d - 2
+    swap = m < q
+    tr = str.maketrans("abcABC", "ACBacb" if swap else "abcABC")
+    on_p, on_q = _deriver(p), _deriver(tri)
+
+    def target(word: str, *rules: str) -> list[Conjugate]:
+        return on_q(word.translate(tr), _rules(*(r.translate(tr) for r in rules)))
+
+    vq = on_p("B" * q, _rules(f"{'B' * q}>AA", "AA>"))  # v^-q = u^-2 = 1
+    # phi of the cycle relator is h^m x y^-2(d-1) x^-1 with h = x y^-2n, and
+    # h z = 1: its m copies conjugated by z^-j make h^m z^m, in linear size
+    h_z = target(f"a{'B' * 2 * n}c", f"{'B' * 2 * n}>b", "abc>")
+    (g, e), = _unspell("C".translate(tr))
+    phi_cycle = [c for j in range(m) for c in _conj(((g, e * j),), h_z)]
+    phi_cycle += target(f"{'C' * m}a{'B' * 2 * (d - 1)}A", f"{'B' * 2 * (d - 1)}>", f"{'C' * m}>")
+    psi = ("a", f"A{'B' * n}a", f"A{'b' * n}")
+    psi_rels = (
+        on_p("aa", _rules("aa>")),
+        _conj(((0, -1),), vq * n),
+        [(((1, 1 - d),), 1, -1)] + vq * ((d - 1) // q),  # (u^-1 v^n)^m = v^-(d-1) = 1
+    )
+    round_trips = (
+        [],
+        target("B" * q, f"{'B' * q}>"),
+        target(f"{'b' * 2 * n}AC", "AC>b", f"{'b' * q}>"),
+    )
+    if swap:  # the triangle's x1, x2, x3 are x^-1, z^-1, y^-1
+        psi = tuple(_inv(psi[k]) for k in (0, 2, 1))
+        psi_rels = tuple(_inverse(psi_rels[k]) for k in (0, 2, 1))
+        round_trips = tuple(_conj(((j, 1),), _inverse(round_trips[k]))
+                            for j, k in enumerate((0, 2, 1)))
+    proofs = (
+        target(f"aaa{'B' * 2 * q}A", f"{'B' * q}>", "aa>"),
+        phi_cycle,
+        target("aa", "aa>"),
+        *psi_rels,
+        [],  # psi(x y z) free-reduces to 1
+        [],  # psi(phi(u)) = u
+        vq,  # psi(phi(v)) v^-1 = v^-q
+        *round_trips,
+    )
+    return WordMaps(
+        (_unspell("a".translate(tr)), _unspell("abbA".translate(tr))),
+        tuple(map(_unspell, psi)),
+        tuple(map(tuple, proofs)),
     )
 
 
@@ -149,12 +353,14 @@ def _artal(d: int, a: int, b: int) -> NamedExample:
     notes: list[str] = []
     if n > 0:
         triangle = OrbSignature(0, 0, tuple(sorted((2, q, d - 2))))
-        facts.append(QuotientPresentationFact((p.word("u^2"),), triangle))
+        extra = (p.word("u^2"),)
+        maps = _artal_maps(quotient_by_relators(p, extra), presentation_of(triangle), d, q)
+        facts.append(QuotientPresentationFact(extra, triangle, maps))
         notes.append(
-            "u^2 is central, so the quotient by it should be the triangle "
-            f"group of {triangle}; only abelianization and bounded-enumeration "
-            "consequences are certified, since relator images in an infinite "
-            "target are beyond a bounded oracle"
+            "u^2 is central, and the quotient by it is isomorphic to the "
+            f"triangle group of {triangle}: word maps u, v -> x, x y^2 x^-1, "
+            f"with x, y of orders 2 and {q}, and back are checked in both "
+            "directions by free reduction"
         )
     else:
         notes.append(
@@ -172,8 +378,11 @@ def _artal(d: int, a: int, b: int) -> NamedExample:
 _ARTAL_RE = re.compile(r"artal\(\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
 
 
+@functools.lru_cache(maxsize=16)
 def example_presentation(name: str) -> NamedExample:
-    """Look up a named example; `artal(d,a,b)` takes integer parameters."""
+    """Look up a named example; `artal(d,a,b)` takes integer parameters.
+    Examples are immutable, and deriving their word maps costs more than
+    checking them, so the last few looked up are kept."""
     if name == "quartic-b3p1":
         return _quartic()
     if name == "sextic-b4p1":
@@ -217,31 +426,23 @@ def _check_fact(p: FinitePresentation, fact: Fact) -> FactResult:
             f"computed {got}",
         )
     if isinstance(fact, QuotientPresentationFact):
-        quotient = quotient_by_relators(p, fact.extra)
-        reference = presentation_of(fact.signature)
-        ab_q = abelianization_of_presentation(quotient)
-        ab_r = abelianization_of_presentation(reference)
-        order_q = group_order(quotient, DEFAULT_COMPARE_BOUND)
-        order_r = group_order(reference, DEFAULT_COMPARE_BOUND)
-        ab_ok = ab_q == ab_r
-        if isinstance(order_q, Exceeded) or isinstance(order_r, Exceeded):
-            order_ok = isinstance(order_q, Exceeded) and isinstance(order_r, Exceeded)
-            order_text = (
-                f"both exceed {DEFAULT_COMPARE_BOUND}" if order_ok else "one side completed"
-            )
-        else:
-            order_ok = order_q == order_r
-            order_text = f"orders {order_q} / {order_r}"
+        maps = fact.maps
+        failure = check_word_maps(
+            quotient_by_relators(p, fact.extra), presentation_of(fact.signature), maps
+        )
         return FactResult(
             f"quotient matches presentation of {fact.signature}",
-            ab_ok and order_ok,
-            f"abelianizations {ab_q} / {ab_r}; {order_text}",
+            failure is None,
+            f"word maps rejected: {failure}" if failure else (
+                f"word maps checked: {len(maps.proofs)} words, "
+                f"{sum(map(len, maps.proofs))} relator conjugates"
+            ),
         )
     raise TypeError(f"unknown fact type: {fact!r}")
 
 
 def verify_example(name: str) -> ExampleReport:
-    """Run every expected fact of the named example through the oracles."""
+    """Run every expected fact of the named example through its checker."""
     example = example_presentation(name)
     results = tuple(_check_fact(example.presentation, f) for f in example.facts)
     return ExampleReport(

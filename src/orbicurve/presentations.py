@@ -42,6 +42,23 @@ def concat_words(*words: Word) -> Word:
     return free_reduce(pairs)
 
 
+def _power(word: Word, e: int) -> Word:
+    """word^e, not yet reduced; a conjugate c g^f c^-1 of one syllable
+    becomes c g^(fe) c^-1 without repeating the word."""
+    k = len(word) // 2
+    if len(word) % 2 and word[:k] == invert_word(word[k + 1:]):
+        return word[:k] + ((word[k][0], word[k][1] * e),) + word[k + 1:]
+    return (word if e > 0 else invert_word(word)) * abs(e)
+
+
+def substitute(word: Word, images) -> Word:
+    """The image of `word` when generator g goes to the word images[g]."""
+    pairs = []
+    for g, e in word:
+        pairs.extend(_power(images[g], e))
+    return free_reduce(pairs)
+
+
 def word_exponent_sums(word: Word, ngens: int) -> list[int]:
     sums = [0] * ngens
     for g, e in word:
@@ -82,6 +99,70 @@ class FinitePresentation:
     def word(self, text: str) -> Word:
         """Parse a word like 'x1 y1^-2 x1' over this presentation."""
         return parse_word(text, self.generators)
+
+
+# ---------------------------------------------------------------------------
+# word-map certificates: an isomorphism of presented groups by Tietze
+# transformations (Magnus-Karrass-Solitar, Combinatorial Group Theory,
+# section 1.5; Lyndon-Schupp, chapter II)
+
+Conjugate = tuple[Word, int, int]  # (u, i, e) stands for u r_i^e u^-1, e = +-1
+
+
+@dataclass(frozen=True)
+class WordMaps:
+    """Generator maps phi: P -> Q and psi: Q -> P, as words, with proofs.
+
+    `proofs` gives, in this order, a product of conjugates of relators that
+    freely equals each of:
+    - phi(r) for every relator r of P, over Q's relators;
+    - psi(s) for every relator s of Q, over P's relators;
+    - psi(phi(g)) g^-1 for every generator g of P, over P's relators;
+    - phi(psi(x)) x^-1 for every generator x of Q, over Q's relators.
+    The first two make phi and psi homomorphisms, the last two make them
+    inverse to each other, so P and Q present isomorphic groups.
+    """
+
+    phi: tuple[Word, ...]
+    psi: tuple[Word, ...]
+    proofs: tuple[tuple[Conjugate, ...], ...]
+
+
+def _over(word: Word, p: FinitePresentation) -> bool:
+    return all(0 <= g < p.ngens for g, _ in word)
+
+
+def check_word_maps(p: FinitePresentation, q: FinitePresentation, maps: WordMaps) -> str | None:
+    """None when `maps` proves that p and q present isomorphic groups,
+    otherwise the first claim that fails.  Free reduction is the only
+    operation, so the time is linear in the size of the maps, the proofs and
+    the substituted relators."""
+    if len(maps.phi) != p.ngens or len(maps.psi) != q.ngens:
+        return f"{len(maps.phi)} + {len(maps.psi)} images for {p.ngens} + {q.ngens} generators"
+    if not (all(_over(w, q) for w in maps.phi) and all(_over(w, p) for w in maps.psi)):
+        return "an image uses an unknown generator"
+    claims = [(f"phi(relator {i})", substitute(r, maps.phi), q) for i, r in enumerate(p.relators)]
+    claims += [(f"psi(relator {i})", substitute(s, maps.psi), p) for i, s in enumerate(q.relators)]
+    claims += [(f"psi(phi(generator {g}))", concat_words(substitute(w, maps.psi), ((g, -1),)), p)
+               for g, w in enumerate(maps.phi)]
+    claims += [(f"phi(psi(generator {x}))", concat_words(substitute(w, maps.phi), ((x, -1),)), q)
+               for x, w in enumerate(maps.psi)]
+    if len(maps.proofs) != len(claims):
+        return f"{len(maps.proofs)} proofs for {len(claims)} words"
+    # a conjugator may use any generator symbol: the proof then holds in a
+    # larger free group, and sending the extra symbols to 1 retracts it to
+    # a proof in this one
+    for (claim, word, side), proof in zip(claims, maps.proofs):
+        pairs = []
+        for u, i, e in proof:
+            if not (0 <= i < len(side.relators) and e in (1, -1)):
+                return f"{claim}: no relator conjugate ({i}, {e})"
+            pairs += u
+            pairs += side.relators[i] if e == 1 else invert_word(side.relators[i])
+            pairs += invert_word(u)
+        if free_reduce(pairs) != word:
+            return f"{claim}: its proof multiplies out to another word"
+    return None
 
 
 def presentation_of(sig: OrbSignature) -> FinitePresentation:

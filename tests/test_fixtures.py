@@ -92,18 +92,18 @@ class TestQuinticExample:
         report = verify_example("quintic-237")
         assert report.passed
         fact = [f for f in report.facts if "matches presentation" in f.fact][0]
-        assert "both exceed" in fact.detail
+        assert fact.detail == "word maps checked: 19 words, 38 relator conjugates"
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known false pass, ROADMAP item 2: the quotient fact only compares "
-        "abelianizations and bounded enumeration, so any perfect infinite "
-        "target passes; a checked isomorphism certificate would reject it"
-    ))
     def test_quotient_fact_rejects_wrong_triangle_group(self):
+        # (2,3,11) is perfect and infinite like (2,3,7), so abelianizations
+        # and bounded enumeration cannot tell them apart; the word maps can
         ex = example_presentation("quintic-237")
         fact = next(f for f in ex.facts if isinstance(f, QuotientPresentationFact))
-        wrong = QuotientPresentationFact(fact.extra, OrbSignature(0, 0, (2, 3, 11)))
-        assert not _check_fact(ex.presentation, wrong).passed
+        for m in [(2, 3, 11), (2, 5, 7), (3, 5, 7)]:
+            wrong = QuotientPresentationFact(fact.extra, OrbSignature(0, 0, m), fact.maps)
+            result = _check_fact(ex.presentation, wrong)
+            assert not result.passed
+            assert result.detail.startswith("word maps rejected: ")
 
 
 class TestArtalFamily:
@@ -128,7 +128,29 @@ class TestArtalFamily:
     def test_hyperbolic_quotient(self):
         report = verify_example("artal(10,7,1)")
         assert report.passed
-        assert any("beyond a bounded oracle" in n for n in report.notes)
+        assert any("checked in both directions by free reduction" in n for n in report.notes)
+
+    def test_family_quotients_proved_and_wrong_triangle_rejected(self):
+        # every gcd(2a+1, 2b+1) = q > 1 with 1 <= b <= a <= 14, spherical
+        # ones included; the certificate must fail once d - 2 becomes d - 1
+        names = []
+        for a in range(1, 15):
+            for b in range(1, a + 1):
+                q = math.gcd(2 * a + 1, 2 * b + 1)
+                if q == 1:
+                    continue
+                d = a + b + 2
+                ex = example_presentation(f"artal({d},{a},{b})")
+                fact = ex.facts[1]
+                assert fact.signature.m == tuple(sorted((2, q, d - 2)))
+                result = _check_fact(ex.presentation, fact)
+                assert result.passed, (ex.name, result.detail)
+                wrong = OrbSignature(0, 0, tuple(sorted((2, q, d - 1))))
+                wrong_fact = QuotientPresentationFact(fact.extra, wrong, fact.maps)
+                assert not _check_fact(ex.presentation, wrong_fact).passed, ex.name
+                names.append(ex.name)
+        assert len(names) == 28
+        assert {"artal(4,1,1)", "artal(7,4,1)", "artal(10,7,1)"} <= set(names)
 
     def test_degree_abelianization(self):
         for d, a, b in [(6, 3, 1), (8, 4, 2), (9, 4, 3)]:

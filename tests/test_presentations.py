@@ -1,14 +1,21 @@
+import ast
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from orbicurve import FinitePresentation, OrbSignature, UnknownGenerator, presentation_of
 from orbicurve.presentations import (
+    WordMaps,
+    check_word_maps,
     concat_words,
     free_reduce,
     invert_word,
     parse_presentation,
     parse_word,
+    substitute,
 )
 
 pairs = st.lists(st.tuples(st.integers(0, 3), st.integers(-4, 4)), max_size=12)
@@ -137,3 +144,133 @@ def test_presentation_file_error_messages(text, message):
     with pytest.raises(UnknownGenerator) as info:
         parse_presentation(text)
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# word-map certificates
+
+
+def _z2_maps():
+    # <x | x^2> and <a, b | a^2, b a^-1>: x -> a; a, b -> x
+    p = FinitePresentation(("x",), (((0, 2),),))
+    q = FinitePresentation(("a", "b"), (((0, 2),), ((1, 1), (0, -1))))
+    maps = WordMaps(
+        phi=(((0, 1),),),
+        psi=(((0, 1),), ((0, 1),)),
+        proofs=(
+            (((), 0, 1),),  # phi(x^2) = a^2
+            (((), 0, 1),),  # psi(a^2) = x^2
+            (),  # psi(b a^-1) = x x^-1
+            (),  # psi(phi(x)) x^-1
+            (),  # phi(psi(a)) a^-1
+            (((), 1, -1),),  # phi(psi(b)) b^-1 = a b^-1
+        ),
+    )
+    return p, q, maps
+
+
+def _named_maps(name):
+    from orbicurve.fixtures import (
+        QuotientPresentationFact,
+        example_presentation,
+        quotient_by_relators,
+    )
+
+    ex = example_presentation(name)
+    fact = next(f for f in ex.facts if isinstance(f, QuotientPresentationFact))
+    quotient = quotient_by_relators(ex.presentation, fact.extra)
+    return quotient, presentation_of(fact.signature), fact.maps
+
+
+NAMED = ["quartic-b3p1", "sextic-b4p1", "quintic-237", "artal(4,1,1)", "artal(7,4,1)",
+         "artal(10,7,1)"]
+
+
+class TestWordMaps:
+    def test_small_certificate_checks(self):
+        assert check_word_maps(*_z2_maps()) is None
+
+    def test_wrong_target_rejected(self):
+        p, _, maps = _z2_maps()
+        q = FinitePresentation(("a", "b"), (((0, 3),), ((1, 1), (0, -1))))
+        failure = check_word_maps(p, q, maps)
+        assert failure == "phi(relator 0): its proof multiplies out to another word"
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named_certificates_check(self, name):
+        assert check_word_maps(*_named_maps(name)) is None
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_every_conjugator_letter_matters(self, name):
+        p, q, maps = _named_maps(name)
+        sides = [q] * len(p.relators) + [p] * len(q.relators) + [p] * p.ngens + [q] * q.ngens
+        mutated = 0
+        for k, proof in enumerate(maps.proofs):
+            for j, (u, i, e) in enumerate(proof):
+                for s, (g, x) in enumerate(u):
+                    letter = ((g + 1) % sides[k].ngens, x)
+                    bad = proof[:j] + ((u[:s] + (letter,) + u[s + 1:], i, e),) + proof[j + 1:]
+                    proofs = maps.proofs[:k] + (bad,) + maps.proofs[k + 1:]
+                    assert check_word_maps(p, q, replace(maps, proofs=proofs)) is not None
+                    mutated += 1
+        assert mutated > 0
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_every_generator_image_matters(self, name):
+        p, q, maps = _named_maps(name)
+        for field, target in (("phi", q), ("psi", p)):
+            images = getattr(maps, field)
+            for g in range(len(images)):
+                for other in range(target.ngens):
+                    changed = images[g] + ((other, 1),)
+                    bad = replace(maps, **{field: images[:g] + (changed,) + images[g + 1:]})
+                    assert check_word_maps(p, q, bad) is not None
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_dropped_proof_or_conjugate_rejected(self, name):
+        p, q, maps = _named_maps(name)
+        for k, proof in enumerate(maps.proofs):
+            dropped = replace(maps, proofs=maps.proofs[:k] + maps.proofs[k + 1:])
+            assert "proofs for" in check_word_maps(p, q, dropped)
+            for j in range(len(proof)):
+                bad = proof[:j] + proof[j + 1:]
+                proofs = maps.proofs[:k] + (bad,) + maps.proofs[k + 1:]
+                assert check_word_maps(p, q, replace(maps, proofs=proofs)) is not None
+
+    @pytest.mark.parametrize("index", [-1, 2, 99])
+    def test_relator_index_out_of_range_rejected(self, index):
+        p, q, maps = _z2_maps()
+        proofs = maps.proofs[:5] + ((((), index, -1),),)
+        failure = check_word_maps(p, q, replace(maps, proofs=proofs))
+        assert failure == f"phi(psi(generator 1)): no relator conjugate ({index}, -1)"
+
+    @pytest.mark.parametrize("sign", [-2, 0, 2])
+    def test_exponent_must_be_a_sign(self, sign):
+        # -2 in place of the valid -1 would still multiply out to the word
+        p, q, maps = _z2_maps()
+        proofs = maps.proofs[:5] + ((((), 1, sign),),)
+        failure = check_word_maps(p, q, replace(maps, proofs=proofs))
+        assert failure == f"phi(psi(generator 1)): no relator conjugate (1, {sign})"
+
+    def test_images_must_use_known_generators(self):
+        p, q, maps = _z2_maps()
+        for bad in (replace(maps, phi=(((2, 1),),)), replace(maps, psi=(((0, 1),), ((-1, 1),))),
+                    replace(maps, phi=())):
+            assert check_word_maps(p, q, bad) is not None
+
+    def test_checker_imports_no_oracle(self):
+        # the checker must stay independent of the oracles it checks
+        import orbicurve.presentations as module
+
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                     for a in node.names}
+        assert imported == {"__future__", "dataclasses", "errors", "signature"}
+
+
+def test_substitute_powers_conjugates_without_repeating():
+    # v -> x y^2 x^-1 raised to -1000 stays three syllables
+    image = ((0, 1), (1, 2), (0, -1))
+    assert substitute(((0, -1000),), (image,)) == ((0, 1), (1, -2000), (0, -1))
+    assert substitute(((0, 2), (1, -1)), (((1, 1), (0, 1)), ((0, 1),))) == ((1, 1), (0, 1), (1, 1))
