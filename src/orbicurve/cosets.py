@@ -84,6 +84,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 from .abelian import abelianization_of_presentation
@@ -727,14 +728,14 @@ def format_cycles(p) -> str:
 
 
 def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
-    """Parse '(1 2)(3 4)' into an image tuple on 0..degree-1."""
+    """Parse '(1 2)(3 4)' or '(1 2) (3 4)' into an image tuple on 0..degree-1."""
     text = text.strip()
     if text in ("()", "id", ""):
         return identity_perm(degree)
     if not (text.startswith("(") and text.endswith(")")):
         raise ArityMismatch(f"bad cycle notation: {text!r}")
     images = list(range(degree))
-    for chunk in text[1:-1].split(")("):
+    for chunk in re.split(r"\)\s*\(", text[1:-1]):
         points = [int(tok) - 1 for tok in chunk.replace(",", " ").split()]
         if any(not 0 <= x < degree for x in points):
             raise ArityMismatch(f"point out of range in {text!r}")

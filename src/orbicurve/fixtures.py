@@ -30,6 +30,7 @@ from .presentations import (
     free_reduce,
     parse_presentation,
     presentation_of,
+    word_map_claims,
 )
 from .signature import OrbSignature
 from .wallpaper import mat_mul
@@ -101,16 +102,6 @@ def _inv(s: str) -> str:
     return s[::-1].swapcase()
 
 
-def _reduce(s: str) -> str:
-    out: list[str] = []
-    for c in s:
-        if out and out[-1] == c.swapcase():
-            out.pop()
-        else:
-            out.append(c)
-    return "".join(out)
-
-
 def _conj(u: Word, proof) -> list[Conjugate]:
     """The proof of u w u^-1 from a proof of w."""
     return [(concat_words(u, c), i, e) for c, i, e in proof]
@@ -150,7 +141,7 @@ def _deriver(p: FinitePresentation):
         raise ValueError(f"{t} is not conjugate to a power of a relator")
 
     def derive(word: str, rules) -> list[Conjugate]:
-        w, proof = _reduce(word), []
+        w, proof = _spell(_unspell(word)), []
         while True:
             for old, new in rules:
                 i = w.find(old)
@@ -160,9 +151,9 @@ def _deriver(p: FinitePresentation):
                 if w:
                     raise ValueError(f"{word} rewrites to {w}, not to the empty word")
                 return proof
-            steps = relator_power(_reduce(old + _inv(new)))
+            steps = relator_power(_spell(_unspell(old + _inv(new))))
             proof += _conj(_unspell(w[:i]), steps) if i else steps
-            w = _reduce(w[:i] + new + w[i + len(old):])
+            w = _spell(_unspell(w[:i] + new + w[i + len(old):]))
 
     return derive
 
@@ -173,22 +164,15 @@ def _rules(*texts: str) -> list[tuple[str, str]]:
 
 
 def _word_maps(p, q, phi, psi, p_rules, q_rules) -> WordMaps:
-    """Word maps between p and q from spelled images; each word to prove
-    is rewritten by the rules of the side whose relators prove it."""
-
-    def image(s, images):
-        return "".join(images[ord(c) - 97] if c.islower() else _inv(images[ord(c) - 65]) for c in s)
-
+    """Word maps between p and q from spelled images; each claim of
+    `word_map_claims` is rewritten by the rules of the side that proves it."""
+    phi, psi = tuple(map(_unspell, phi)), tuple(map(_unspell, psi))
     on_p, on_q = (_deriver(p), _rules(*p_rules)), (_deriver(q), _rules(*q_rules))
-    words = [(on_q, image(_spell(r), phi)) for r in p.relators]
-    words += [(on_p, image(_spell(s), psi)) for s in q.relators]
-    words += [(on_p, image(w, psi) + chr(65 + g)) for g, w in enumerate(phi)]
-    words += [(on_q, image(w, phi) + chr(65 + x)) for x, w in enumerate(psi)]
-    return WordMaps(
-        tuple(map(_unspell, phi)),
-        tuple(map(_unspell, psi)),
-        tuple(tuple(derive(w, rules)) for (derive, rules), w in words),
-    )
+    proofs = []
+    for _, word, side in word_map_claims(p, q, phi, psi):
+        derive, rules = on_p if side is p else on_q
+        proofs.append(tuple(derive(_spell(word), rules)))
+    return WordMaps(phi, psi, tuple(proofs))
 
 
 def _quotient_fact(p, extra, signature, *spelled) -> QuotientPresentationFact:

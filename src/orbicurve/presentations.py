@@ -132,21 +132,31 @@ def _over(word: Word, p: FinitePresentation) -> bool:
     return all(0 <= g < p.ngens for g, _ in word)
 
 
+def word_map_claims(
+    p: FinitePresentation, q: FinitePresentation, phi, psi
+) -> list[tuple[str, Word, FinitePresentation]]:
+    """(name, word, side) for each word that a `WordMaps` with images phi and
+    psi must prove, in the order of its proofs: the word is a product of
+    conjugates of the relators of side, p or q."""
+    claims = [(f"phi(relator {i})", substitute(r, phi), q) for i, r in enumerate(p.relators)]
+    claims += [(f"psi(relator {i})", substitute(s, psi), p) for i, s in enumerate(q.relators)]
+    claims += [(f"psi(phi(generator {g}))", concat_words(substitute(w, psi), ((g, -1),)), p)
+               for g, w in enumerate(phi)]
+    claims += [(f"phi(psi(generator {x}))", concat_words(substitute(w, phi), ((x, -1),)), q)
+               for x, w in enumerate(psi)]
+    return claims
+
+
 def check_word_maps(p: FinitePresentation, q: FinitePresentation, maps: WordMaps) -> str | None:
     """None when `maps` proves that p and q present isomorphic groups,
-    otherwise the first claim that fails.  Free reduction is the only
-    operation, so the time is linear in the size of the maps, the proofs and
-    the substituted relators."""
+    otherwise the first claim of `word_map_claims` that fails.  Free
+    reduction is the only operation, so the time is linear in the size of
+    the maps, the proofs and the substituted relators."""
     if len(maps.phi) != p.ngens or len(maps.psi) != q.ngens:
         return f"{len(maps.phi)} + {len(maps.psi)} images for {p.ngens} + {q.ngens} generators"
     if not (all(_over(w, q) for w in maps.phi) and all(_over(w, p) for w in maps.psi)):
         return "an image uses an unknown generator"
-    claims = [(f"phi(relator {i})", substitute(r, maps.phi), q) for i, r in enumerate(p.relators)]
-    claims += [(f"psi(relator {i})", substitute(s, maps.psi), p) for i, s in enumerate(q.relators)]
-    claims += [(f"psi(phi(generator {g}))", concat_words(substitute(w, maps.psi), ((g, -1),)), p)
-               for g, w in enumerate(maps.phi)]
-    claims += [(f"phi(psi(generator {x}))", concat_words(substitute(w, maps.phi), ((x, -1),)), q)
-               for x, w in enumerate(maps.psi)]
+    claims = word_map_claims(p, q, maps.phi, maps.psi)
     if len(maps.proofs) != len(claims):
         return f"{len(maps.proofs)} proofs for {len(claims)} words"
     # a conjugator may use any generator symbol: the proof then holds in a

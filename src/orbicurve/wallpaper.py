@@ -12,13 +12,13 @@ points are angle pairs in (Q/Z)^2, so every check is an exact identity,
 not a tolerance test.
 
 The checks run on plain integers.  A point is a quadruple (a, b, c, d),
-s = a/b and t = c/d, not reduced; sigma raises numerators and denominators
-to the exponents of h, swapping the two for a negative exponent.  pibar is
-(X, Y, Z)/L with L = (abcd)^E, E the largest |exponent| of the seed orbits,
-so s^i t^j becomes a^(E+i) b^(E-i) c^(E+j) d^(E-j), and the surface
-polynomial is evaluated homogenised by L.  Points and images are compared
-by cross-multiplying, so no sign needs normalising.  A fixed angle pair is
-a pair of residues mod the lcm N of the printed denominators.
+s = a/b and t = c/d, not reduced; sigma^j raises numerators and
+denominators to the exponents of h^j, swapping the two for a negative
+exponent.  pibar is (X, Y, Z)/L with L = (abcd)^E, E the largest |exponent|
+of the seed orbits, so s^i t^j becomes a^(E+i) b^(E-i) c^(E+j) d^(E-j), and
+the surface polynomial is evaluated homogenised by L.  Points and images are
+compared by cross-multiplying, so no sign needs normalising.  A fixed angle
+pair is a pair of residues mod the lcm N of the printed denominators.
 """
 
 from __future__ import annotations
@@ -274,7 +274,8 @@ def run_wallpaper_suite(k: int, samples: int, seed: int) -> WallpaperReport:
     generic points, the invariant map really is invariant and lands on the
     printed surface, the printed fixed points are exactly the points with
     nontrivial isotropy, the homology matrix has order k, and (spot check)
-    no sample point hits the image of (1,1), the total ramification point."""
+    no sample point hits the image of (1,1), the total ramification point.
+    Each sigma^j(p) is the monomial map of h^j at p, never sigma iterated."""
     _check_k(k)
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -289,13 +290,15 @@ def run_wallpaper_suite(k: int, samples: int, seed: int) -> WallpaperReport:
     sigma_failures, invariance_failures, surface_failures, free_failures = [], [], [], []
     ramification_failures = []
     h = h_matrix(k)
+    powers = [MAT_IDENTITY, h]  # h^j, the exponent matrix of sigma^j, for j = 0..k
+    while len(powers) <= k:
+        powers.append(mat_mul(powers[-1], h))
     orbits, bound = _pibar_orbits(k, h)
     base_image = _pibar(orbits, bound, (1, 1, 1, 1))
     for p in points:
         # p, sigma(p), ..., sigma^(k-1)(p), plus sigma^k(p) at the end
-        orbit = [_quad(p)]
-        for _ in range(k):
-            orbit.append(_sigma(h, orbit[-1]))
+        q = _quad(p)
+        orbit = [q] + [_sigma(power, q) for power in powers[1:]]
         if not _same_point(orbit[k], orbit[0]):
             sigma_failures.append(f"sigma^{k} moved {p}")
         image = _pibar(orbits, bound, orbit[0])
@@ -326,15 +329,13 @@ def run_wallpaper_suite(k: int, samples: int, seed: int) -> WallpaperReport:
     n = math.lcm(*(x.denominator for q in printed for x in q))
     residues = {q: (int(q[0] * n), int(q[1] * n)) for q in printed}
     isotropic, count_failures = set(), []
-    power = h
-    for j in range(1, k):
+    for j, power in enumerate(powers[1:k], 1):
         fixed = {q for q, r in residues.items() if _act_mod(power, *r, n) == r}
         (a, b), (c, d) = power
         size = abs((a - 1) * (d - 1) - b * c)
         if len(fixed) != size:
             count_failures.append(f"{len(fixed)} printed points fixed by sigma^{j}, not {size}")
         isotropic |= fixed
-        power = mat_mul(power, h)
     fixed_failures = [
         f"({u}, {v}) not fixed by any nontrivial power" for u, v in sorted(printed - isotropic)
     ]

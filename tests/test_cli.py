@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +213,15 @@ class TestCover:
         code, data = out_json(
             capsys, "cover", "verify",
             "--sig", '{"g":0,"r":0,"m":[2,3,7]}', "--perms", self.fixture_file(tmp_path)
+        )
+        assert code == EXIT_OK
+        assert data == {"index": 168, "verdict": "torsion_free_kernel"}
+
+    def test_verify_cycles_separated_by_whitespace(self, capsys, tmp_path):
+        path = Path(self.fixture_file(tmp_path))
+        path.write_text(path.read_text().replace(")(", ") \t("))
+        code, data = out_json(
+            capsys, "cover", "verify", "--sig", '{"g":0,"r":0,"m":[2,3,7]}', "--perms", str(path)
         )
         assert code == EXIT_OK
         assert data == {"index": 168, "verdict": "torsion_free_kernel"}

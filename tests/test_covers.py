@@ -201,3 +201,8 @@ def test_perm_file_cycles_parse():
 
     for image in fixture.images:
         assert parse_cycles(format_cycles(image), 8) == image
+
+
+def test_perm_file_cycles_may_be_separated_by_whitespace():
+    tight = parse_cycles("(1 8)(2 7)(3 4)(5 6)", 8)
+    assert parse_cycles("(1 8) (2 7)(3 4)  \t(5 6)", 8) == tight

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -168,6 +169,126 @@ def test_unknown_example():
         example_presentation("dodecic")
     with pytest.raises(UnknownExample):
         verify_example("artal(5, 2)")
+
+
+# SHA-256 of repr(example_presentation(name)), which spells out the
+# presentation, the facts and every word-map proof: a rewrite of the
+# derivation must reproduce each certificate exactly
+PINNED_EXAMPLES = {
+    "quartic-b3p1": "3e09d1e548ba6e09df5431df12faf9ad4345948ddbf19111278dd31faf09c426",
+    "sextic-b4p1": "0b314096e29c6c09c86cdbabae06ff6b0d47adeae71aa24ff620cc2a62555d96",
+    "quintic-237": "15e1f715e3cedd9ed623f513f3468d9b0e3bf7fda8d5ed4a7f863fb907fc628b",
+    "artal(4,1,1)": "b2d9f1cfb2503714f8ce44d5dc48e7689028fea9ee3334f7dc83d9ebb24a9b3c",
+    "artal(5,2,1)": "f354eebecab44888cafa1d3cf7db66682f09ec23aace2ae5178749e1a30edbe1",
+    "artal(6,2,2)": "5ff88e2ce31c0b8b3dd53ab5da49335d75e57da5c011892a4ccc886e299e1174",
+    "artal(6,3,1)": "b3b2d67da7a32911b46e2f0c6c88589df350caefbb900bf15f5d6a875d1b6102",
+    "artal(7,3,2)": "6360405ad7f8f3be0fcd0a5359ca35012c3f30167120fb54ed5cdd70ca64e5ba",
+    "artal(8,3,3)": "9c1a546ff3e7f899225f9b7e63c4a50020f725537299e583669b0168a446e09f",
+    "artal(7,4,1)": "9b4668f73dcfad3bb1547f63c1c70e99c3c9f5e6555f3ab7f84c956eaba3af30",
+    "artal(8,4,2)": "141c0c90963779fa26559db2a0b219315902bea0408e6a44bf027b19e6e3b33d",
+    "artal(9,4,3)": "d1681c16e0ca8147dcb2ace0b433479931e776ad53c456e43e5f5ea6b4028e5d",
+    "artal(10,4,4)": "30ddb8308c4286385e0290e3a42706a641dc4c43025d57ebf0af0308750f3e96",
+    "artal(8,5,1)": "9c34d3084c6c317bd1660a03b67a7c728f3fb84ef06124993ff229c56202c3ea",
+    "artal(9,5,2)": "4853ea2adbfad1728c5496b04e9d5ad443b10a75e8f9a56d16f481b26a198964",
+    "artal(10,5,3)": "5b9dbfaf6ab652341a5717121980bd65fc177bdee754bb91236fa3e3f98d4143",
+    "artal(11,5,4)": "f2a57baa2368d1abe682b8561e875c2f6cb5e0c29f908546513666e006fac25d",
+    "artal(12,5,5)": "9b08384b6ddd2a4d279599c2e876a5074546062ea1ee9a2d071cad6d777b4427",
+    "artal(9,6,1)": "ca186d6473f5cdbc905f48fc7c96dda5e194c9ddf0627bfeab5da444bb2bffde",
+    "artal(10,6,2)": "8093f91866f014a68125cf6aeb281c34ee38a7b50cdfefe61c8bd649b80443c4",
+    "artal(11,6,3)": "a2bb3d732016b388aa439a428654b575721aadeb90cfabdf0044423fbea2b766",
+    "artal(12,6,4)": "1067d8c91c1d252472c157337af095ff8520ab15cd5e229fe6d98781c28c5bd9",
+    "artal(13,6,5)": "87ae58b611e591528324a2272e6f46f892230cd55fc30b343b859b7e7cd8d7d6",
+    "artal(14,6,6)": "576e0d8e0468b220de3cd4756164a4d0ae2e9cc331759682134cffe6bf3d3578",
+    "artal(10,7,1)": "d3df1f552a8c74329c2758d7ce57c5cff472472accb96ab98bca273d59b11a55",
+    "artal(11,7,2)": "f2c19fa196a2020599e2370da919c08212fdb628d97a21cfc2c5c89107529c13",
+    "artal(12,7,3)": "06c95f2c3c72939d6644898c064b74878b2d5aa3a07abce6f0173d3e5337f69d",
+    "artal(13,7,4)": "69b666aecb6a72067a5371e50cd8726c387f97853aa634e2e46bfd7edd427e0e",
+    "artal(14,7,5)": "418d3bda58b189e1a061a68bc450d5ce4f5412c880859a85ab1889d61c4b09f0",
+    "artal(15,7,6)": "0d35273328e0c700b8040ff87e437d2f10b5ac0366407675fb345061671ae94f",
+    "artal(16,7,7)": "6de3b702c67dece94a1070525e63eff22a2f6c0e8f14f57e8387b0d9ee67ec32",
+    "artal(11,8,1)": "8f56f8c50ce3b054c8454cf510aea5bdc9174e3dd4f9071d19a2e6d59f23d047",
+    "artal(12,8,2)": "ed215ce9983e8b610f624e450f933aeff2209767eaaab3aa8eff82a244070c7a",
+    "artal(13,8,3)": "151c5f9f04139c2067b5d3c43b56491d92047a43c3956562cc5764d505806651",
+    "artal(14,8,4)": "8571d469589c6d752d122a593817df38795c7862c865a7ed1903aaafe190772a",
+    "artal(15,8,5)": "eeccb5638dca95eaf16c2f223539098868c89cf5991dfa2384e2e5258fda158d",
+    "artal(16,8,6)": "2a87ae761b966b8a9bc73eed598eb494e37c2bf483f9a6382ec78532097ce652",
+    "artal(17,8,7)": "cb7261afa71f6fef4f4253d5758285ff878bf549b128367df14b1ce9efdd328f",
+    "artal(18,8,8)": "1195765b54dbdc34766b73fdeb43317101704c09e503b8b747fca9af63a16827",
+    "artal(12,9,1)": "329b7f1d7f2fbacbf2e7b310ea52652722744f9018b7c43405ed086f764e1b0f",
+    "artal(13,9,2)": "46847885ff11e2cd5ca0c48e781ddaa091d41d83ee746852b17c63f09150fefa",
+    "artal(14,9,3)": "aa3c00b3a955b4eb943a65a0c4b8016b3da52d5f64680c1c4173775882ddc0da",
+    "artal(15,9,4)": "ccdcd8ee92082e8ce3b0f37036b581d28fdc0bb50a891493fea8392c58328667",
+    "artal(16,9,5)": "bf3d6e0aaaab0cf1c8c6fc763f0ae7a8e58c935bc31e9a1fa429d8b94482f39a",
+    "artal(17,9,6)": "96755fe8265b4659b6673a63764e81a57c9002cf015836f94f6b0fe95aa1f066",
+    "artal(18,9,7)": "4948378e47333f3412a1cdd4dd1ef275fdad69b6075276e1f376c17c5bf4821e",
+    "artal(19,9,8)": "d12354beb34725880e5e9f75e77f5a82aae10945aec11b5fa5eecef30ae57a9a",
+    "artal(20,9,9)": "eb57f813da9e5ffd7786c47ebbb7834208c9b6bcc6b4e965a2b79e331d85e3ff",
+    "artal(13,10,1)": "8d94697b22aa7899a548d4f86dce32b7ab99052427ea1930369cc0d6c6ce670a",
+    "artal(14,10,2)": "28cfe196488652ffb10c22551be543dfd5522bbfa5a7f1a3cfdbba49d196ce9b",
+    "artal(15,10,3)": "0d4102f6f1aef2cf23e58f0a270dcad34011bf41ecb1a1b90342449cca44236e",
+    "artal(16,10,4)": "937f125a36b6227634211b2cfff88d4d2c0c63ac67bcb73d7c3d62aeecfa7378",
+    "artal(17,10,5)": "090943a6fe2c254234799c7e268e21780d5b821cf0cf9fe7771c0c1681a3e984",
+    "artal(18,10,6)": "bd32ed3261c6c64367fcb2982c499f3076f41d6951831e6f783a047bd7d72035",
+    "artal(19,10,7)": "972e2d9a66af6110ec757d82d82e9908cb8b157a550b44001b27b20634e2726e",
+    "artal(20,10,8)": "0d3eb40e6ed0599f15c48901c8593dfd63ab92e66021022e61fcf481f3111423",
+    "artal(21,10,9)": "f924bac440c5cd04d23f235c3e5b587de74c87b52adcd8155402185ef3c96d28",
+    "artal(22,10,10)": "b91dd725f96d7f564a4e8b78599acf4b757cf862acc4b3f7d0ec393e2c0b71b5",
+    "artal(14,11,1)": "3a94f374ec7418b0357feebe588362d949da7f6bcf949a7f29259edd4311684e",
+    "artal(15,11,2)": "b25486c09e5cad9edc869ea8187377d2d476d1b2d49230266c29d9a3ed07cbed",
+    "artal(16,11,3)": "79218c5dd47defeb2da2ef2d1a4e154fc870e07d77ab18a29d0b2899d4e57b24",
+    "artal(17,11,4)": "0a01f2494c584551ce80a701e967586c3c8d5043604e2d50b33208509efa350a",
+    "artal(18,11,5)": "fe7a6c29a026fb77a7a3a47a15a6db479df52ba5c16274d8abe81f10b520caa0",
+    "artal(19,11,6)": "d2492e4dd0e52d492a3343ce586822a982516f14576842f2cc6475979a6b6c08",
+    "artal(20,11,7)": "e27fa3247c156796aba1d18ebbb63b2cc3aa8ce6cab897f0c48cd45dfb5959ee",
+    "artal(21,11,8)": "706adb286af34d15c6a3a34355406943ce599490790351bfdff418d9c045888b",
+    "artal(22,11,9)": "fdebc4845341ef3f0fb472b062d246b95fb1e8eb097d12a0c08c2b95b1ef12d2",
+    "artal(23,11,10)": "113cdf1add85dd9f53c3214ca2bc29ad4e76fa0b911b2b5c8138510cfdb359f6",
+    "artal(24,11,11)": "c0dcefe1e0c7bb4dabfae7bfcf542f15330909c9f4c8704daa676695c0c90acc",
+    "artal(15,12,1)": "e0f8e23d5d0ca14065fc80846c7ad03f8de100e92556358ecd89046a7aaf98f2",
+    "artal(16,12,2)": "401b213d0a0baa035255f2c54f8a5b5477f631570c2d99f406febb314477329c",
+    "artal(17,12,3)": "6790920be83d42c58e8ca88f0fcd708c68cfd6ab6bcb4264e89b9b772ccbf1d5",
+    "artal(18,12,4)": "3e69eb95fe38b6298158d04fada83ba92791f5bfa5a7575e4bbef29344b0a6cf",
+    "artal(19,12,5)": "613ba3fcded72b5748485a6bdf6df40d871f9823499d4c16859c8b01abf82c3b",
+    "artal(20,12,6)": "16cde6776645103d3b457ca6c7830b1e6a3a46b4267e996904844737761482ef",
+    "artal(21,12,7)": "4535b53c102bb44c66d532cb8a7ea7a0d1279872abb6afc717e3e9b13876c405",
+    "artal(22,12,8)": "aac01030e401d96cfcd773d0c6bf2fe5864c642327b9077d5db89615021b0803",
+    "artal(23,12,9)": "7aef211e326777dd4fe2001037325dd08f35e5cc99f6186a5639362506545ace",
+    "artal(24,12,10)": "7c6474a9241644e1fac7a04b38cb3d562dde342b084c77295e086024424af6eb",
+    "artal(25,12,11)": "10b0fb0e084b7503eb45f4fca78808db2cbf2085b424780b4f5b15727a6cf255",
+    "artal(26,12,12)": "432e291f5115164b4d1ea4a72da602770ad69e58b4c932f81223b166ffc0b697",
+    "artal(16,13,1)": "0d9bc77a3a561a516ca3b552eed8b28f0000090f46fd96c65eace3a77389dceb",
+    "artal(17,13,2)": "96ad1615c0e48af9a74a4de7952e26f8e67d7e248f002ea8b38526cb0ad0bd44",
+    "artal(18,13,3)": "032f7c236643c16edcb1ed898957232aabd472a082de4f42516edde88e000f7c",
+    "artal(19,13,4)": "e5d541e80c88b57edb2ad9a3737e9c8bd9d0de998619693947de86a8021e1f28",
+    "artal(20,13,5)": "8f8a5e081435c934aeace51582cd710eab58a898c8f3ad39fe666bb6fe9d6c20",
+    "artal(21,13,6)": "7422d69bfa72a71508b74f2104e4e428f7800a66b09e6b68c67b912735dbcbca",
+    "artal(22,13,7)": "cad1cad6a2e3fb24c177a495b9d5fea8feb8f86090e9ef65ca4a038d5b264e68",
+    "artal(23,13,8)": "c5b86c07728fa48e2f1f766b6dfcdfe17675a5457f7bc27d6eb30bae2ab06bde",
+    "artal(24,13,9)": "7a86e3beb37869046a1a1453a7b2dbdeec2f4cc4ff9d62ba2a882fca091f72cf",
+    "artal(25,13,10)": "1929c7662872553f083c767bb979b8df4c68cdc84ab7aafc2faabad367410832",
+    "artal(26,13,11)": "a27b0a5e0e1b6d5a512ff47e50cd1fb4d89f9e3115629df4863f7d0c54b484cd",
+    "artal(27,13,12)": "c472d73f54867eb4cb5bbf09fc7d10aab1700f897712679a5289e8f6a6c1ca4e",
+    "artal(28,13,13)": "344a3fc0d30aee261976d82682b3026afac94f59d1babbedf7ce58f5e30dec7c",
+    "artal(17,14,1)": "23f6ac409372d785342db2b32bdf9c454bddcb335a927da6e27b788037357a8b",
+    "artal(18,14,2)": "2bd3578f29f1af7fedefd8009c0a4a244fc6fa8061b76504faee51aa677e9c11",
+    "artal(19,14,3)": "a1acb55d5b13148d46b23e5cb6d45df141ed4f67e1754ba3738ce4e11cdbec86",
+    "artal(20,14,4)": "75d6ad092acdc7863d7f061ebff7a463e2ef26612f0029a56d9af37ce15b2cc1",
+    "artal(21,14,5)": "20cce9a5d7d0a8079f9d7303f00f67c783c2faf2bc10bf4026568f5cd8d993fd",
+    "artal(22,14,6)": "04f30d026b1687f6b9fc9b966347e6740f4b31467bebe9103d140c3eb6bc0749",
+    "artal(23,14,7)": "b0c88b169a3c26efb2327761a348219160f7d76496502c1503761e9d762f6475",
+    "artal(24,14,8)": "d8c08e91db68381f4706a4f366d56d550a38b4ea8d791f9aeb18cadde248a1f7",
+    "artal(25,14,9)": "3a23dec8c2deab45e2d9a288dfb146ed8084905b409b6c99e1b1bf4df1dc6a73",
+    "artal(26,14,10)": "b6b570e54fd0312ab6b0b9eacddbd3816bcef0f9dd95d68bd6a02d8fd98b6fd2",
+    "artal(27,14,11)": "75e70f99daafb4846d8baa21920a65266301e09b3933e3e2bd33449b7101b5a0",
+    "artal(28,14,12)": "f2f82ec07bf9fa9f1dfe182c5ee17aa744d293f0b65b72a80e3fa2921ce0d45a",
+    "artal(29,14,13)": "89898e6a39c1aadf59cc2f2c3f5e7918055634ce13cb5a114cb8f31d427e6a4e",
+    "artal(30,14,14)": "450512112af4d5d5c3d1f3c82b93c8fc01f62b070d746a720daaf6d0215f6ac8",
+}
+
+
+@pytest.mark.parametrize("name, digest", PINNED_EXAMPLES.items())
+def test_pinned_example_certificates(name, digest):
+    assert hashlib.sha256(repr(example_presentation(name)).encode()).hexdigest() == digest
 
 
 def hyperbolic_triples(limit):

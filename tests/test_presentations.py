@@ -16,6 +16,7 @@ from orbicurve.presentations import (
     parse_presentation,
     parse_word,
     substitute,
+    word_map_claims,
 )
 
 pairs = st.lists(st.tuples(st.integers(0, 3), st.integers(-4, 4)), max_size=12)
@@ -203,7 +204,7 @@ class TestWordMaps:
     @pytest.mark.parametrize("name", NAMED)
     def test_every_conjugator_letter_matters(self, name):
         p, q, maps = _named_maps(name)
-        sides = [q] * len(p.relators) + [p] * len(q.relators) + [p] * p.ngens + [q] * q.ngens
+        sides = [side for _, _, side in word_map_claims(p, q, maps.phi, maps.psi)]
         mutated = 0
         for k, proof in enumerate(maps.proofs):
             for j, (u, i, e) in enumerate(proof):
@@ -229,13 +230,17 @@ class TestWordMaps:
     @pytest.mark.parametrize("name", NAMED)
     def test_dropped_proof_or_conjugate_rejected(self, name):
         p, q, maps = _named_maps(name)
+        claims = word_map_claims(p, q, maps.phi, maps.psi)
         for k, proof in enumerate(maps.proofs):
             dropped = replace(maps, proofs=maps.proofs[:k] + maps.proofs[k + 1:])
             assert "proofs for" in check_word_maps(p, q, dropped)
             for j in range(len(proof)):
                 bad = proof[:j] + proof[j + 1:]
                 proofs = maps.proofs[:k] + (bad,) + maps.proofs[k + 1:]
-                assert check_word_maps(p, q, replace(maps, proofs=proofs)) is not None
+                # reported under the name of the claim whose proof lost it
+                assert check_word_maps(p, q, replace(maps, proofs=proofs)) == (
+                    f"{claims[k][0]}: its proof multiplies out to another word"
+                )
 
     @pytest.mark.parametrize("index", [-1, 2, 99])
     def test_relator_index_out_of_range_rejected(self, index):

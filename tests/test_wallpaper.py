@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from unittest import mock
 
@@ -194,7 +195,23 @@ class TestHMatrix:
             assert a * d - b * c == 1
 
 
+# SHA-256 of repr([run_wallpaper_suite(k, 5, seed) for seed in range(200)]):
+# every verdict and detail string of 200 suites, which any rewrite of the
+# suite must reproduce
+PINNED_REPORTS = {
+    2: "9e8b0556c79e5783a75a1cc4cb8d220829b40931b81c8b7ec0d858fe1bcc485d",
+    3: "e838bec4e5995614d41d5bc3baa65700b61344bf7c62d4a3780202a1b2aaeaa9",
+    4: "9388ea454057276a5032f905b27ef46d9dd9bf5aa7eda6af84e911cb3e46c8c3",
+    6: "9d2b5f3c00d85bc1afcd9dbf60116a833cbd15c1b17de86c271b382c5a24b6f5",
+}
+
+
 class TestSuite:
+    @pytest.mark.parametrize("k, digest", PINNED_REPORTS.items())
+    def test_pinned_reports(self, k, digest):
+        reports = [run_wallpaper_suite(k, 5, seed) for seed in range(200)]
+        assert hashlib.sha256(repr(reports).encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("k, seed", [(2, 42), (3, 1), (4, 3), (6, 7)])
     def test_suites_pass(self, k, seed):
         report = run_wallpaper_suite(k, samples=25, seed=seed)
@@ -410,6 +427,24 @@ def test_integer_core_matches_fractions(s, t):
         assert tuple(Fraction(x, scale) for x in xyz) == image
         residual = wallpaper._residual(k, *xyz, scale)
         assert residual == scale ** SURFACE_DEGREES[k] * surface_residual(k, image) == 0
+
+
+matrices = st.tuples(*[st.integers(-2, 2)] * 4).map(lambda e: ((e[0], e[1]), (e[2], e[3])))
+
+
+@given(nonzero_rationals, nonzero_rationals, matrices)
+@example(Fraction(-3, 2), Fraction(5, 7), ((1, 1), (0, 1)))
+@example(Fraction(2, 9), Fraction(-4), ((2, 1), (1, 1)))
+@example(Fraction(-1), Fraction(-1), ((2, 2), (2, 2)))
+def test_sigma_power_is_monomial_map_of_h_power(s, t, h):
+    # sigma^j is the monomial map of h^j, as the suite takes it, for any
+    # integer h, including the infinite-order ones above, such as a
+    # failure-path test may patch in: the same point as sigma applied j times
+    q = wallpaper._quad(TorusPoint(s, t))
+    power, iterated = MAT_IDENTITY, q
+    for j in range(7):
+        assert wallpaper._same_point(wallpaper._sigma(power, q), iterated), j
+        power, iterated = mat_mul(power, h), wallpaper._sigma(h, iterated)
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
