@@ -21,6 +21,7 @@ from .cosets import (
     DEFAULT_MAX_COSETS,
     Exceeded,
     coset_enumeration,
+    cycle_points,
     format_cycles,
     parse_cycles,
     PermutationImages,
@@ -87,8 +88,16 @@ def parse_signature(text: str) -> OrbSignature:
 
 
 def _default_bound() -> int:
+    """ORBICURVE_MAX_COSETS when it is set, else DEFAULT_MAX_COSETS; a value
+    that is not an integer >= 1 is refused."""
     env = os.environ.get("ORBICURVE_MAX_COSETS")
-    return int(env) if env else DEFAULT_MAX_COSETS
+    try:
+        bound = int(env) if env else DEFAULT_MAX_COSETS
+    except ValueError:
+        bound = 0  # refused below, like any value under 1
+    if bound < 1:
+        raise OrbicurveError(f"ORBICURVE_MAX_COSETS must be an integer >= 1, got {env!r}")
+    return bound
 
 
 def _read_presentation(path: str):
@@ -196,7 +205,10 @@ def _load_permutations(path: str, sig: OrbSignature) -> PermutationImages:
                 raise OrbicurveError(f"expected 'degree N' or 'name = cycles', got {line!r}")
             if degree is not None:
                 raise OrbicurveError("permutation file has more than one degree line")
-            degree = int(words[1])
+            try:
+                degree = int(words[1])
+            except ValueError:
+                raise OrbicurveError(f"bad degree line: {line!r}") from None
             if degree < 1:
                 raise OrbicurveError(f"degree must be >= 1, got {degree}")
         elif name not in generators:
@@ -206,12 +218,9 @@ def _load_permutations(path: str, sig: OrbSignature) -> PermutationImages:
             raise OrbicurveError(f"permutation file assigns generator {name!r} twice")
         else:
             assignments[name] = cycles.strip()
-    if degree is None:
-        # infer from the largest point mentioned
-        degree = 1
-        for cycles in assignments.values():
-            for token in cycles.replace("(", " ").replace(")", " ").replace(",", " ").split():
-                degree = max(degree, int(token))
+    if degree is None:  # the largest point mentioned
+        degree = max([1] + [x for text in assignments.values()
+                            for cycle in cycle_points(text) for x in cycle])
     bound = _default_bound()
     if degree > bound:
         raise _BoundExceeded(f"permutation degree {degree} exceeds bound {bound}", bound)

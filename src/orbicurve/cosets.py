@@ -139,14 +139,11 @@ def _scan_word(word: Word) -> tuple[tuple[int, ...], tuple[int, ...], int, tuple
 
 
 class _Enumerator:
-    def __init__(self, presentation: FinitePresentation, subgroup_generators,
-                 max_cosets: int, relators=None):
-        """`relators`, when given, are the presentation's relators already
-        passed through `_scan_word`, shared by several enumerations."""
+    def __init__(self, presentation: FinitePresentation, subgroup_generators, max_cosets: int):
         if max_cosets < 1:
             raise ValueError("max_cosets must be >= 1")
         self.width = 2 * presentation.ngens
-        self.relators = relators or [_scan_word(w) for w in presentation.relators]
+        self.relators = [_scan_word(w) for w in presentation.relators]
         self.subgens = [_scan_word(w) for w in subgroup_generators]
         self.max_cosets = max_cosets
         self.holes = [-1] * (self.width + 1)  # a new row; its parent is set after
@@ -386,11 +383,9 @@ def group_order(p: FinitePresentation, bound: int = DEFAULT_MAX_COSETS) -> int |
     stage 2, so Exceeded(bound) says that the work bound tripped, not that
     the order passes `bound`; a bound equal to the order can trip too
     (Z_10 x Z_20 x Z_50 at 10**4: HLT's transient cosets overshoot the
-    index).  The relators are read into scan words once and shared by every
-    run.
+    index).
     """
-    relators = [_scan_word(w) for w in p.relators]
-    rows = _Enumerator(p, (), min(bound, SMALL_TABLE), relators).enumerate()
+    rows = _Enumerator(p, (), min(bound, SMALL_TABLE)).enumerate()
     if rows is not None or bound <= SMALL_TABLE:
         return Exceeded(bound) if rows is None else rows
     powers = {}
@@ -403,13 +398,13 @@ def group_order(p: FinitePresentation, bound: int = DEFAULT_MAX_COSETS) -> int |
     for w, n in sorted(powers.items(), key=lambda wn: (-wn[1], wn[0])):
         if n < 2 or n > bound:
             continue
-        enumerator = _Enumerator(p, (w,), bound // n, relators)
+        enumerator = _Enumerator(p, (w,), bound // n)
         if enumerator.enumerate() is None:
             break
         table = enumerator.coset_table()
         if perm_order(evaluate_word(w, table)) == n or _abelian_order(p, w) == n:
             return table.rows * n
-    rows = _Enumerator(p, (), bound, relators).enumerate()
+    rows = _Enumerator(p, (), bound).enumerate()
     return Exceeded(bound) if rows is None else rows
 
 
@@ -727,16 +722,27 @@ def format_cycles(p) -> str:
     return "".join("(" + " ".join(str(x + 1) for x in c) + ")" for c in cycles)
 
 
+def cycle_points(text: str) -> list[list[int]]:
+    """The 1-based points of each cycle of '(1 2)(3 4)', '(1 2) (3 4)' or '(1,2)';
+    '()', 'id' and '' have none.  A token that int() rejects is bad notation."""
+    text = text.strip()
+    if text in ("()", "id", ""):
+        return []
+    if not (text.startswith("(") and text.endswith(")")):
+        raise ArityMismatch(f"bad cycle notation: {text!r}")
+    try:
+        return [[int(tok) for tok in chunk.replace(",", " ").split()]
+                for chunk in re.split(r"\)\s*\(", text[1:-1])]
+    except ValueError:
+        raise ArityMismatch(f"bad cycle notation: {text!r}") from None
+
+
 def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     """Parse '(1 2)(3 4)' or '(1 2) (3 4)' into an image tuple on 0..degree-1."""
     text = text.strip()
-    if text in ("()", "id", ""):
-        return identity_perm(degree)
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ArityMismatch(f"bad cycle notation: {text!r}")
     images = list(range(degree))
-    for chunk in re.split(r"\)\s*\(", text[1:-1]):
-        points = [int(tok) - 1 for tok in chunk.replace(",", " ").split()]
+    for cycle in cycle_points(text):
+        points = [x - 1 for x in cycle]
         if any(not 0 <= x < degree for x in points):
             raise ArityMismatch(f"point out of range in {text!r}")
         if len(set(points)) != len(points):

@@ -112,73 +112,58 @@ def _inverse(proof) -> list[Conjugate]:
     return [(c, i, -e) for c, i, e in reversed(proof)]
 
 
-def _deriver(p: FinitePresentation):
-    """derive(word, rules): conjugates of p's relators whose product is
-    `word`.  A rule (old, new) says old = new in the group, where old new^-1
-    is conjugate to a power of one relator or of its inverse; the first rule
-    whose old occurs rewrites its first occurrence, until none does, and then
-    the word must be empty."""
-    lengths = [sum(abs(e) for _, e in r) for r in p.relators]
-    cycles: dict[int, tuple[str, str]] = {}  # spelled twice, so a rotation is a substring
-
-    def relator_power(t: str) -> list[Conjugate]:
-        k = 0
-        while k < len(t) - 1 - k and t[k] == t[-1 - k].swapcase():
-            k += 1
-        core = t[k:len(t) - k]
-        if not core:
-            return []
-        for i, n in enumerate(lengths):
-            if not n or len(core) % n or core != core[:n] * (len(core) // n):
-                continue
-            if i not in cycles:
-                f = _spell(p.relators[i])
-                cycles[i] = (f + f, _inv(f + f))
-            for e, ff in zip((1, -1), cycles[i]):
-                j = ff.find(core[:n])
-                if j >= 0:  # core[:n] = f[:j]^-1 f f[:j]
-                    return [(_unspell(t[:k] + _inv(ff[:j])), i, e)] * (len(core) // n)
-        raise ValueError(f"{t} is not conjugate to a power of a relator")
-
-    def derive(word: str, rules) -> list[Conjugate]:
-        w, proof = _spell(_unspell(word)), []
-        while True:
-            for old, new in rules:
-                i = w.find(old)
-                if i >= 0:
-                    break
-            else:
-                if w:
-                    raise ValueError(f"{word} rewrites to {w}, not to the empty word")
-                return proof
-            steps = relator_power(_spell(_unspell(old + _inv(new))))
-            proof += _conj(_unspell(w[:i]), steps) if i else steps
-            w = _spell(_unspell(w[:i] + new + w[i + len(old):]))
-
-    return derive
+def _relator_power(p: FinitePresentation, t: str) -> list[Conjugate]:
+    """Conjugates of p's relators whose product is t, where t is conjugate to
+    a power of one relator or of its inverse.  A relator is spelled only
+    when the core of t repeats with the relator's length as a period."""
+    k = 0
+    while k < len(t) - 1 - k and t[k] == t[-1 - k].swapcase():
+        k += 1
+    core = t[k:len(t) - k]
+    if not core:
+        return []
+    for i, r in enumerate(p.relators):
+        n = sum(abs(e) for _, e in r)
+        if not n or len(core) % n or core != core[:n] * (len(core) // n):
+            continue
+        ff = _spell(r) * 2  # spelled twice, so a rotation is a substring
+        for e, cycle in ((1, ff), (-1, _inv(ff))):
+            j = cycle.find(core[:n])
+            if j >= 0:  # core[:n] = f[:j]^-1 f f[:j]
+                return [(_unspell(t[:k] + _inv(cycle[:j])), i, e)] * (len(core) // n)
+    raise ValueError(f"{t} is not conjugate to a power of a relator")
 
 
-def _rules(*texts: str) -> list[tuple[str, str]]:
-    """Rewriting rules written "old>new"."""
-    return [tuple(text.split(">")) for text in texts]
+def _derive(p: FinitePresentation, word: str, rules) -> list[Conjugate]:
+    """Conjugates of p's relators whose product is `word`.  A rule "old>new"
+    says old = new in the group, where old new^-1 is conjugate to a power of
+    one relator or of its inverse; the first rule whose old occurs rewrites
+    its first occurrence, until none does, and then the word must be empty."""
+    rules = [rule.split(">") for rule in rules]
+    w, proof = _spell(_unspell(word)), []
+    while True:
+        for old, new in rules:
+            i = w.find(old)
+            if i >= 0:
+                break
+        else:
+            if w:
+                raise ValueError(f"{word} rewrites to {w}, not to the empty word")
+            return proof
+        steps = _relator_power(p, _spell(_unspell(old + _inv(new))))
+        proof += _conj(_unspell(w[:i]), steps) if i else steps
+        w = _spell(_unspell(w[:i] + new + w[i + len(old):]))
 
 
-def _word_maps(p, q, phi, psi, p_rules, q_rules) -> WordMaps:
-    """Word maps between p and q from spelled images; each claim of
-    `word_map_claims` is rewritten by the rules of the side that proves it."""
+def _quotient_fact(p, extra, signature, phi, psi, p_rules, q_rules) -> QuotientPresentationFact:
+    """The fact, with word maps between the quotient and the reference
+    presentation from spelled images phi and psi; each claim of
+    `word_map_claims` is derived by the rules of the side that proves it."""
+    quotient, reference = quotient_by_relators(p, extra), presentation_of(signature)
     phi, psi = tuple(map(_unspell, phi)), tuple(map(_unspell, psi))
-    on_p, on_q = (_deriver(p), _rules(*p_rules)), (_deriver(q), _rules(*q_rules))
-    proofs = []
-    for _, word, side in word_map_claims(p, q, phi, psi):
-        derive, rules = on_p if side is p else on_q
-        proofs.append(tuple(derive(_spell(word), rules)))
-    return WordMaps(phi, psi, tuple(proofs))
-
-
-def _quotient_fact(p, extra, signature, *spelled) -> QuotientPresentationFact:
-    """The fact, with word maps `_word_maps(quotient, reference, *spelled)`."""
-    maps = _word_maps(quotient_by_relators(p, extra), presentation_of(signature), *spelled)
-    return QuotientPresentationFact(extra, signature, maps)
+    proofs = tuple(tuple(_derive(side, _spell(word), p_rules if side is quotient else q_rules))
+                   for _, word, side in word_map_claims(quotient, reference, phi, psi))
+    return QuotientPresentationFact(extra, signature, WordMaps(phi, psi, proofs))
 
 
 def _quartic() -> NamedExample:
@@ -274,12 +259,11 @@ def _artal_maps(p: FinitePresentation, tri: FinitePresentation, d: int, q: int) 
     n, m = (q - 1) // 2, d - 2
     swap = m < q
     tr = str.maketrans("abcABC", "ACBacb" if swap else "abcABC")
-    on_p, on_q = _deriver(p), _deriver(tri)
 
     def target(word: str, *rules: str) -> list[Conjugate]:
-        return on_q(word.translate(tr), _rules(*(r.translate(tr) for r in rules)))
+        return _derive(tri, word.translate(tr), [r.translate(tr) for r in rules])
 
-    vq = on_p("B" * q, _rules(f"{'B' * q}>AA", "AA>"))  # v^-q = u^-2 = 1
+    vq = _derive(p, "B" * q, (f"{'B' * q}>AA", "AA>"))  # v^-q = u^-2 = 1
     # phi of the cycle relator is h^m x y^-2(d-1) x^-1 with h = x y^-2n, and
     # h z = 1: its m copies conjugated by z^-j make h^m z^m, in linear size
     h_z = target(f"a{'B' * 2 * n}c", f"{'B' * 2 * n}>b", "abc>")
@@ -288,7 +272,7 @@ def _artal_maps(p: FinitePresentation, tri: FinitePresentation, d: int, q: int) 
     phi_cycle += target(f"{'C' * m}a{'B' * 2 * (d - 1)}A", f"{'B' * 2 * (d - 1)}>", f"{'C' * m}>")
     psi = ("a", f"A{'B' * n}a", f"A{'b' * n}")
     psi_rels = (
-        on_p("aa", _rules("aa>")),
+        _derive(p, "aa", ("aa>",)),
         _conj(((0, -1),), vq * n),
         [(((1, 1 - d),), 1, -1)] + vq * ((d - 1) // q),  # (u^-1 v^n)^m = v^-(d-1) = 1
     )

@@ -23,6 +23,7 @@ SIG237 = '{"g":0,"r":0,"m":[2,3,7]}'
 A4 = ("# the (2,3,3) triangle presentation\ngens x1 x2 x3\nrel x1^2\nrel x2^3\n"
       "rel x3^3\nrel x3^-1 x2^-1 x1^-1\n")
 PSL27 = "degree 8\nx1 = (1 8)(2 7)(3 4)(5 6)\nx2 = (1 8 2)(3 5 7)\nx3 = (1 7 6 5 4 3 2)\n"
+STRAY = PSL27.replace("(1 8)(2 7)", "(1 8) x (2 7)")  # x1's cycles with a stray token
 
 
 def _s200() -> str:
@@ -59,6 +60,10 @@ FILES = {
     "point-out-of-range.txt": "degree 8\nx1 = (1 9)\nx2 = ()\nx3 = ()\n",
     "repeated-point.txt": "degree 8\nx1 = (1 2 1)\nx2 = ()\nx3 = ()\n",
     "overlapping-cycles.txt": "degree 8\nx1 = (1 2)(2 3)\nx2 = ()\nx3 = ()\n",
+    "stray-token.txt": STRAY,
+    "stray-token-no-degree.txt": STRAY.replace("degree 8\n", ""),
+    "fractional-point.txt": "degree 8\nx1 = (1 2.5)\nx2 = ()\nx3 = ()\n",
+    "degree-word.txt": PSL27.replace("degree 8", "degree eight"),
 }
 DIRECTORY = "a-directory"
 
@@ -74,6 +79,8 @@ def _one(case_id, *argv, env=None):
 
 
 BOUND10 = {"ORBICURVE_MAX_COSETS": "10"}
+BOUND_ABC = {"ORBICURVE_MAX_COSETS": "abc"}
+BOUND0 = {"ORBICURVE_MAX_COSETS": "0"}
 
 CASES = [
     # closed forms
@@ -146,6 +153,15 @@ CASES = [
           "repeated-point.txt"),
     *_one("verify-perms-overlapping-cycles", "cover", "verify", "--sig", SIG237, "--perms",
           "overlapping-cycles.txt"),
+    # tokens that int() rejects, in a cycle or on the degree line
+    *_one("verify-perms-stray-token", "cover", "verify", "--sig", SIG237, "--perms",
+          "stray-token.txt"),
+    *_one("verify-perms-stray-token-no-degree", "cover", "verify", "--sig", SIG237, "--perms",
+          "stray-token-no-degree.txt"),
+    *_one("verify-perms-fractional-point", "cover", "verify", "--sig", SIG237, "--perms",
+          "fractional-point.txt"),
+    *_one("verify-perms-degree-word", "cover", "verify", "--sig", SIG237, "--perms",
+          "degree-word.txt"),
     *_one("verify-perms-format-first", "cover", "--format", "text", "verify", "--sig", SIG237,
           "--perms", "psl27.txt"),
     # options of `cover` before `verify` are refused, not dropped
@@ -153,6 +169,10 @@ CASES = [
           "--perms", "psl27.txt"),
     *_one("verify-perms-lcm-first", "cover", "--lcm", "verify", "--sig", SIG237,
           "--perms", "psl27.txt"),
+    *_one("verify-perms-env-abc", "cover", "verify", "--sig", SIG237, "--perms", "psl27.txt",
+          env=BOUND_ABC),
+    *_one("verify-perms-env-zero", "cover", "verify", "--sig", SIG237, "--perms", "psl27.txt",
+          env=BOUND0),
     *_one("verify-perms-sig-first", "cover", "--sig", '{"g":0,"r":0,"m":[2,3,8]}', "verify",
           "--sig", SIG237, "--perms", "psl27.txt"),
     # Todd-Coxeter
@@ -162,6 +182,8 @@ CASES = [
     *_both("todd-coxeter-exceeded", "todd-coxeter", "--presentation", "a4.txt",
            "--max-cosets", "10"),
     *_one("todd-coxeter-env-bound", "todd-coxeter", "--presentation", "a4.txt", env=BOUND10),
+    *_one("todd-coxeter-env-abc", "todd-coxeter", "--presentation", "a4.txt", env=BOUND_ABC),
+    *_one("todd-coxeter-env-zero", "todd-coxeter", "--presentation", "a4.txt", env=BOUND0),
     *_one("todd-coxeter-zero-bound", "todd-coxeter", "--presentation", "a4.txt",
           "--max-cosets", "0"),
     *_one("todd-coxeter-no-file", "todd-coxeter", "--presentation", "nowhere.txt"),
@@ -169,6 +191,10 @@ CASES = [
     *_both("verify-wallpaper", "verify", "wallpaper", "--k", "6", "--samples", "3", "--seed", "5"),
     *_both("verify-wallpaper-exceeded", "verify", "wallpaper", "--k", "6", "--samples", "11",
            "--seed", "5", env=BOUND10),
+    *_one("verify-wallpaper-env-abc", "verify", "wallpaper", "--k", "6", "--samples", "1",
+          "--seed", "5", env=BOUND_ABC),
+    *_one("verify-wallpaper-env-zero", "verify", "wallpaper", "--k", "6", "--samples", "1",
+          "--seed", "5", env=BOUND0),
     *_one("verify-wallpaper-bad-k", "verify", "wallpaper", "--k", "5", "--samples", "3",
           "--seed", "5"),
     *_one("verify-wallpaper-no-seed", "verify", "wallpaper", "--k", "6", "--samples", "3"),

@@ -283,15 +283,17 @@ class TestCover:
                                                        cap):
         # x3 = (1 2) breaks x1 x2 x3 = 1, so a verdict computed before the
         # cap check would be not_homomorphism, exit 3
+        message = "cap must be >= 1"
         if not cap:
             monkeypatch.setenv("ORBICURVE_MAX_COSETS", "0")
+            message = "ORBICURVE_MAX_COSETS must be an integer >= 1, got '0'"
         path = tmp_path / "perms.txt"
         path.write_text("degree 8\nx1 = ()\nx2 = ()\nx3 = (1,2)\n")
         code, out, err = invoke(
             capsys, "cover", "verify", "--sig", '{"g":0,"r":0,"m":[2,3,7]}',
             "--perms", str(path), *cap
         )
-        assert (code, out, err) == (EXIT_DOMAIN_ERROR, "", "error: cap must be >= 1\n")
+        assert (code, out, err) == (EXIT_DOMAIN_ERROR, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("degree", [0, -3])
     def test_verify_nonpositive_degree_exits_1(self, capsys, tmp_path, degree):
@@ -339,6 +341,29 @@ class TestCover:
             fh.write(line + "\n")
         code, out, err = invoke(
             capsys, "cover", "verify", "--sig", '{"g":0,"r":0,"m":[2,3,7]}', "--perms", path
+        )
+        assert (code, out, err) == (EXIT_DOMAIN_ERROR, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("degree 8\nx1 = (1 8) x (2 7)(3 4)(5 6)\nx2 = ()\nx3 = ()\n",
+         "bad cycle notation: '(1 8) x (2 7)(3 4)(5 6)'"),
+        ("x1 = (1 8) x (2 7)(3 4)(5 6)\nx2 = ()\nx3 = ()\n",
+         "bad cycle notation: '(1 8) x (2 7)(3 4)(5 6)'"),
+        ("degree 8\nx1 = (1 2.5)\nx2 = ()\nx3 = ()\n", "bad cycle notation: '(1 2.5)'"),
+        ("x1 = (1 2.5)\nx2 = ()\nx3 = ()\n", "bad cycle notation: '(1 2.5)'"),
+        ("degree eight\nx1 = ()\nx2 = ()\nx3 = ()\n", "bad degree line: 'degree eight'"),
+        ("degree 8\nx1 = (1 -2)\nx2 = ()\nx3 = ()\n", "point out of range in '(1 -2)'"),
+        ("x1 = (1 -2)\nx2 = ()\nx3 = ()\n", "point out of range in '(1 -2)'"),
+    ], ids=["stray-token", "stray-token-inferred", "fractional", "fractional-inferred",
+            "degree-word", "negative", "negative-inferred"])
+    def test_verify_bad_token_exits_1(self, capsys, tmp_path, text, message):
+        # a token that int() rejects used to escape as int()'s own message;
+        # one that it accepts meets the point checks, whether or not the
+        # degree is inferred
+        path = tmp_path / "perms.txt"
+        path.write_text(text)
+        code, out, err = invoke(
+            capsys, "cover", "verify", "--sig", '{"g":0,"r":0,"m":[2,3,7]}', "--perms", str(path)
         )
         assert (code, out, err) == (EXIT_DOMAIN_ERROR, "", f"error: {message}\n")
 
@@ -422,6 +447,19 @@ class TestToddCoxeter:
         assert code == EXIT_DOMAIN_ERROR
         assert out == ""
         assert "max_cosets must be >= 1" in err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5", "1e3"])
+    def test_invalid_env_bound_exits_1(self, capsys, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("ORBICURVE_MAX_COSETS", value)
+        path = tmp_path / "a4.txt"
+        path.write_text(A4_PRESENTATION)
+        code, out, err = invoke(capsys, "todd-coxeter", "--presentation", str(path))
+        assert (code, out) == (EXIT_DOMAIN_ERROR, "")
+        assert err == f"error: ORBICURVE_MAX_COSETS must be an integer >= 1, got {value!r}\n"
+        # an explicit bound does not read the variable
+        code, _, _ = invoke(capsys, "todd-coxeter", "--presentation", str(path),
+                            "--max-cosets", "100")
+        assert code == EXIT_OK
 
     def test_env_bound_override(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("ORBICURVE_MAX_COSETS", "10")

@@ -32,6 +32,7 @@ from orbicurve.cosets import (
     _Enumerator,
     _is_regular,
     _StabilizerChain,
+    cycle_points,
     cycles_of,
     evaluate_word,
     format_cycles,
@@ -808,6 +809,25 @@ def test_perm_inverse_round_trip(p):
 @given(perms_st)
 def test_cycle_format_round_trip(p):
     assert parse_cycles(format_cycles(p), len(p)) == p
+
+
+@pytest.mark.parametrize("text, points", [
+    ("(1 8)(2 7)", [[1, 8], [2, 7]]),
+    ("(1,2) (3 4 5)", [[1, 2], [3, 4, 5]]),
+    ("(1 -2)", [[1, -2]]),  # int() accepts it; parse_cycles finds it out of range
+    ("()", []),
+    ("id", []),
+])
+def test_cycle_points_as_written(text, points):
+    assert cycle_points(text) == points
+
+
+@pytest.mark.parametrize("text", ["(1 8) x (2 7)", "(1 2.5)", "(1 (2 3)", "(1 2))", "(a b)"])
+def test_token_that_int_rejects_is_bad_notation(text):
+    # these used to escape as int()'s own ValueError
+    for parse in (cycle_points, lambda t: parse_cycles(t, 8)):
+        with pytest.raises(ArityMismatch, match=r"^bad cycle notation: "):
+            parse(text)
 
 
 def reference_order(p):

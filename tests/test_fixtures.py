@@ -24,8 +24,11 @@ from orbicurve.fixtures import (
     QuotientPresentationFact,
     TriangleRep,
     _check_fact,
+    _derive,
+    _relator_power,
     projective_distance,
 )
+from orbicurve.presentations import free_reduce, invert_word, presentation_of
 from orbicurve.wallpaper import mat_mul
 
 
@@ -169,6 +172,39 @@ def test_unknown_example():
         example_presentation("dodecic")
     with pytest.raises(UnknownExample):
         verify_example("artal(5, 2)")
+
+
+class TestDerive:
+    # the (2,3,7) triangle group spelled a, b, c: relators aa, bbb, ccccccc, CBA
+    P = presentation_of(OrbSignature(0, 0, (2, 3, 7)))
+
+    def product(self, proof):
+        pairs = []
+        for u, i, e in proof:
+            r = self.P.relators[i]
+            pairs += [*u, *(r if e == 1 else invert_word(r)), *invert_word(u)]
+        return free_reduce(pairs)
+
+    @pytest.mark.parametrize("t, word", [
+        ("Baab", ((1, -1), (0, 2), (1, 1))),  # b^-1 a^2 b
+        ("ACBACB", ((0, -1), (2, -1), (1, -1)) * 2),  # (CBA)^2 rotated
+        ("bcabca", ((1, 1), (2, 1), (0, 1)) * 2),  # its inverse
+        ("", ()),
+    ])
+    def test_relator_power_multiplies_out(self, t, word):
+        assert self.product(_relator_power(self.P, t)) == word
+
+    @pytest.mark.parametrize("t", ["ab", "aaa", "Bab", "cbac"])
+    def test_rule_off_every_relator_power_refused(self, t):
+        with pytest.raises(ValueError, match=f"^{t} is not conjugate to a power of a relator$"):
+            _relator_power(self.P, t)
+        with pytest.raises(ValueError, match="is not conjugate to a power of a relator"):
+            _derive(self.P, t, (f"{t}>",))
+
+    def test_rules_that_stop_short_refused(self):
+        assert self.product(_derive(self.P, "abbba", ("bbb>", "aa>"))) == ((0, 1), (1, 3), (0, 1))
+        with pytest.raises(ValueError, match="^aabbbc rewrites to c, not to the empty word$"):
+            _derive(self.P, "aabbbc", ("bbb>", "aa>"))
 
 
 # SHA-256 of repr(example_presentation(name)), which spells out the
