@@ -12,7 +12,9 @@ is scaled by `SpeedProbe.scale` over the probes around it, as certbench
 does: the time it would take where the probe takes its reference time.
 A run's `scaled_wall_s` is the sum of those, and its probe ratio is raw
 over scaled wall time (above 1 on a host slower than the reference).  The
-CLI layer scales each process the same way and takes medians.  Per layer
+CLI layer runs the four commands of certbench's CLI certificates (chi,
+iso, serre, abelianize --presentation), compares each stdout with its
+certificate's answer, scales each process the same way and takes medians.  Per layer
 and tree the JSON file gets the median scaled wall time, certificates/s
 derived from it, the raw median and per-run wall times, the median probe
 ratio, the largest peak RSS of the runs (`resource.getrusage` of the
@@ -33,14 +35,13 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CERTBENCH = ROOT / "certbench"
-CLI_ARGV = ("chi", "--sig", '{"g": 0, "r": 0, "m": [2, 3, 7]}')
-CLI_STDOUT = '{"chi": "-1/42", "kind": "hyperbolic"}\n'
-CLI_PROCESSES = 5
+CLI_PROCESSES = 8  # chi, iso, serre and abelianize --presentation, twice each
 REPEATS = 3
 HURWITZ_Q = (43, 71, 83, 97, 113)  # q = +-1 mod 7, |PSL(2, q)| below the 10^6 cap
 
@@ -110,11 +111,19 @@ def run_layer(name: str) -> dict:
         intervals.append((t0, time.perf_counter()))
         return result
 
-    if name == "cli":
-        argv = [sys.executable, "-m", "orbicurve.cli", *CLI_ARGV]
-        done = [timed(lambda: subprocess.run(argv, capture_output=True, text=True, check=False))
-                for _ in range(CLI_PROCESSES)]
-        failed = sum(d.stdout != CLI_STDOUT for d in done)
+    if name == "cli":  # the commands of certbench's CLI certificates
+        import inputs
+
+        certs = inputs.cli_certs("bench", 1, CLI_PROCESSES)
+        with tempfile.TemporaryDirectory() as cwd:
+            for file_name, text in (f for cert in certs for f in cert.files):
+                Path(cwd, file_name).write_text(text, encoding="utf-8")
+            done = [timed(lambda: subprocess.run(
+                        [sys.executable, "-m", "orbicurve.cli", *cert.argv], cwd=cwd,
+                        capture_output=True, text=True, check=False))
+                    for cert in certs]
+        failed = sum(d.stdout != json.dumps(cert.expected, sort_keys=True) + "\n"
+                     for cert, d in zip(certs, done))
         count, rss, total = 1, resource.RUSAGE_CHILDREN, statistics.median
     else:
         certs = layer_certs(name)

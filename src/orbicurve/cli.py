@@ -16,26 +16,9 @@ import os
 import sys
 from fractions import Fraction
 
-from .abelian import abelianization, abelianization_of_presentation
-from .cosets import (
-    DEFAULT_MAX_COSETS,
-    Exceeded,
-    coset_enumeration,
-    cycle_points,
-    format_cycles,
-    parse_cycles,
-    PermutationImages,
-)
-from .covers import (
-    lcm_cover_for_free_product,
-    torsion_free_subgroup_rank,
-    verify_torsion_free_kernel,
-)
+# only what parse_signature and the closed-form commands need: every other
+# handler imports its own modules, so a process loads only what it runs
 from .errors import OrbicurveError
-from .fixtures import check_triangle_rep, triangle_representation, verify_example
-from .isomorphism import decide_isomorphism
-from .presentations import parse_presentation, presentation_of
-from .serre import plane_curve_realizability
 from .signature import (
     INFINITE,
     MalformedSignature,
@@ -45,7 +28,6 @@ from .signature import (
     finite_order,
     satisfies_ninf,
 )
-from .wallpaper import run_wallpaper_suite
 
 EXIT_OK = 0
 EXIT_DOMAIN_ERROR = 1
@@ -90,6 +72,7 @@ def parse_signature(text: str) -> OrbSignature:
 def _default_bound() -> int:
     """ORBICURVE_MAX_COSETS when it is set, else DEFAULT_MAX_COSETS; a value
     that is not an integer >= 1 is refused."""
+    from .cosets import DEFAULT_MAX_COSETS
     env = os.environ.get("ORBICURVE_MAX_COSETS")
     try:
         bound = int(env) if env else DEFAULT_MAX_COSETS
@@ -101,6 +84,7 @@ def _default_bound() -> int:
 
 
 def _read_presentation(path: str):
+    from .presentations import parse_presentation
     with open(path, encoding="utf-8") as fh:
         return parse_presentation(fh.read())
 
@@ -138,6 +122,7 @@ def cmd_order(args):
 
 
 def cmd_abelianize(args):
+    from .abelian import abelianization, abelianization_of_presentation
     if args.sig and args.presentation:
         raise OrbicurveError("abelianize takes --sig or --presentation, not both")
     if args.sig:
@@ -151,6 +136,7 @@ def cmd_abelianize(args):
 
 
 def cmd_iso(args):
+    from .isomorphism import decide_isomorphism
     verdict = decide_isomorphism(parse_signature(args.a), parse_signature(args.b))
     payload = {"isomorphic": verdict.isomorphic, "reason": verdict.reason}
     if verdict.detail:
@@ -160,6 +146,7 @@ def cmd_iso(args):
 
 
 def cmd_serre(args):
+    from .serre import plane_curve_realizability
     verdict = plane_curve_realizability(parse_signature(args.sig))
     payload = {
         "verdict": verdict.outcome,
@@ -171,6 +158,7 @@ def cmd_serre(args):
 
 
 def cmd_cover(args):
+    from .covers import lcm_cover_for_free_product, torsion_free_subgroup_rank
     if args.sig is None:
         raise OrbicurveError("cover needs --sig")
     sig = parse_signature(args.sig)
@@ -187,10 +175,13 @@ def cmd_cover(args):
                      f" ({'compact' if report.compact else 'open'} cover)"], True
 
 
-def _load_permutations(path: str, sig: OrbSignature) -> PermutationImages:
-    """Read at most one `degree N` line and one `name = cycles` line for each
-    generator of the standard presentation of `sig`; any other line is an error.
-    A degree above the work bound is refused before a permutation is built."""
+def _load_permutations(path: str, sig: OrbSignature):
+    """The `PermutationImages` in a file of at most one `degree N` line and
+    one `name = cycles` line for each generator of the standard presentation
+    of `sig`; any other line is an error.  A degree above the work bound is
+    refused before a permutation is built."""
+    from .cosets import PermutationImages, cycle_points, parse_cycles
+    from .presentations import presentation_of
     generators = presentation_of(sig).generators
     with open(path, encoding="utf-8") as fh:
         lines = [ln.split("#", 1)[0].strip() for ln in fh]
@@ -233,6 +224,8 @@ def _load_permutations(path: str, sig: OrbSignature) -> PermutationImages:
 
 
 def cmd_cover_verify(args):
+    from .cosets import Exceeded
+    from .covers import verify_torsion_free_kernel
     # options of `cover` itself land in the same namespace; given before
     # `verify` they would be dropped without a word
     if args.index is not None or args.lcm:
@@ -256,6 +249,7 @@ def cmd_cover_verify(args):
 
 
 def cmd_todd_coxeter(args):
+    from .cosets import Exceeded, coset_enumeration, format_cycles
     pf = _read_presentation(args.presentation)
     bound = _default_bound() if args.max_cosets is None else args.max_cosets
     result = coset_enumeration(pf.presentation, pf.subgroup_generators, bound)
@@ -270,6 +264,7 @@ def cmd_todd_coxeter(args):
 
 
 def cmd_verify_wallpaper(args):
+    from .wallpaper import run_wallpaper_suite
     bound = _default_bound()
     if args.samples > bound:
         raise _BoundExceeded(f"sample count {args.samples} exceeds bound {bound}", bound)
@@ -291,6 +286,7 @@ def cmd_verify_wallpaper(args):
 
 
 def cmd_verify_example(args):
+    from .fixtures import verify_example
     report = verify_example(args.name)
     payload = {
         "pass": report.passed,
@@ -308,7 +304,11 @@ def cmd_verify_example(args):
 
 
 def cmd_triangle_rep(args):
-    m = tuple(int(tok) for tok in args.m.split(","))
+    from .fixtures import check_triangle_rep, triangle_representation
+    try:
+        m = tuple(int(tok) for tok in args.m.split(","))
+    except ValueError:
+        m = ()  # refused below, like any count other than three
     if len(m) != 3:
         raise OrbicurveError("--m needs three comma-separated integers")
     rep = triangle_representation(*m, tolerance=args.tol)

@@ -216,6 +216,9 @@ CASES = [
     *_both("triangle-rep-fail", "triangle-rep", "--m", "2,3,1000000000"),
     *_one("triangle-rep-not-hyperbolic", "triangle-rep", "--m", "2,3,6"),
     *_one("triangle-rep-two-orders", "triangle-rep", "--m", "2,3"),
+    *_one("triangle-rep-word-order", "triangle-rep", "--m", "2,3,x"),
+    *_one("triangle-rep-empty-order", "triangle-rep", "--m", "2,3,"),
+    *_one("triangle-rep-fractional-order", "triangle-rep", "--m", "2.5,3,7"),
     *_one("triangle-rep-bad-tol", "triangle-rep", "--m", "2,3,7", "--tol", "nan"),
     # usage errors
     *_one("no-command"),
