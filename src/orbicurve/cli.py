@@ -175,11 +175,11 @@ def cmd_cover(args):
                      f" ({'compact' if report.compact else 'open'} cover)"], True
 
 
-def _load_permutations(path: str, sig: OrbSignature):
+def _load_permutations(path: str, sig: OrbSignature, bound: int):
     """The `PermutationImages` in a file of at most one `degree N` line and
     one `name = cycles` line for each generator of the standard presentation
-    of `sig`; any other line is an error.  A degree above the work bound is
-    refused before a permutation is built."""
+    of `sig`; any other line is an error.  A degree above `bound` is refused
+    before a permutation is built."""
     from .cosets import PermutationImages, cycle_points, parse_cycles
     from .presentations import presentation_of
     generators = presentation_of(sig).generators
@@ -212,7 +212,6 @@ def _load_permutations(path: str, sig: OrbSignature):
     if degree is None:  # the largest point mentioned
         degree = max([1] + [x for text in assignments.values()
                             for cycle in cycle_points(text) for x in cycle])
-    bound = _default_bound()
     if degree > bound:
         raise _BoundExceeded(f"permutation degree {degree} exceeds bound {bound}", bound)
     images = []
@@ -233,10 +232,11 @@ def cmd_cover_verify(args):
     if args.sig is not None:
         raise OrbicurveError("cover verify takes --sig after 'verify', not before it")
     sig = parse_signature(args.verify_sig)
-    cap = _default_bound() if args.cap is None else args.cap
+    bound = _default_bound()
+    cap = bound if args.cap is None else args.cap
     if cap < 1:
         raise OrbicurveError("cap must be >= 1")
-    result = verify_torsion_free_kernel(sig, _load_permutations(args.perms, sig), cap=cap)
+    result = verify_torsion_free_kernel(sig, _load_permutations(args.perms, sig, bound), cap=cap)
     if isinstance(result, Exceeded):
         raise _BoundExceeded(f"group order exceeded cap {result.bound}", result.bound)
     payload: dict = {"verdict": result.verdict}
@@ -256,11 +256,13 @@ def cmd_todd_coxeter(args):
     if isinstance(result, Exceeded):
         raise _BoundExceeded(f"enumeration exceeded {result.bound} cosets", result.bound)
     payload = {"cosets": result.rows, "complete": result.complete}
+    lines = [f"{result.rows} cosets (complete)"]
     if args.table:
         names = pf.presentation.generators
         payload["generators"] = list(names)
         payload["permutations"] = dict(zip(names, map(format_cycles, result.images)))
-    return payload, [f"{result.rows} cosets (complete)"], True
+        lines += [f"  {name}: {cycles}" for name, cycles in payload["permutations"].items()]
+    return payload, lines, True
 
 
 def cmd_verify_wallpaper(args):

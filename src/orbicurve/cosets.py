@@ -92,7 +92,6 @@ from .errors import ArityMismatch
 from .presentations import FinitePresentation, Word, invert_word
 
 DEFAULT_MAX_COSETS = 10**6
-DEFAULT_CLOSURE_CAP = 10**6
 # live cosets below which a table is never compacted, and the cap of
 # `group_order`'s first run over the trivial subgroup
 SMALL_TABLE = 256
@@ -679,7 +678,7 @@ def _is_regular(perms: PermutationImages) -> bool:
     return True
 
 
-def permutation_group_order(perms: PermutationImages, cap: int = DEFAULT_CLOSURE_CAP) -> int | Exceeded:
+def permutation_group_order(perms: PermutationImages, cap: int = DEFAULT_MAX_COSETS) -> int | Exceeded:
     """Order of the generated group, capped: the order when it is at most
     `cap`, Exceeded(cap) otherwise.
 

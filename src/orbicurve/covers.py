@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .cosets import (
-    DEFAULT_CLOSURE_CAP,
+    DEFAULT_MAX_COSETS,
     Exceeded,
     PermutationImages,
     perm_inverse,
@@ -94,7 +94,7 @@ class KernelCheck:
 def verify_torsion_free_kernel(
     sig: OrbSignature,
     images: PermutationImages,
-    cap: int = DEFAULT_CLOSURE_CAP,
+    cap: int = DEFAULT_MAX_COSETS,
 ) -> KernelCheck | Exceeded:
     """Certify that the kernel of the permutation quotient is torsion-free.
 
@@ -108,8 +108,10 @@ def verify_torsion_free_kernel(
     The index is the order of the image group, by Schreier-Sims
     (`permutation_group_order`).  Exceeded(cap) is returned when that order
     passes `cap`; the cap trips on a lower bound of the order, before memory
-    grows.
+    grows.  A cap below 1 is refused before any verdict.
     """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     if sig.r == 0 and classify_kind(sig).name is KindName.SPHERICAL:
         raise UnsupportedKind(
             "torsion classification unavailable for spherical compact groups"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abelian import AbelianGroup, abelianization_of_presentation
-from .cosets import Exceeded, group_order
+from .cosets import DEFAULT_MAX_COSETS, Exceeded, group_order
 from .errors import BadParameters, NotHyperbolic, UnknownExample
 from .presentations import (
     Conjugate,
@@ -34,8 +34,6 @@ from .presentations import (
 )
 from .signature import OrbSignature
 from .wallpaper import mat_mul
-
-DEFAULT_ORDER_BOUND = 10_000
 
 
 @dataclass(frozen=True)
@@ -380,7 +378,7 @@ class ExampleReport:
 
 def _check_fact(p: FinitePresentation, fact: Fact) -> FactResult:
     if isinstance(fact, OrderFact):
-        got = group_order(quotient_by_relators(p, fact.extra), DEFAULT_ORDER_BOUND)
+        got = group_order(quotient_by_relators(p, fact.extra), DEFAULT_MAX_COSETS)
         return FactResult(
             f"{'quotient order' if fact.extra else 'order'} == {fact.order}",
             got == fact.order,

@@ -261,6 +261,11 @@ def parse_presentation(text: str) -> PresentationFile:
             if generators is not None:
                 raise UnknownGenerator("more than one gens line")
             generators = tuple(rest.split())
+            # a word token splits at its first '^', so such a name could
+            # never be written in a rel or sub line
+            for name in generators:
+                if "^" in name:
+                    raise UnknownGenerator(f"generator name {name!r} cannot contain '^'")
             index = {g: i for i, g in enumerate(generators)}  # duplicates raise below
         elif keyword in ("rel", "sub"):
             if generators is None:

@@ -42,6 +42,7 @@ FILES = {
     "sub.txt": A4 + "sub x1\n",
     "s4.txt": "gens x y\nrel x^2\nrel y^3\nrel x y x y x y x y\n",
     "bad.txt": "gens x\nrel y\n",
+    "caret-name.txt": "gens x^2 y\nrel y\n",
     "psl27.txt": PSL27,
     "trivial.txt": "degree 8\nx1 = ()\nx2 = ()\nx3 = ()\n",
     "nonhom.txt": "degree 8\nx1 = ()\nx2 = ()\nx3 = (1,2)\n",
@@ -187,6 +188,8 @@ CASES = [
     *_one("todd-coxeter-zero-bound", "todd-coxeter", "--presentation", "a4.txt",
           "--max-cosets", "0"),
     *_one("todd-coxeter-no-file", "todd-coxeter", "--presentation", "nowhere.txt"),
+    # a generator name that no word could spell
+    *_one("todd-coxeter-bad-generator-name", "todd-coxeter", "--presentation", "caret-name.txt"),
     # verification suites
     *_both("verify-wallpaper", "verify", "wallpaper", "--k", "6", "--samples", "3", "--seed", "5"),
     *_both("verify-wallpaper-exceeded", "verify", "wallpaper", "--k", "6", "--samples", "11",

@@ -26,7 +26,7 @@ from orbicurve import (
     verify_homomorphism,
 )
 from orbicurve.cosets import (
-    DEFAULT_CLOSURE_CAP,
+    DEFAULT_MAX_COSETS,
     CosetTable,
     _abelian_order,
     _Enumerator,
@@ -50,7 +50,7 @@ import orbicurve
 from hlt_reference import ReferenceEnumerator, reference_coset_enumeration
 
 
-def closure_order(perms, cap=DEFAULT_CLOSURE_CAP):
+def closure_order(perms, cap=DEFAULT_MAX_COSETS):
     """Reference: the breadth-first closure that computed the order before
     Schreier-Sims.  It stores every group element."""
     if cap < 1:
@@ -72,7 +72,7 @@ def closure_order(perms, cap=DEFAULT_CLOSURE_CAP):
     return len(seen)
 
 
-def chain_order(perms, cap=DEFAULT_CLOSURE_CAP):
+def chain_order(perms, cap=DEFAULT_MAX_COSETS):
     """The Schreier-Sims route alone, without the regularity certificate
     that `permutation_group_order` tries first."""
     return _StabilizerChain(perms.degree).schreier_sims(perms.images, cap)
@@ -647,7 +647,7 @@ class TestPermutationGroupOrder:
         # the closure would hold 10**6 tuples of 200 points before tripping
         start = time.perf_counter()
         result = permutation_group_order(symmetric_200())
-        assert result == Exceeded(DEFAULT_CLOSURE_CAP)
+        assert result == Exceeded(DEFAULT_MAX_COSETS)
         assert time.perf_counter() - start < 1.0
 
 

@@ -161,6 +161,17 @@ class TestVerifyTorsionFreeKernel:
         )
         assert isinstance(result, Exceeded)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    @pytest.mark.parametrize("images", [
+        projective_triangle_fixture(),
+        PermutationImages(8, (identity_perm(8),) * 3),  # torsion_in_kernel
+        PermutationImages(8, (identity_perm(8),) * 2 + (parse_cycles("(1 2)", 8),)),
+    ], ids=["fixture", "identities", "not-homomorphism"])
+    def test_bad_cap_refused_before_any_verdict(self, images, cap):
+        # whatever the images, not only when the closure is reached
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            verify_torsion_free_kernel(OrbSignature(0, 0, (2, 3, 7)), images, cap=cap)
+
     def test_certified_index_passes_rank_arithmetic(self):
         # Riemann-Hurwitz consistency between the two operations
         sig = OrbSignature(0, 0, (2, 3, 7))

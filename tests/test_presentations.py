@@ -136,6 +136,9 @@ def test_parsed_words_are_reduced():
     ("gens x y\nrel ^2\n", "no generator named ''"),
     ("gens x x\nrel x^2\n", "duplicate generator names: ('x', 'x')"),
     ("gens x x\nrel y\n", "no generator named 'y'"),
+    # a name with '^' could never be written in a word: refused at the gens line
+    ("gens x^2 y\nrel y\n", "generator name 'x^2' cannot contain '^'"),
+    ("gens x^2 y\nrel x^2\n", "generator name 'x^2' cannot contain '^'"),
     ("gens x\ngens y\n", "more than one gens line"),
     ("rel x\n", "gens line must come first"),
     ("gens x\nbogus x\n", "unknown line keyword 'bogus'"),
