@@ -288,7 +288,12 @@ def cmd_verify_wallpaper(args):
 
 
 def cmd_verify_example(args):
-    from .fixtures import verify_example
+    from .fixtures import artal_parameters, verify_example
+    params = artal_parameters(args.name)
+    if params is not None:  # artal's words grow linearly in its degree d
+        bound = _default_bound()
+        if params[0] > bound:
+            raise _BoundExceeded(f"artal degree {params[0]} exceeds bound {bound}", bound)
     report = verify_example(args.name)
     payload = {
         "pass": report.passed,

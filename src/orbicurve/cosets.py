@@ -74,8 +74,8 @@ passes it.
 
 The order of a permutation group is found by one of two routes, with the
 same integer and the same cap rule on both.  A regular group is certified
-by a transitive centralizer, in O(degree x generators) per candidate
-(`_is_regular`); any other group goes to Schreier-Sims, whose Schreier
+by one centralizing permutation per generator, in O(degree x generators)
+each (`_is_regular`); any other group goes to Schreier-Sims, whose Schreier
 trees are extended rather than rebuilt and which tests each (orbit point,
 generator) pair of a level once (`_StabilizerChain`).
 """
@@ -89,7 +89,7 @@ from dataclasses import dataclass
 
 from .abelian import abelianization_of_presentation
 from .errors import ArityMismatch
-from .presentations import FinitePresentation, Word, invert_word
+from .presentations import FinitePresentation, Word, check_words, invert_word
 
 DEFAULT_MAX_COSETS = 10**6
 # live cosets below which a table is never compacted, and the cap of
@@ -351,8 +351,10 @@ def coset_enumeration(
     Exceeded when the live-coset count would pass `max_cosets`: the work
     bound tripped.  Above LOOKAHEAD_LIVE the lookahead passes keep the count
     lower than HLT's, so a run may complete where HLT alone passes the bound
-    (module docstring).
+    (module docstring).  A subgroup word over a generator that p lacks is
+    refused with UnknownGenerator.
     """
+    check_words(subgroup_generators, p.generators)
     enumerator = _Enumerator(p, subgroup_generators, max_cosets)
     if enumerator.enumerate() is None:
         return Exceeded(max_cosets)
@@ -629,19 +631,23 @@ class _StabilizerChain:
 
 
 def _is_regular(perms: PermutationImages) -> bool:
-    """True when the group is certified regular, so that its order is the
-    degree; False when the certificate does not apply.
+    """True when the group G is regular, so that its order is the degree;
+    False otherwise.
 
-    A transitive G is regular when its centralizer in Sym(Omega) is
-    transitive (Dixon-Mortimer, Permutation Groups, Thm 4.2A: that
-    centralizer is semiregular).  An element c of the centralizer taking 0
-    to delta satisfies (0^u)^c = delta^u for all u in G, so it is forced
-    along a Schreier vector of 0, and it centralizes G iff it commutes with
-    every generator.  Candidates are built for points outside the orbit of
-    0 under the centralizing elements found so far, which at least doubles
-    that orbit each time.  The test gives up at once on a non-identity
-    generator with a fixed point, on an intransitive group and on a
-    candidate that does not commute.
+    G is refused at once when a non-identity generator has a fixed point
+    or when G is intransitive.  Otherwise each non-identity generator t
+    gets one candidate c_t: c_t(0) = t(0), forced along a Schreier vector
+    of 0 by c_t(s(beta)) = s(c_t(beta)).  G is regular iff every c_t
+    commutes with every generator:
+    - If so, each c_t centralizes G, and is onto, as its image is
+      G-invariant.  0^(c_t1...c_tk) = 0^(t_k...t_1), and as G is finite
+      every point is 0^u for a positive word u, so <c_t> is transitive.
+      Its centralizer, which contains G, is semiregular (Dixon-Mortimer,
+      Permutation Groups, Thm 4.2A), so the transitive G is regular.
+    - If G is regular, its centralizer in Sym(Omega) is regular too:
+      exactly one centralizing permutation takes 0 to t(0), and as it
+      satisfies the tree equations it is c_t.
+    So the certificate is |S| permutations, each O(degree x generators).
     """
     n, ident = perms.degree, identity_perm(perms.degree)
     gens = [s for s in perms.images if s != ident]
@@ -657,24 +663,14 @@ def _is_regular(perms: PermutationImages) -> bool:
                 order.append(s[beta])
     if len(order) < n:
         return False
-    found, centralizing = [True] + [False] * (n - 1), []
-    orbit = [0]
-    for delta in range(1, n):
-        if found[delta]:
-            continue
+    for t in gens:
         c = [0] * n
-        c[0] = delta
+        c[0] = t[0]
         for gamma in order[1:]:
             beta, s = tree[gamma]
             c[gamma] = s[c[beta]]
         if any(c[s[x]] != s[c[x]] for s in gens for x in range(n)):
             return False
-        centralizing.append(c)
-        for x in orbit:
-            for z in centralizing:
-                if not found[z[x]]:
-                    found[z[x]] = True
-                    orbit.append(z[x])
     return True
 
 
@@ -682,9 +678,9 @@ def permutation_group_order(perms: PermutationImages, cap: int = DEFAULT_MAX_COS
     """Order of the generated group, capped: the order when it is at most
     `cap`, Exceeded(cap) otherwise.
 
-    A regular group is recognised first by a centralizer certificate
-    (`_is_regular`), and its order is the degree.  Every other group goes
-    to Schreier-Sims (`_StabilizerChain.schreier_sims`).
+    A regular group is recognised first by one centralizing permutation per
+    generator (`_is_regular`), and its order is the degree.  Every other
+    group goes to Schreier-Sims (`_StabilizerChain.schreier_sims`).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")

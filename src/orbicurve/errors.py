@@ -46,4 +46,4 @@ class UnknownExample(OrbicurveError):
 
 
 class BadParameters(OrbicurveError):
-    """Parametrized example called with invalid parameters."""
+    """Parametrized example or construction called with invalid parameters."""

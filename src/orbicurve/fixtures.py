@@ -344,6 +344,14 @@ def _artal(d: int, a: int, b: int) -> NamedExample:
 _ARTAL_RE = re.compile(r"artal\(\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
 
 
+def artal_parameters(name: str) -> tuple[int, int, int] | None:
+    """(d, a, b) when the example name spells `artal(d,a,b)`, else None.
+    The words of the example grow linearly in d, so a caller can refuse a
+    large d before anything is built."""
+    match = _ARTAL_RE.fullmatch(name.strip())
+    return None if match is None else tuple(int(g) for g in match.groups())
+
+
 @functools.lru_cache(maxsize=16)
 def example_presentation(name: str) -> NamedExample:
     """Look up a named example; `artal(d,a,b)` takes integer parameters.
@@ -355,9 +363,9 @@ def example_presentation(name: str) -> NamedExample:
         return _sextic()
     if name == "quintic-237":
         return _quintic()
-    match = _ARTAL_RE.fullmatch(name.strip())
-    if match:
-        return _artal(*(int(g) for g in match.groups()))
+    params = artal_parameters(name)
+    if params is not None:
+        return _artal(*params)
     raise UnknownExample(f"no example named {name!r}")
 
 
@@ -475,6 +483,9 @@ def triangle_representation(
     for m in (m1, m2, m3):
         if m < 2:
             raise NotHyperbolic(f"multiplicities must be >= 2, got {(m1, m2, m3)}")
+        # above 2^53, m and m + 1 round to one float, so no angle can tell them
+        if m > 2**53:
+            raise BadParameters(f"multiplicities must be <= 2^53, got {(m1, m2, m3)}")
     if Fraction(1, m1) + Fraction(1, m2) + Fraction(1, m3) >= 1:
         raise NotHyperbolic(f"{(m1, m2, m3)} is not a hyperbolic triple")
     alpha, beta, gamma = (math.pi / m for m in (m1, m2, m3))

@@ -66,6 +66,22 @@ def word_exponent_sums(word: Word, ngens: int) -> list[int]:
     return sums
 
 
+def check_generator_names(generators: tuple[str, ...]) -> None:
+    """Refuse a name with '^': a word token splits at its first '^', so
+    such a name could never be written in a word."""
+    for name in generators:
+        if "^" in name:
+            raise UnknownGenerator(f"generator name {name!r} cannot contain '^'")
+
+
+def check_words(words, generators: tuple[str, ...]) -> None:
+    """Refuse a word over a generator index that `generators` lacks."""
+    for word in words:
+        for g, _ in word:
+            if not 0 <= g < len(generators):
+                raise UnknownGenerator(f"generator index {g} out of range for {generators}")
+
+
 @dataclass(frozen=True)
 class FinitePresentation:
     """Generators by name plus relator words over their indices."""
@@ -76,15 +92,9 @@ class FinitePresentation:
     def __post_init__(self):
         if len(set(self.generators)) != len(self.generators):
             raise UnknownGenerator(f"duplicate generator names: {self.generators}")
-        normalized = []
-        for rel in self.relators:
-            for g, _ in rel:
-                if not 0 <= g < len(self.generators):
-                    raise UnknownGenerator(
-                        f"generator index {g} out of range for {self.generators}"
-                    )
-            normalized.append(free_reduce(rel))
-        object.__setattr__(self, "relators", tuple(normalized))
+        check_generator_names(self.generators)
+        check_words(self.relators, self.generators)
+        object.__setattr__(self, "relators", tuple(map(free_reduce, self.relators)))
 
     @property
     def ngens(self) -> int:
@@ -261,11 +271,7 @@ def parse_presentation(text: str) -> PresentationFile:
             if generators is not None:
                 raise UnknownGenerator("more than one gens line")
             generators = tuple(rest.split())
-            # a word token splits at its first '^', so such a name could
-            # never be written in a rel or sub line
-            for name in generators:
-                if "^" in name:
-                    raise UnknownGenerator(f"generator name {name!r} cannot contain '^'")
+            check_generator_names(generators)  # before a word can misread the name
             index = {g: i for i, g in enumerate(generators)}  # duplicates raise below
         elif keyword in ("rel", "sub"):
             if generators is None:

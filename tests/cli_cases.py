@@ -210,6 +210,12 @@ CASES = [
     *_one("verify-example-artal-10-7-1-json", "verify", "example", "--name", "artal(10,7,1)",
           "--format", "json"),
     *_one("verify-example-unknown", "verify", "example", "--name", "nope"),
+    # artal's words grow with its degree d, so a d above the bound is refused
+    # before anything is built
+    *_one("verify-example-artal-above-bound", "verify", "example", "--name", "artal(14,6,6)",
+          env=BOUND10),
+    *_one("verify-example-artal-huge-degree", "verify", "example", "--name",
+          f"artal({10**400},{10**400 - 3},1)"),
     *_one("verify-example-format-first", "verify", "--format", "text", "example", "--name",
           "quartic-b3p1"),
     *_one("verify-wallpaper-format-first", "verify", "--format", "text", "wallpaper", "--k", "2",
@@ -218,6 +224,9 @@ CASES = [
     *_both("triangle-rep", "triangle-rep", "--m", "2,3,7"),
     *_both("triangle-rep-fail", "triangle-rep", "--m", "2,3,1000000000"),
     *_one("triangle-rep-not-hyperbolic", "triangle-rep", "--m", "2,3,6"),
+    # above 2^53 an order and its successor are one float
+    *_one("triangle-rep-order-10e160", "triangle-rep", "--m", f"2,3,{10**160}"),
+    *_one("triangle-rep-order-10e400", "triangle-rep", "--m", f"2,3,{10**400}"),
     *_one("triangle-rep-two-orders", "triangle-rep", "--m", "2,3"),
     *_one("triangle-rep-word-order", "triangle-rep", "--m", "2,3,x"),
     *_one("triangle-rep-empty-order", "triangle-rep", "--m", "2,3,"),

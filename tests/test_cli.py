@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cli_cases import A4, PSL27
 from orbicurve.cli import (
     EXIT_DOMAIN_ERROR,
     EXIT_EXCEEDED,
@@ -534,6 +541,19 @@ class TestVerify:
         code, _, err = invoke(capsys, "verify", "example", "--name", "nope")
         assert code == EXIT_DOMAIN_ERROR
 
+    def test_artal_degree_above_bound_exit_2(self, capsys, monkeypatch):
+        # artal's words grow linearly in d: a d past the bound is refused
+        # before anything is built, whether or not (d, a, b) is valid
+        monkeypatch.setenv("ORBICURVE_MAX_COSETS", "13")
+        for name in ("artal(14,6,6)", "artal(14,1,1)", f"artal( {10**400} , 1, 1 )"):
+            code, out, err = invoke(capsys, "verify", "example", "--name", name)
+            assert (code, out) == (EXIT_EXCEEDED, '{"bound": 13, "exceeded": true}\n'), name
+            assert err.startswith("artal degree ") and err.endswith(" exceeds bound 13\n")
+        code, data = out_json(capsys, "verify", "example", "--name", "artal(13,6,5)")
+        assert code == EXIT_OK and data["name"] == "artal(13,6,5)"
+        code, _, err = invoke(capsys, "verify", "example", "--name", "artal(13,6,6)")
+        assert code == EXIT_DOMAIN_ERROR and err.startswith("error: need d > 3")
+
 
 # exact stdout of `verify wallpaper --samples 7 --seed 11`: check names, details
 # and key order are part of the CLI's output contract
@@ -687,6 +707,17 @@ class TestTriangleRep:
         code, _, err = invoke(capsys, "triangle-rep", "--m", "2,3,6")
         assert code == EXIT_DOMAIN_ERROR
 
+    @pytest.mark.parametrize("m", [2**53 + 1, 10**160, 10**400])
+    def test_order_above_float_precision_exits_1(self, capsys, m):
+        # above 2^53, m and m + 1 are one float: refused, with no traceback
+        code, out, err = invoke(capsys, "triangle-rep", "--m", f"{m},3,2")
+        assert (code, out) == (EXIT_DOMAIN_ERROR, "")
+        assert err == f"error: multiplicities must be <= 2^53, got ({m}, 3, 2)\n"
+
+    def test_order_two_to_the_53_still_runs(self, capsys):
+        code, data = out_json(capsys, "triangle-rep", "--m", f"2,3,{2**53}")
+        assert code == EXIT_VERIFY_FAILED and data["m"] == [2, 3, 2**53]
+
     @pytest.mark.parametrize(
         "flag, name", [("--tol", "tolerance"), ("--reject-margin", "reject margin")]
     )
@@ -735,3 +766,56 @@ class TestUsageErrors:
             capsys, "cover", "--sig", '{"g":0,"r":1,"m":[2]}', "--index", "0"
         )
         assert code == EXIT_DOMAIN_ERROR
+
+
+# ---------------------------------------------------------------------------
+# no integer an option takes makes `run` raise
+
+
+_INTS = st.one_of(st.integers(-1, 16), st.integers(-1, 10**400))
+_SIGS = st.builds(lambda g, r, m: json.dumps({"g": g, "r": r, "m": m}),
+                  _INTS, _INTS, st.lists(_INTS, max_size=3))
+
+
+def _argvs(a4, psl27):
+    n = _INTS.map(str)
+    return st.one_of(
+        # "--m=", since argparse reads "-1,2,3" after a space as an option
+        st.lists(n, min_size=3, max_size=3).map(lambda m: ["triangle-rep", "--m=" + ",".join(m)]),
+        st.tuples(n, n, n).map(lambda d: ["verify", "example", "--name", f"artal({','.join(d)})"]),
+        st.tuples(_SIGS, n).map(lambda a: ["cover", "--sig", a[0], "--index", a[1]]),
+        _SIGS.map(lambda sig: ["cover", "--sig", sig, "--lcm"]),
+        n.map(lambda cap: ["cover", "verify", "--sig", '{"g":0,"r":0,"m":[2,3,7]}',
+                           "--perms", psl27, "--cap", cap]),
+        st.tuples(n, n, n).map(lambda a: ["verify", "wallpaper", "--k", a[0], "--samples", a[1],
+                                          "--seed", a[2]]),
+        n.map(lambda bound: ["todd-coxeter", "--presentation", a4, "--max-cosets", bound]),
+        st.tuples(st.sampled_from(["chi", "kind", "order", "serre", "abelianize"]), _SIGS).map(
+            lambda a: [a[0], "--sig", a[1]]),
+        st.tuples(_SIGS, _SIGS).map(lambda a: ["iso", "--a", a[0], "--b", a[1]]),
+    )
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("cli-files")
+    (directory / "a4.txt").write_text(A4, encoding="utf-8")
+    (directory / "psl27.txt").write_text(PSL27, encoding="utf-8")
+    return str(directory / "a4.txt"), str(directory / "psl27.txt")
+
+
+def test_integer_fields_never_raise(cli_files):
+    # integers from -1 to 10^400 in every integer field: each run ends in
+    # an exit code, never in an exception; the bound keeps sample counts
+    # and artal degrees small
+    @settings(max_examples=150, deadline=None)
+    @given(_argvs(*cli_files))
+    def check(argv):
+        out = io.StringIO()
+        with mock.patch.dict(os.environ, {"ORBICURVE_MAX_COSETS": "64"}), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+        assert code in (EXIT_OK, EXIT_DOMAIN_ERROR, EXIT_EXCEEDED, EXIT_VERIFY_FAILED), argv
+        assert out.getvalue().endswith("\n") or code == EXIT_DOMAIN_ERROR, argv
+
+    check()

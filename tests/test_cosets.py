@@ -18,6 +18,7 @@ from orbicurve import (
     FinitePresentation,
     OrbSignature,
     PermutationImages,
+    UnknownGenerator,
     coset_enumeration,
     group_order,
     permutation_group_order,
@@ -165,6 +166,17 @@ class TestCosetEnumeration:
         p = presentation_of(OrbSignature(0, 0, (2, 3, 3)))
         table = coset_enumeration(p, (((0, 1),),), 10**4)
         assert table.rows == 6
+
+    @pytest.mark.parametrize("letter", [(3, 1), (3, -1)])
+    def test_subgroup_word_over_missing_generator_refused(self, letter):
+        # x4 and x4^-1 would read past the three generators of the flat
+        # table: the parent slot of coset 0, or past the row
+        p = presentation_of(OrbSignature(0, 0, (2, 3, 3)))
+        with pytest.raises(UnknownGenerator) as info:
+            coset_enumeration(p, (((0, 1),), (letter,)), 10**4)
+        assert str(info.value) == "generator index 3 out of range for ('x1', 'x2', 'x3')"
+        with pytest.raises(UnknownGenerator):
+            coset_enumeration(p, (((-1, 1),),), 10**4)
 
     def test_exceeded_on_small_bound(self):
         result = coset_enumeration(presentation_of(OrbSignature(0, 0, (2, 3, 3))), (), 10)
@@ -651,6 +663,30 @@ class TestPermutationGroupOrder:
         assert time.perf_counter() - start < 1.0
 
 
+def z2_times_a4():
+    """Z2 x A4 on {0, 1} x the six edges of a tetrahedron, (i, e) as point
+    6i + e: generators (t, 1), (t, a) and (t, b), with t the swap of {0, 1}
+    and a, b 3-cycles of the vertices, which fix no edge."""
+    edges = list(itertools.combinations(range(4), 2))
+
+    def generator(v):
+        e = [edges.index(tuple(sorted((v[i], v[j])))) for i, j in edges]
+        return tuple(6 * (1 - i) + e[k] for i in (0, 1) for k in range(6))
+
+    return PermutationImages(12, tuple(map(generator, [(0, 1, 2, 3), (1, 2, 0, 3), (0, 2, 3, 1)])))
+
+
+def _orbit_of_0(perms):
+    orbit = {0}
+    todo = [0]
+    for x in todo:
+        for s in perms.images:
+            if s[x] not in orbit:
+                orbit.add(s[x])
+                todo.append(s[x])
+    return len(orbit)
+
+
 # the 102 finite signatures of scripts/run_verification.py
 FINITE_GRID = (
     [OrbSignature(0, 0, ()), OrbSignature(0, 1, ())]
@@ -702,6 +738,18 @@ class TestOrderRoutes:
     def test_certificate_declines_and_chain_answers(self, perms, order):
         assert not _is_regular(perms)
         assert permutation_group_order(perms) == chain_order(perms) == closure_order(perms) == order
+
+    def test_certificate_declines_z2_times_a4_on_12_points(self):
+        # transitive, every generator fixed-point free, order 24 on 12
+        # points; the first generator is central, so its candidate alone
+        # commutes with every generator
+        perms = z2_times_a4()
+        assert all(p[x] != x for p in perms.images for x in range(12))
+        assert _orbit_of_0(perms) == 12
+        t = perms.images[0]
+        assert all(perm_mul(t, s) == perm_mul(s, t) for s in perms.images)
+        assert not _is_regular(perms)
+        assert permutation_group_order(perms) == chain_order(perms) == closure_order(perms) == 24
 
     def test_trivial_group_on_one_point_is_regular(self):
         perms = PermutationImages(1, ((0,),))
@@ -916,6 +964,16 @@ def test_order_matches_closure(perms, offset):
     cap = max(1, order + offset)  # the cap contract at its boundary
     expected = order if order <= cap else Exceeded(cap)
     assert permutation_group_order(perms, cap) == chain_order(perms, cap) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    permutation_groups(9),
+    st.sampled_from(FINITE_GRID).map(lambda sig: coset_enumeration(presentation_of(sig), (), 10**4)),
+))
+def test_regular_iff_transitive_of_order_degree(perms):
+    regular = _orbit_of_0(perms) == perms.degree and chain_order(perms) == perms.degree
+    assert _is_regular(perms) == regular
 
 
 def _sympy_order(perms):

@@ -26,6 +26,7 @@ from orbicurve.fixtures import (
     _check_fact,
     _derive,
     _relator_power,
+    artal_parameters,
     projective_distance,
 )
 from orbicurve.presentations import free_reduce, invert_word, presentation_of
@@ -115,6 +116,12 @@ class TestArtalFamily:
         for bad in [(3, 1, 0), (4, 0, 2), (5, 1, 1), (4, 2, 1), (6, 1, 3)]:
             with pytest.raises(BadParameters):
                 example_presentation(f"artal({bad[0]},{bad[1]},{bad[2]})")
+
+    def test_parameters_read_from_the_name(self):
+        assert artal_parameters(" artal( 10 ,7, 1) ") == (10, 7, 1)
+        assert artal_parameters(f"artal({10**400},-1,0)") == (10**400, -1, 0)
+        assert artal_parameters("artal(10,7)") is None
+        assert artal_parameters("quintic-237") is None
 
     def test_gcd_one_edge_case_facts_restricted(self):
         ex = example_presentation("artal(5,2,1)")
@@ -349,6 +356,13 @@ class TestTriangleRepresentation:
     def test_euclidean_and_spherical_rejected(self):
         for triple in [(2, 3, 6), (2, 4, 4), (3, 3, 3), (2, 2, 7), (2, 3, 5)]:
             with pytest.raises(NotHyperbolic):
+                triangle_representation(*triple)
+
+    def test_orders_above_two_to_the_53_refused(self):
+        # m and m + 1 round to one float there, so no angle check means anything
+        assert triangle_representation(2, 3, 2**53).orders == (2, 3, 2**53)
+        for triple in [(2, 3, 2**53 + 1), (2**53 + 1, 3, 2), (2, 3, 10**400)]:
+            with pytest.raises(BadParameters, match="must be <= 2\\^53"):
                 triangle_representation(*triple)
 
     @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])

@@ -150,6 +150,13 @@ def test_presentation_file_error_messages(text, message):
     assert str(info.value) == message
 
 
+def test_caret_generator_name_refused_in_code():
+    # the check of the gens line, also when a presentation is built directly
+    with pytest.raises(UnknownGenerator) as info:
+        FinitePresentation(("y", "x^2"), ())
+    assert str(info.value) == "generator name 'x^2' cannot contain '^'"
+
+
 # ---------------------------------------------------------------------------
 # word-map certificates
 
