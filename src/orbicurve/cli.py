@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 # only what parse_signature and the closed-form commands need: every other
@@ -58,6 +59,8 @@ def parse_signature(text: str) -> OrbSignature:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedSignature(f"signature is not valid JSON: {exc}") from None
+    except ValueError:  # int() refuses more than 4300 digits, in words that vary by version
+        raise MalformedSignature("signature has an integer too long to read") from None
     if not isinstance(data, dict) or not {"g", "r", "m"} <= set(data):
         raise MalformedSignature('signature JSON needs keys "g", "r", "m"')
     g, r, m = data["g"], data["r"], data["m"]
@@ -81,6 +84,16 @@ def _default_bound() -> int:
     if bound < 1:
         raise OrbicurveError(f"ORBICURVE_MAX_COSETS must be an integer >= 1, got {env!r}")
     return bound
+
+
+def _check_size(what: str, size: int, bound: int | None = None) -> None:
+    """Refuse work of `size` units, read from the input, above `bound` (by
+    default `_default_bound()`) before any of it is done."""
+    if bound is None:
+        bound = _default_bound()
+    if size > bound:
+        # Decimal prints an int of any length; str() refuses more than 4300 digits
+        raise _BoundExceeded(f"{what} {Decimal(size)} exceeds bound {bound}", bound)
 
 
 def _read_presentation(path: str):
@@ -212,8 +225,7 @@ def _load_permutations(path: str, sig: OrbSignature, bound: int):
     if degree is None:  # the largest point mentioned
         degree = max([1] + [x for text in assignments.values()
                             for cycle in cycle_points(text) for x in cycle])
-    if degree > bound:
-        raise _BoundExceeded(f"permutation degree {degree} exceeds bound {bound}", bound)
+    _check_size("permutation degree", degree, bound)
     images = []
     for name in generators:
         if name not in assignments:
@@ -252,6 +264,13 @@ def cmd_todd_coxeter(args):
     from .cosets import Exceeded, coset_enumeration, format_cycles
     pf = _read_presentation(args.presentation)
     bound = _default_bound() if args.max_cosets is None else args.max_cosets
+    if bound < 1:
+        raise OrbicurveError("max_cosets must be >= 1")
+    # enumeration scans words letter by letter: count the letters from the
+    # syllables, never by spelling a word out
+    words = pf.presentation.relators + pf.subgroup_generators
+    _check_size("word length", max((sum(abs(e) for _, e in w) for w in words), default=0),
+                bound)
     result = coset_enumeration(pf.presentation, pf.subgroup_generators, bound)
     if isinstance(result, Exceeded):
         raise _BoundExceeded(f"enumeration exceeded {result.bound} cosets", result.bound)
@@ -267,9 +286,7 @@ def cmd_todd_coxeter(args):
 
 def cmd_verify_wallpaper(args):
     from .wallpaper import run_wallpaper_suite
-    bound = _default_bound()
-    if args.samples > bound:
-        raise _BoundExceeded(f"sample count {args.samples} exceeds bound {bound}", bound)
+    _check_size("sample count", args.samples)
     report = run_wallpaper_suite(args.k, args.samples, args.seed)
     payload = {
         "pass": report.passed,
@@ -291,9 +308,7 @@ def cmd_verify_example(args):
     from .fixtures import artal_parameters, verify_example
     params = artal_parameters(args.name)
     if params is not None:  # artal's words grow linearly in its degree d
-        bound = _default_bound()
-        if params[0] > bound:
-            raise _BoundExceeded(f"artal degree {params[0]} exceeds bound {bound}", bound)
+        _check_size("artal degree", params[0])
     report = verify_example(args.name)
     payload = {
         "pass": report.passed,

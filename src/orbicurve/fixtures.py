@@ -15,6 +15,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .abelian import AbelianGroup, abelianization_of_presentation
@@ -303,9 +304,9 @@ def _artal_maps(p: FinitePresentation, tri: FinitePresentation, d: int, q: int) 
 
 def _artal(d: int, a: int, b: int) -> NamedExample:
     if not (d > 3 and a >= b > 0 and a + b == d - 2):
-        raise BadParameters(
-            f"need d > 3, a >= b > 0, a + b = d - 2; got ({d}, {a}, {b})"
-        )
+        # Decimal prints an int of any length; str() refuses more than 4300 digits
+        got = ", ".join(str(Decimal(x)) for x in (d, a, b))
+        raise BadParameters(f"need d > 3, a >= b > 0, a + b = d - 2; got ({got})")
     q = math.gcd(2 * a + 1, 2 * b + 1)  # q = 2n + 1
     n = (q - 1) // 2
     cycle = f"v^-{n} u " * (d - 2)
@@ -347,9 +348,10 @@ _ARTAL_RE = re.compile(r"artal\(\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
 def artal_parameters(name: str) -> tuple[int, int, int] | None:
     """(d, a, b) when the example name spells `artal(d,a,b)`, else None.
     The words of the example grow linearly in d, so a caller can refuse a
-    large d before anything is built."""
+    large d before anything is built.  Decimal reads a parameter of any
+    length, where int() refuses more than 4300 digits."""
     match = _ARTAL_RE.fullmatch(name.strip())
-    return None if match is None else tuple(int(g) for g in match.groups())
+    return None if match is None else tuple(int(Decimal(g)) for g in match.groups())
 
 
 @functools.lru_cache(maxsize=16)

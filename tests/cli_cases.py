@@ -24,6 +24,13 @@ A4 = ("# the (2,3,3) triangle presentation\ngens x1 x2 x3\nrel x1^2\nrel x2^3\n"
       "rel x3^3\nrel x3^-1 x2^-1 x1^-1\n")
 PSL27 = "degree 8\nx1 = (1 8)(2 7)(3 4)(5 6)\nx2 = (1 8 2)(3 5 7)\nx3 = (1 7 6 5 4 3 2)\n"
 STRAY = PSL27.replace("(1 8)(2 7)", "(1 8) x (2 7)")  # x1's cycles with a stray token
+# the cosets of <x> in <x, y | x^2, y^3, (xy)^7, [x,y]^4>, a quotient of the
+# (2,3,7) triangle group of order 168
+Q237_X = ("gens x y\nrel x^2\nrel y^3\nrel " + " ".join(["x y"] * 7)
+          + "\nrel " + " ".join(["x^-1 y^-1 x y"] * 4) + "\nsub x\n")
+# 4301 digits, one more than int() and str() take; built as text, since
+# str(10**4300) is refused too
+LONG = "1" + "0" * 4300
 
 
 def _s200() -> str:
@@ -65,6 +72,11 @@ FILES = {
     "stray-token-no-degree.txt": STRAY.replace("degree 8\n", ""),
     "fractional-point.txt": "degree 8\nx1 = (1 2.5)\nx2 = ()\nx3 = ()\n",
     "degree-word.txt": PSL27.replace("degree 8", "degree eight"),
+    "q237-x.txt": Q237_X,
+    "x10.txt": "gens x\nrel x^10\n",
+    "huge-rel.txt": f"gens x\nrel x^{10**400}\n",
+    "huge-sub.txt": f"gens x\nrel x^2\nsub x^{10**400}\n",
+    "long-exponent.txt": f"gens x\nrel x^{LONG}\n",
 }
 DIRECTORY = "a-directory"
 
@@ -90,6 +102,7 @@ CASES = [
     *_one("chi-malformed", "chi", "--sig", '{"g":0,"r":0,"m":[1,2]}'),
     *_one("chi-not-json", "chi", "--sig", "{"),
     *_one("chi-bool", "chi", "--sig", '{"g":true,"r":0,"m":[2,3,7]}'),
+    *_one("chi-long-integer", "chi", "--sig", '{"g":0,"r":0,"m":[2,3,' + LONG + ']}'),
     *_both("kind", "kind", "--sig", '{"g":0,"r":0,"m":[2,2,5]}'),
     *_both("kind-witness", "kind", "--sig", '{"g":1,"r":0,"m":[]}'),
     *_both("order-finite", "order", "--sig", '{"g":0,"r":1,"m":[9]}'),
@@ -180,6 +193,8 @@ CASES = [
     *_both("todd-coxeter", "todd-coxeter", "--presentation", "a4.txt"),
     *_both("todd-coxeter-sub", "todd-coxeter", "--presentation", "sub.txt"),
     *_both("todd-coxeter-table", "todd-coxeter", "--presentation", "s4.txt", "--table"),
+    # the permutations spell out the coset numbering
+    *_one("todd-coxeter-table-q237-x", "todd-coxeter", "--presentation", "q237-x.txt", "--table"),
     *_both("todd-coxeter-exceeded", "todd-coxeter", "--presentation", "a4.txt",
            "--max-cosets", "10"),
     *_one("todd-coxeter-env-bound", "todd-coxeter", "--presentation", "a4.txt", env=BOUND10),
@@ -188,6 +203,19 @@ CASES = [
     *_one("todd-coxeter-zero-bound", "todd-coxeter", "--presentation", "a4.txt",
           "--max-cosets", "0"),
     *_one("todd-coxeter-no-file", "todd-coxeter", "--presentation", "nowhere.txt"),
+    # a word with more letters than the bound is refused before it is
+    # spelled out, and after the bound's own refusals
+    *_one("todd-coxeter-huge-rel", "todd-coxeter", "--presentation", "huge-rel.txt"),
+    *_one("todd-coxeter-huge-sub", "todd-coxeter", "--presentation", "huge-sub.txt"),
+    *_one("todd-coxeter-huge-rel-zero-bound", "todd-coxeter", "--presentation", "huge-rel.txt",
+          "--max-cosets", "0"),
+    *_one("todd-coxeter-huge-rel-env-abc", "todd-coxeter", "--presentation", "huge-rel.txt",
+          env=BOUND_ABC),
+    *_one("todd-coxeter-word-at-bound", "todd-coxeter", "--presentation", "x10.txt",
+          "--max-cosets", "10"),
+    *_one("todd-coxeter-word-above-bound", "todd-coxeter", "--presentation", "x10.txt",
+          "--max-cosets", "9"),
+    *_one("todd-coxeter-long-exponent", "todd-coxeter", "--presentation", "long-exponent.txt"),
     # a generator name that no word could spell
     *_one("todd-coxeter-bad-generator-name", "todd-coxeter", "--presentation", "caret-name.txt"),
     # verification suites
@@ -198,6 +226,9 @@ CASES = [
           "--seed", "5", env=BOUND_ABC),
     *_one("verify-wallpaper-env-zero", "verify", "wallpaper", "--k", "6", "--samples", "1",
           "--seed", "5", env=BOUND0),
+    # check names, details and key order for every k
+    *(case for k in "2346" for case in _both(f"verify-wallpaper-k{k}", "verify", "wallpaper",
+                                              "--k", k, "--samples", "7", "--seed", "11")),
     *_one("verify-wallpaper-bad-k", "verify", "wallpaper", "--k", "5", "--samples", "3",
           "--seed", "5"),
     *_one("verify-wallpaper-no-seed", "verify", "wallpaper", "--k", "6", "--samples", "3"),
@@ -216,6 +247,9 @@ CASES = [
           env=BOUND10),
     *_one("verify-example-artal-huge-degree", "verify", "example", "--name",
           f"artal({10**400},{10**400 - 3},1)"),
+    *_one("verify-example-artal-long-degree", "verify", "example", "--name", f"artal({LONG},1,1)"),
+    *_one("verify-example-artal-long-parameter", "verify", "example", "--name",
+          f"artal(5,{LONG},1)"),
     *_one("verify-example-format-first", "verify", "--format", "text", "example", "--name",
           "quartic-b3p1"),
     *_one("verify-wallpaper-format-first", "verify", "--format", "text", "wallpaper", "--k", "2",
@@ -227,6 +261,7 @@ CASES = [
     # above 2^53 an order and its successor are one float
     *_one("triangle-rep-order-10e160", "triangle-rep", "--m", f"2,3,{10**160}"),
     *_one("triangle-rep-order-10e400", "triangle-rep", "--m", f"2,3,{10**400}"),
+    *_one("triangle-rep-long-order", "triangle-rep", "--m", f"2,3,{LONG}"),
     *_one("triangle-rep-two-orders", "triangle-rep", "--m", "2,3"),
     *_one("triangle-rep-word-order", "triangle-rep", "--m", "2,3,x"),
     *_one("triangle-rep-empty-order", "triangle-rep", "--m", "2,3,"),

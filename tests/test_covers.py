@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cli_cases import PSL27
 from orbicurve import (
     Exceeded,
     LcmNotDividing,
@@ -207,11 +208,15 @@ def test_sign_law_over_produced_reports():
 
 def test_perm_file_cycles_parse():
     fixture = projective_triangle_fixture()
-    # the fixture written in cycle notation parses back to itself
+    # the fixture written in cycle notation parses back to itself, and is
+    # the permutation file of the golden CLI cases
     from orbicurve.cosets import format_cycles
 
     for image in fixture.images:
         assert parse_cycles(format_cycles(image), 8) == image
+    assert f"degree {fixture.degree}\n" + "".join(
+        f"{name} = {format_cycles(image)}\n"
+        for name, image in zip(("x1", "x2", "x3"), fixture.images)) == PSL27
 
 
 def test_perm_file_cycles_may_be_separated_by_whitespace():
