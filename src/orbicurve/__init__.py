@@ -40,8 +40,8 @@ _SOURCE = {
         "signature": ("INFINITE", "Kind", "KindName", "NinfStatus", "NinfVerdict",
                       "OrbSignature", "classify_kind", "euler_characteristic", "finite_order",
                       "is_finite_cyclic", "satisfies_ninf"),
-        "wallpaper": ("TorusPoint", "WallpaperReport", "apply_pibar", "apply_sigma",
-                      "fixed_point_set", "h_matrix", "run_wallpaper_suite", "surface_residual"),
+        "wallpaper": ("WallpaperReport", "fixed_point_set", "h_matrix", "run_wallpaper_suite",
+                      "surface_residual"),
     }.items()
     for name in (module, *names)
 }

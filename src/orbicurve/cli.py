@@ -19,7 +19,7 @@ from fractions import Fraction
 
 # only what parse_signature and the closed-form commands need: every other
 # handler imports its own modules, so a process loads only what it runs
-from .errors import OrbicurveError
+from .errors import DEFAULT_MAX_COSETS, OrbicurveError
 from .signature import (
     INFINITE,
     MalformedSignature,
@@ -75,7 +75,6 @@ def parse_signature(text: str) -> OrbSignature:
 def _default_bound() -> int:
     """ORBICURVE_MAX_COSETS when it is set, else DEFAULT_MAX_COSETS; a value
     that is not an integer >= 1 is refused."""
-    from .cosets import DEFAULT_MAX_COSETS
     env = os.environ.get("ORBICURVE_MAX_COSETS")
     try:
         bound = int(env) if env else DEFAULT_MAX_COSETS
@@ -441,18 +440,23 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload, lines, passed = args.handler(args)
-        code = EXIT_OK if passed else EXIT_VERIFY_FAILED
-    except _BoundExceeded as exc:
-        print(exc, file=sys.stderr)
-        payload, lines, code = {"bound": exc.bound, "exceeded": True}, None, EXIT_EXCEEDED
+        try:
+            payload, lines, passed = args.handler(args)
+            code = EXIT_OK if passed else EXIT_VERIFY_FAILED
+        except _BoundExceeded as exc:
+            print(exc, file=sys.stderr)
+            payload, lines, code = {"bound": exc.bound, "exceeded": True}, None, EXIT_EXCEEDED
+        out = "\n".join(lines) if args.format == "text" and lines else json.dumps(
+            payload, sort_keys=True)
     except (OrbicurveError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() and json.dumps refuse an int of more than 4300 digits, in
+        # words that vary by version; every input is read before that, so
+        # only a result can be too long
+        too_long = isinstance(exc, ValueError) and "integer string conversion" in str(exc)
+        print(f"error: {'result integer too long to print' if too_long else exc}",
+              file=sys.stderr)
         return EXIT_DOMAIN_ERROR
-    if args.format == "text" and lines:
-        print("\n".join(lines))
-    else:
-        print(json.dumps(payload, sort_keys=True))
+    print(out)
     return code
 
 

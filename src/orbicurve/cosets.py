@@ -88,10 +88,9 @@ import re
 from dataclasses import dataclass
 
 from .abelian import abelianization_of_presentation
-from .errors import ArityMismatch
+from .errors import DEFAULT_MAX_COSETS, ArityMismatch
 from .presentations import FinitePresentation, Word, check_words, invert_word
 
-DEFAULT_MAX_COSETS = 10**6
 # live cosets below which a table is never compacted, and the cap of
 # `group_order`'s first run over the trivial subgroup
 SMALL_TABLE = 256

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default work bound."""
+
+# the default bound on the work of one call: cosets, group order, words and
+# samples; every CLI process loads this module, so reading it costs nothing
+DEFAULT_MAX_COSETS = 10**6
 
 
 class OrbicurveError(Exception):

@@ -8,6 +8,7 @@ has exponent 0.  Presentations normalize their relators on construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .errors import UnknownGenerator
 from .signature import OrbSignature
@@ -235,7 +236,11 @@ def _letters(text: str, index: dict[str, int]) -> list[tuple[int, int]]:
             try:
                 exp = int(exp_text)
             except ValueError:
-                raise UnknownGenerator(f"bad exponent in token {token!r}") from None
+                # int() refuses more than 4300 digits; Decimal reads any length
+                digits = exp_text[1:] if exp_text[:1] in ("+", "-") else exp_text
+                if not (digits.isascii() and digits.isdigit()):
+                    raise UnknownGenerator(f"bad exponent in token {token!r}") from None
+                exp = int(Decimal(exp_text))
         else:
             exp = 1
         g = index.get(name)

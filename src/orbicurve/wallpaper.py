@@ -7,18 +7,20 @@ The order-k automorphism sigma_k of (C*)^2 is the monomial map with
 exponent matrix h, the invariant map pibar_k onto an affine surface in C^3
 sums sigma-orbits of seed monomials, and the fixed points of sigma^j are
 the torsion points (e^(2 pi i u), e^(2 pi i v)) with h^j (u, v) = (u, v)
-mod 1, |det(h^j - I)| of them.  Sample points are rational and fixed
-points are angle pairs in (Q/Z)^2, so every check is an exact identity,
-not a tolerance test.
+mod 1, |det(h^j - I)| of them.
 
-The checks run on plain integers.  A point is a quadruple (a, b, c, d),
-s = a/b and t = c/d, not reduced; sigma^j raises numerators and
-denominators to the exponents of h^j, swapping the two for a negative
-exponent.  pibar is (X, Y, Z)/L with L = (abcd)^E, E the largest |exponent|
-of the seed orbits, so s^i t^j becomes a^(E+i) b^(E-i) c^(E+j) d^(E-j), and
-the surface polynomial is evaluated homogenised by L.  Points and images are
-compared by cross-multiplying, so no sign needs normalising.  A fixed angle
-pair is a pair of residues mod the lcm N of the printed denominators.
+The checks run on plain integers, so each one is an exact identity, not a
+tolerance test.  A point is a quadruple (a, b, c, d), s = a/b and t = c/d;
+sigma^j raises numerators and denominators to the exponents of h^j,
+swapping the two for a negative exponent.  pibar is (X, Y, Z)/L with
+L = (abcd)^E, E the largest |exponent| of the seed orbits, so s^i t^j
+becomes a^(E+i) b^(E-i) c^(E+j) d^(E-j), and the surface polynomial is
+evaluated homogenised by L.  Points and images are compared by
+cross-multiplying, so no sign needs normalising.  The formulas take entries
+from any ring: (S, 1, T, 1), for Laurent polynomials S and T, is the
+generic point.  Every point with nontrivial isotropy has angles in
+(1/2)Z or (1/3)Z, so a fixed point is a pair of residues mod 6, its angles
+in sixths of a turn.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BadK
 
@@ -36,37 +37,6 @@ VALID_K = (2, 3, 4, 6)
 def _check_k(k: int) -> None:
     if k not in VALID_K:
         raise BadK(f"k must be one of {VALID_K}, got {k}")
-
-
-@dataclass(frozen=True)
-class TorusPoint:
-    """A rational point of (C*)^2: both coordinates nonzero."""
-
-    s: Fraction
-    t: Fraction
-
-    def __post_init__(self):
-        if self.s == 0 or self.t == 0:
-            raise ValueError("torus points have nonzero coordinates")
-
-    @classmethod
-    def of(cls, s, t) -> "TorusPoint":
-        return cls(Fraction(s), Fraction(t))
-
-    def __repr__(self):
-        return f"TorusPoint(s={self.s}, t={self.t})"
-
-
-def _quad(p: TorusPoint) -> tuple:
-    """(a, b, c, d) with s = a/b and t = c/d: integers at a rational point,
-    and the coordinates over 1 in any other ring."""
-    if isinstance(p.s, Fraction) and isinstance(p.t, Fraction):
-        return p.s.numerator, p.s.denominator, p.t.numerator, p.t.denominator
-    return p.s, 1, p.t, 1
-
-
-def _ratio(num, den):
-    return Fraction(num, den) if isinstance(num, int) and isinstance(den, int) else num / den
 
 
 def _monomial(q: tuple, i: int, j: int) -> tuple:
@@ -80,18 +50,13 @@ def _monomial(q: tuple, i: int, j: int) -> tuple:
 
 
 def _sigma(h: Mat2, q: tuple) -> tuple:
+    """The monomial map with exponent matrix h, (s, t) -> (s^h00 t^h01,
+    s^h10 t^h11), at q = (a, b, c, d), in the same form."""
     return (*_monomial(q, *h[0]), *_monomial(q, *h[1]))
 
 
 def _same_point(p: tuple, q: tuple) -> bool:
     return p[0] * q[1] == q[0] * p[1] and p[2] * q[3] == q[2] * p[3]
-
-
-def apply_sigma(k: int, p: TorusPoint) -> TorusPoint:
-    """One step of the order-k automorphism: the monomial map whose
-    exponent matrix is h_matrix(k), (s, t) -> (s^a t^b, s^c t^d)."""
-    a, b, c, d = _sigma(h_matrix(k), _quad(p))
-    return TorusPoint(_ratio(a, b), _ratio(c, d))
 
 
 # Each coordinate of pibar_k is the orbit sum of one seed monomial s^i t^j.
@@ -132,12 +97,6 @@ def _same_image(u: tuple, v: tuple) -> bool:
     return all(x * v[3] == y * u[3] for x, y in zip(u[:3], v[:3]))
 
 
-def apply_pibar(k: int, p: TorusPoint) -> tuple[Fraction, Fraction, Fraction]:
-    """The invariant map onto the quotient surface, evaluated exactly."""
-    *xyz, scale = _pibar(*_pibar_orbits(k, h_matrix(k)), _quad(p))
-    return tuple(_ratio(x, scale) for x in xyz)
-
-
 # The defining polynomial of each quotient surface, as {(a, b, e): c} for
 # the terms c x^a y^b z^e.  The quintic for k = 6 has 19 terms.
 _SURFACES = {
@@ -153,39 +112,33 @@ _SURFACES = {
 }
 
 
-def _residual(k: int, x, y, z, w):
-    """The surface polynomial homogenised by w: the polynomial at w = 1, and
-    L^deg times the residual at pibar's (X, Y, Z, L)."""
+def surface_residual(k: int, q):
+    """The defining polynomial of the quotient surface, homogenised, at
+    q = (X, Y, Z, L): L^deg times its value at (X, Y, Z)/L, which is zero
+    iff that point lies on the surface.  pibar gives this form, and a point
+    (x, y, z) of C^3 is (x, y, z, 1).  The coordinates are not coerced, so
+    any ring that takes integer coefficients can stand in for them."""
+    _check_k(k)
+    x, y, z, w = q
     terms = _SURFACES[k]
     deg = max(map(sum, terms))
     return sum(c * x**a * y**b * z**e * w**(deg - a - b - e) for (a, b, e), c in terms.items())
 
 
-def surface_residual(k: int, q):
-    """Defining polynomial of the quotient surface at q = (x, y, z); zero
-    iff q lies on the surface.  The coordinates are not coerced, so any
-    ring that takes integer coefficients can stand in for them."""
-    _check_k(k)
-    return _residual(k, *q, 1)
+# A fixed point is an angle pair (u, v) of residues mod 6 standing for the
+# torsion point (e^(pi i u/3), e^(pi i v/3)): 0 is 1, 3 is -1, 2 is omega.
+_P2 = ((0, 0), (3, 3), (0, 3), (3, 0))
 
 
-# A fixed point is an angle pair (u, v) in [0, 1)^2 standing for the torsion
-# point (e^(2 pi i u), e^(2 pi i v)): 0 is 1, 1/2 is -1, 1/3 is omega.
-Angles = tuple[Fraction, Fraction]
-
-_ZERO, _HALF, _THIRD = Fraction(0), Fraction(1, 2), Fraction(1, 3)
-_P2: tuple[Angles, ...] = ((_ZERO, _ZERO), (_HALF, _HALF), (_ZERO, _HALF), (_HALF, _ZERO))
-
-
-def fixed_point_set(k: int) -> tuple[Angles, ...]:
+def fixed_point_set(k: int) -> tuple[tuple[int, int], ...]:
     """Points of (C*)^2 with nontrivial isotropy under the order-k action,
-    as angle pairs."""
+    as angle pairs in sixths of a turn."""
     _check_k(k)
     if k in (2, 4):
         return _P2
     if k == 3:
-        return ((_ZERO, _ZERO), (_THIRD, 2 * _THIRD), (2 * _THIRD, _THIRD))
-    return _P2 + ((_THIRD, _THIRD), (2 * _THIRD, 2 * _THIRD))
+        return ((0, 0), (2, 4), (4, 2))
+    return _P2 + ((2, 2), (4, 4))
 
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
@@ -225,16 +178,12 @@ def mat_order(m: Mat2) -> int | None:
     return None
 
 
-def _act_mod(m: Mat2, u, v, n):
-    """(u, v) -> m (u, v) mod n, for angles in units of 1/n of a turn."""
+def _act_mod6(m: Mat2, r: tuple[int, int]) -> tuple[int, int]:
+    """The monomial map with exponent matrix m on the torsion point whose
+    angles, in sixths of a turn, are r: (u, v) -> m (u, v) mod 6."""
     (a, b), (c, d) = m
-    return (a * u + b * v) % n, (c * u + d * v) % n
-
-
-def act_on_angles(m: Mat2, q: Angles) -> Angles:
-    """The monomial map with exponent matrix m on the torsion point with
-    angles q: (u, v) -> m (u, v) mod 1."""
-    return _act_mod(m, *q, 1)
+    u, v = r
+    return (a * u + b * v) % 6, (c * u + d * v) % 6
 
 
 @dataclass(frozen=True)
@@ -253,20 +202,27 @@ class WallpaperReport:
     checks: tuple[CheckResult, ...]
 
 
-def sample_points(samples: int, seed: int) -> list[TorusPoint]:
-    """Deterministic rational sample points with numerators and denominators
-    in [1, 1000]; the value 1 is excluded per coordinate so no sample shares
-    a coordinate with a fixed point."""
+def sample_points(samples: int, seed: int):
+    """Deterministic rational sample points (a, b, c, d), s = a/b and
+    t = c/d in lowest terms, with numerators and denominators in [1, 1000],
+    drawn one at a time; the value 1 is excluded per coordinate so no sample
+    shares a coordinate with a fixed point."""
     rng = random.Random(seed)
 
-    def coordinate() -> Fraction:
+    def coordinate() -> tuple[int, int]:
         while True:
             num = rng.randint(1, 1000)
             den = rng.randint(1, 1000)
             if num != den:
-                return Fraction(num, den)
+                g = math.gcd(num, den)
+                return num // g, den // g
 
-    return [TorusPoint.of(coordinate(), coordinate()) for _ in range(samples)]
+    for _ in range(samples):
+        yield (*coordinate(), *coordinate())
+
+
+def _show(q: tuple) -> str:
+    return "({}/{}, {}/{})".format(*q)
 
 
 def run_wallpaper_suite(k: int, samples: int, seed: int) -> WallpaperReport:
@@ -279,67 +235,55 @@ def run_wallpaper_suite(k: int, samples: int, seed: int) -> WallpaperReport:
     _check_k(k)
     if samples < 1:
         raise ValueError("need at least one sample")
-    points = sample_points(samples, seed)
-    checks: list[CheckResult] = []
-
-    def record(name: str, failures: list[str], total: str):
-        checks.append(
-            CheckResult(name, not failures, failures[0] if failures else total)
-        )
-
-    sigma_failures, invariance_failures, surface_failures, free_failures = [], [], [], []
-    ramification_failures = []
     h = h_matrix(k)
     powers = [MAT_IDENTITY, h]  # h^j, the exponent matrix of sigma^j, for j = 0..k
     while len(powers) <= k:
         powers.append(mat_mul(powers[-1], h))
     orbits, bound = _pibar_orbits(k, h)
     base_image = _pibar(orbits, bound, (1, 1, 1, 1))
-    for p in points:
-        # p, sigma(p), ..., sigma^(k-1)(p), plus sigma^k(p) at the end
-        q = _quad(p)
+    failed: dict[str, str] = {}  # check name -> the detail of its first failure
+    for q in sample_points(samples, seed):
+        # q, sigma(q), ..., sigma^(k-1)(q), plus sigma^k(q) at the end
         orbit = [q] + [_sigma(power, q) for power in powers[1:]]
-        if not _same_point(orbit[k], orbit[0]):
-            sigma_failures.append(f"sigma^{k} moved {p}")
-        image = _pibar(orbits, bound, orbit[0])
-        for q in orbit[1:k]:
-            if not _same_image(_pibar(orbits, bound, q), image):
-                invariance_failures.append(f"pibar not constant on orbit of {p}")
-                break
-        if _residual(k, *image) != 0:
-            surface_failures.append(f"image of {p} off the surface")
-        if any(_same_point(q, orbit[0]) for q in orbit[1:k]):
-            free_failures.append(f"nontrivial power fixes sample {p}")
+        image = _pibar(orbits, bound, q)
+        if not _same_point(orbit[k], q):
+            failed.setdefault("sigma_order", f"sigma^{k} moved {_show(q)}")
+        if not all(_same_image(_pibar(orbits, bound, p), image) for p in orbit[1:k]):
+            failed.setdefault("pibar_invariance", f"pibar not constant on orbit of {_show(q)}")
+        if surface_residual(k, image) != 0:
+            failed.setdefault("image_on_surface", f"image of {_show(q)} off the surface")
+        if any(_same_point(p, q) for p in orbit[1:k]):
+            failed.setdefault("generic_points_free", f"nontrivial power fixes sample {_show(q)}")
         if _same_image(image, base_image):
-            ramification_failures.append(f"sample {p} maps to the image of (1,1)")
-    record("sigma_order", sigma_failures, f"sigma^{k} = id on {samples} samples")
-    record("pibar_invariance", invariance_failures, f"{samples} orbits")
-    record("image_on_surface", surface_failures, f"{samples} exact residuals = 0")
-    record("generic_points_free", free_failures, f"{samples} free orbits")
-    record(
-        "total_ramification_spot",
-        ramification_failures,
-        "no sample hits the image of (1,1)",
-    )
+            failed.setdefault("total_ramification_spot",
+                              f"sample {_show(q)} maps to the image of (1,1)")
+    checks = [
+        CheckResult(name, name not in failed, failed.get(name, total))
+        for name, total in (
+            ("sigma_order", f"sigma^{k} = id on {samples} samples"),
+            ("pibar_invariance", f"{samples} orbits"),
+            ("image_on_surface", f"{samples} exact residuals = 0"),
+            ("generic_points_free", f"{samples} free orbits"),
+            ("total_ramification_spot", "no sample hits the image of (1,1)"),
+        )
+    ]
 
     # each printed point is fixed by some h^j, 0 < j < k, and h^j fixes
     # exactly |det(h^j - I)| of them, the size of Fix(sigma^j): so the
     # printed set is all of the points with nontrivial isotropy
     printed = set(fixed_point_set(k))
-    n = math.lcm(*(x.denominator for q in printed for x in q))
-    residues = {q: (int(q[0] * n), int(q[1] * n)) for q in printed}
     isotropic, count_failures = set(), []
     for j, power in enumerate(powers[1:k], 1):
-        fixed = {q for q, r in residues.items() if _act_mod(power, *r, n) == r}
+        fixed = {r for r in printed if _act_mod6(power, r) == r}
         (a, b), (c, d) = power
         size = abs((a - 1) * (d - 1) - b * c)
         if len(fixed) != size:
             count_failures.append(f"{len(fixed)} printed points fixed by sigma^{j}, not {size}")
         isotropic |= fixed
-    fixed_failures = [
-        f"({u}, {v}) not fixed by any nontrivial power" for u, v in sorted(printed - isotropic)
-    ]
-    record("fixed_points_fixed", fixed_failures + count_failures, f"{len(printed)} points")
+    failures = [f"({u}/6, {v}/6) not fixed by any nontrivial power"
+                for u, v in sorted(printed - isotropic)] + count_failures
+    checks.append(CheckResult("fixed_points_fixed", not failures,
+                              failures[0] if failures else f"{len(printed)} points"))
 
     order = mat_order(h)
     checks.append(

@@ -31,6 +31,9 @@ Q237_X = ("gens x y\nrel x^2\nrel y^3\nrel " + " ".join(["x y"] * 7)
 # 4301 digits, one more than int() and str() take; built as text, since
 # str(10**4300) is refused too
 LONG = "1" + "0" * 4300
+# three orders of 2001 digits, each short enough to read, whose lcm is too
+# long to print
+HUGE_ORDERS = ",".join(str(10**2000 + i) for i in (1, 3, 7))
 
 
 def _s200() -> str:
@@ -103,6 +106,7 @@ CASES = [
     *_one("chi-not-json", "chi", "--sig", "{"),
     *_one("chi-bool", "chi", "--sig", '{"g":true,"r":0,"m":[2,3,7]}'),
     *_one("chi-long-integer", "chi", "--sig", '{"g":0,"r":0,"m":[2,3,' + LONG + ']}'),
+    *_one("chi-long-result", "chi", "--sig", '{"g":0,"r":0,"m":[' + HUGE_ORDERS + ']}'),
     *_both("kind", "kind", "--sig", '{"g":0,"r":0,"m":[2,2,5]}'),
     *_both("kind-witness", "kind", "--sig", '{"g":1,"r":0,"m":[]}'),
     *_both("order-finite", "order", "--sig", '{"g":0,"r":1,"m":[9]}'),
@@ -126,6 +130,8 @@ CASES = [
     *_one("cover-no-mode", "cover", "--sig", SIG237),
     *_one("cover-conflict", "cover", "--sig", '{"g":0,"r":3,"m":[2,2]}', "--index", "6", "--lcm"),
     *_one("cover-bad-index", "cover", "--sig", SIG237, "--index", "100"),
+    *_one("cover-lcm-long-result", "cover", "--sig", '{"g":0,"r":1,"m":[' + HUGE_ORDERS + ']}',
+          "--lcm"),
     # cover verify
     *_both("verify-perms", "cover", "verify", "--sig", SIG237, "--perms", "psl27.txt"),
     *_one("verify-perms-no-degree", "cover", "verify", "--sig", SIG237, "--perms",

@@ -432,10 +432,12 @@ class TestUsageErrors:
 
 
 # digit strings, since str() and json.dumps refuse ints of more than 4300
-# digits; the last kind is past that limit
+# digits; the third kind can be read, but a product or lcm of two of them
+# can be too long to print, and the last kind is past that limit
 _INTS = st.one_of(
     st.integers(-1, 16).map(str),
     st.integers(-1, 10**400).map(str),
+    st.integers(10**1500, 10**4300 - 1).map(str),
     st.builds(lambda sign, n: sign + "9" * n, st.sampled_from(["", "-"]), st.integers(4301, 5001)),
 )
 _SIGS = st.builds(lambda g, r, m: f'{{"g": {g}, "r": {r}, "m": [{", ".join(m)}]}}',

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import orbicurve
+from cli_cases import PSL27
 
 # the public names, by the submodule that defines them
 EXPORTS = {
@@ -33,15 +34,15 @@ EXPORTS = {
     "signature": ("INFINITE", "Kind", "KindName", "NinfStatus", "NinfVerdict", "OrbSignature",
                   "classify_kind", "euler_characteristic", "finite_order", "is_finite_cyclic",
                   "satisfies_ninf"),
-    "wallpaper": ("TorusPoint", "WallpaperReport", "apply_pibar", "apply_sigma",
-                  "fixed_point_set", "h_matrix", "run_wallpaper_suite", "surface_residual"),
+    "wallpaper": ("WallpaperReport", "fixed_point_set", "h_matrix", "run_wallpaper_suite",
+                  "surface_residual"),
 }
 
 
 class TestPublicNames:
     def test_all_is_every_export_and_submodule(self):
         names = [*EXPORTS, *(name for names in EXPORTS.values() for name in names)]
-        assert len(names) == 77
+        assert len(names) == 74
         assert orbicurve.__all__ == sorted(names)
 
     @pytest.mark.parametrize("module", sorted(EXPORTS))
@@ -80,6 +81,9 @@ with contextlib.redirect_stdout(io.StringIO()):
 """
 BASE = ["orbicurve", "orbicurve.cli", "orbicurve.errors", "orbicurve.signature"]
 SIG = '{"g": 0, "r": 0, "m": [2, 3, 7]}'
+OPEN_SIG = '{"g": 0, "r": 1, "m": [2, 3]}'
+# the Todd-Coxeter stack: enumeration, and the modules it imports
+COSETS = ["orbicurve.abelian", "orbicurve.cosets", "orbicurve.presentations"]
 
 
 def _loaded(body: str, *argv: str, cwd=None) -> set[str]:
@@ -103,7 +107,21 @@ class TestModulesLoaded:
         (("serre", "--sig", SIG), ["orbicurve.serre"]),
         (("abelianize", "--presentation", "p.txt"),
          ["orbicurve.abelian", "orbicurve.presentations"]),
-    ], ids=["chi", "kind", "order", "iso", "serre", "abelianize-presentation"])
+        (("verify", "wallpaper", "--k", "2", "--samples", "3", "--seed", "1"),
+         ["orbicurve.wallpaper"]),
+        (("verify", "example", "--name", "quartic-b3p1"),
+         COSETS + ["orbicurve.fixtures", "orbicurve.wallpaper"]),
+        (("cover", "--sig", OPEN_SIG, "--lcm"), COSETS + ["orbicurve.covers"]),
+        (("cover", "--sig", OPEN_SIG, "--index", "6"), COSETS + ["orbicurve.covers"]),
+        (("cover", "verify", "--sig", SIG, "--perms", "perms.txt"), COSETS + ["orbicurve.covers"]),
+        (("todd-coxeter", "--presentation", "p.txt"), COSETS),
+        (("triangle-rep", "--m", "2,3,7"), COSETS + ["orbicurve.fixtures", "orbicurve.wallpaper"]),
+    ], ids=["chi", "kind", "order", "iso", "serre", "abelianize-presentation", "verify-wallpaper",
+            "verify-example", "cover-lcm", "cover-index", "cover-verify", "todd-coxeter",
+            "triangle-rep"])
     def test_command_loads_only_its_modules(self, tmp_path, argv, extra):
-        (tmp_path / "p.txt").write_text("gens x y\nrel x^2\nrel y^3\n", encoding="utf-8")
+        # p.txt is the (2,3,3) triangle group, of order 12
+        (tmp_path / "p.txt").write_text("gens x y\nrel x^2\nrel y^3\nrel x y x y x y\n",
+                                        encoding="utf-8")
+        (tmp_path / "perms.txt").write_text(PSL27, encoding="utf-8")
         assert _loaded(RUN, *argv, cwd=tmp_path) == set(BASE + extra)

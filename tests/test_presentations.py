@@ -150,6 +150,18 @@ def test_presentation_file_error_messages(text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("sign", ["", "+", "-"])
+def test_exponent_of_any_length(sign):
+    # int() reads at most 4300 digits; a longer exponent is read in full,
+    # and a longer token that is no integer is still refused
+    digits = "1" + "0" * 4300
+    pf = parse_presentation(f"gens x\nrel x^{sign}{digits}\n")
+    assert pf.presentation.relators == (((0, (-1 if sign == "-" else 1) * 10**4300),),)
+    for bad in (sign + digits + ".5", sign + digits + "x", "+-" + digits):
+        with pytest.raises(UnknownGenerator, match="bad exponent in token"):
+            parse_presentation(f"gens x\nrel x^{bad}\n")
+
+
 def test_caret_generator_name_refused_in_code():
     # the check of the gens line, also when a presentation is built directly
     with pytest.raises(UnknownGenerator) as info:
@@ -274,14 +286,15 @@ class TestWordMaps:
             assert check_word_maps(p, q, bad) is not None
 
     def test_checker_imports_no_oracle(self):
-        # the checker must stay independent of the oracles it checks
+        # the checker must stay independent of the oracles it checks; decimal
+        # reads an exponent longer than int() takes
         import orbicurve.presentations as module
 
         tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
         imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
         imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                      for a in node.names}
-        assert imported == {"__future__", "dataclasses", "errors", "signature"}
+        assert imported == {"__future__", "dataclasses", "decimal", "errors", "signature"}
 
 
 def test_substitute_powers_conjugates_without_repeating():

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -8,28 +10,19 @@ from hypothesis import strategies as st
 
 from orbicurve import (
     BadK,
-    TorusPoint,
-    apply_pibar,
-    apply_sigma,
     fixed_point_set,
     h_matrix,
     run_wallpaper_suite,
     surface_residual,
     wallpaper,
 )
-from orbicurve.wallpaper import (
-    MAT_IDENTITY,
-    act_on_angles,
-    mat_mul,
-    mat_order,
-    sample_points,
-)
+from orbicurve.wallpaper import MAT_IDENTITY, mat_mul, mat_order, sample_points
+from test_cosets import _fresh_python
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
 )
 nonzero_rationals = rationals.filter(lambda x: x != 0)
-HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
 
 
 def nontrivial_powers(k):
@@ -40,80 +33,117 @@ def nontrivial_powers(k):
     return out
 
 
+def sigma(k, q):
+    return wallpaper._sigma(h_matrix(k), q)
+
+
+def pibar(k, q):
+    return wallpaper._pibar(*wallpaper._pibar_orbits(k, h_matrix(k)), q)
+
+
+def quad(s, t):
+    """The suite's form (a, b, c, d) of the rational point (s, t)."""
+    return s.numerator, s.denominator, t.numerator, t.denominator
+
+
+def is_point(q, point):
+    """q = (a, b, c, d) is point = (s, t): a = s b and c = t d."""
+    return q[0] == point[0] * q[1] and q[2] == point[1] * q[3]
+
+
+def is_image(image, xyz):
+    """image = (X, Y, Z, L) is xyz = (X, Y, Z)/L."""
+    return all(x == v * image[3] for x, v in zip(image[:3], xyz))
+
+
+def act_on_angles(m, angles):
+    """The oracle of the suite's residue action: the monomial map with
+    exponent matrix m on the torsion point with angles (u, v) in Q/Z,
+    (u, v) -> m (u, v) mod 1."""
+    (a, b), (c, d) = m
+    u, v = angles
+    return (a * u + b * v) % 1, (c * u + d * v) % 1
+
+
+def sixths(r):
+    return Fraction(r[0], 6), Fraction(r[1], 6)
+
+
 class TestSigma:
     def test_k2_formula(self):
-        p = apply_sigma(2, TorusPoint.of(2, 3))
-        assert p == TorusPoint.of(Fraction(1, 2), Fraction(1, 3))
+        assert sigma(2, (2, 1, 3, 1)) == (1, 2, 1, 3)
 
     def test_k6_six_iterations_return(self):
-        p = TorusPoint.of(2, 5)
+        p = (2, 1, 5, 1)
         q = p
         for j in range(6):
-            q = apply_sigma(6, q)
+            q = sigma(6, q)
             if j < 5:
-                assert q != p
-        assert q == p
+                assert not is_point(q, (2, 5))
+        assert is_point(q, (2, 5))
 
     def test_k3_fixed_point_with_omega(self):
         # (omega, omega^2) -> (1/omega^2, omega/omega^2) = (omega, omega^2)
-        q = (THIRD, 2 * THIRD)
-        assert act_on_angles(h_matrix(3), q) == q
+        assert wallpaper._act_mod6(h_matrix(3), (2, 4)) == (2, 4)
         # (omega, omega) -> (omega^2, 1)
-        assert act_on_angles(h_matrix(3), (THIRD, THIRD)) == (2 * THIRD, 0)
+        assert wallpaper._act_mod6(h_matrix(3), (2, 2)) == (4, 0)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
     def test_angle_action_matches_sigma_on_signs(self, k):
-        # +-1 are rational points too: there the two actions must agree
-        def point(u, v):
-            return TorusPoint.of((-1) ** int(2 * u), (-1) ** int(2 * v))
+        # +-1 are rational points too: there the residue action and sigma
+        # must agree
+        def sign(r):
+            return (-1) ** (r // 3)
 
-        for u in (0, HALF):
-            for v in (0, HALF):
-                image = act_on_angles(h_matrix(k), (u, v))
-                assert apply_sigma(k, point(u, v)) == point(*image), (u, v)
+        for u in (0, 3):
+            for v in (0, 3):
+                image = wallpaper._act_mod6(h_matrix(k), (u, v))
+                q = (sign(u), 1, sign(v), 1)
+                assert is_point(sigma(k, q), (sign(image[0]), sign(image[1]))), (u, v)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
     def test_order_k_on_rational_points(self, k):
-        p = TorusPoint.of(Fraction(3, 7), Fraction(5, 2))
-        q = p
+        q = (3, 7, 5, 2)
         for _ in range(k):
-            q = apply_sigma(k, q)
-        assert q == p
+            q = sigma(k, q)
+        assert is_point(q, (Fraction(3, 7), Fraction(5, 2)))
 
     def test_bad_k(self):
         with pytest.raises(BadK):
-            apply_sigma(5, TorusPoint.of(2, 2))
+            h_matrix(5)
+        with pytest.raises(BadK):
+            surface_residual(5, (2, 2, 2, 1))
 
 
 class TestPibarAndSurface:
     def test_k2_printed_values(self):
-        x, y, z = apply_pibar(2, TorusPoint.of(2, 3))
-        assert (x, y, z) == (Fraction(5, 2), Fraction(10, 3), Fraction(37, 6))
-        assert surface_residual(2, (x, y, z)) == 0
+        image = pibar(2, (2, 1, 3, 1))
+        assert is_image(image, (Fraction(5, 2), Fraction(10, 3), Fraction(37, 6)))
+        assert surface_residual(2, image) == 0
 
     def test_k2_at_unit(self):
-        assert apply_pibar(2, TorusPoint.of(1, 1)) == (2, 2, 2)
+        assert pibar(2, (1, 1, 1, 1)) == (2, 2, 2, 1)
 
     def test_k4_at_unit(self):
-        assert apply_pibar(4, TorusPoint.of(1, 1)) == (4, 4, 4)
+        assert pibar(4, (1, 1, 1, 1)) == (4, 4, 4, 1)
 
     def test_k6_transcription_anchor(self):
-        image = apply_pibar(6, TorusPoint.of(1, 1))
-        assert image == (6, 6, 6)
+        image = pibar(6, (1, 1, 1, 1))
+        assert image == (6, 6, 6, 1)
         assert surface_residual(6, image) == 0
 
     def test_constant_term(self):
-        assert surface_residual(2, (0, 0, 0)) == -4
+        assert surface_residual(2, (0, 0, 0, 1)) == -4
 
     def test_k3_image_on_surface(self):
-        image = apply_pibar(3, TorusPoint.of(2, 3))
-        assert surface_residual(3, image) == 0
+        assert surface_residual(3, pibar(3, (2, 1, 3, 1))) == 0
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
     def test_invariance_and_surface_on_samples(self, k):
-        for p in sample_points(10, seed=5):
-            image = apply_pibar(k, p)
-            assert apply_pibar(k, apply_sigma(k, p)) == image
+        for q in sample_points(10, seed=5):
+            image = pibar(k, q)
+            xyz = [Fraction(x, image[3]) for x in image[:3]]
+            assert is_image(pibar(k, sigma(k, q)), xyz)
             assert surface_residual(k, image) == 0
 
 
@@ -127,17 +157,18 @@ class TestFixedPoints:
         assert len(fixed_point_set(2)) == 4
         assert fixed_point_set(4) == fixed_point_set(2)
         assert len(fixed_point_set(3)) == 3
-        assert (THIRD, 2 * THIRD) in fixed_point_set(3)  # (omega, omega^2)
+        assert (2, 4) in fixed_point_set(3)  # (omega, omega^2)
         p6 = fixed_point_set(6)
         assert len(p6) == 6
         assert set(fixed_point_set(2)) < set(p6)
-        assert (THIRD, THIRD) in p6  # (omega, omega)
-        assert (2 * THIRD, 2 * THIRD) in p6  # (omega^2, omega^2)
+        assert (2, 2) in p6  # (omega, omega)
+        assert (4, 4) in p6  # (omega^2, omega^2)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
     def test_each_has_nontrivial_isotropy(self, k):
-        for q in fixed_point_set(k):
-            assert any(act_on_angles(m, q) == q for m in nontrivial_powers(k)), q
+        for r in fixed_point_set(k):
+            q = sixths(r)
+            assert any(act_on_angles(m, q) == q for m in nontrivial_powers(k)), r
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
     def test_printed_set_is_every_isotropic_point(self, k):
@@ -145,7 +176,7 @@ class TestFixedPoints:
         # isotropy has angles in (1/12)Z: search that grid directly
         grid = [(Fraction(a, 12), Fraction(b, 12)) for a in range(12) for b in range(12)]
         isotropic = {q for q in grid if any(act_on_angles(m, q) == q for m in nontrivial_powers(k))}
-        assert isotropic == set(fixed_point_set(k))
+        assert isotropic == set(map(sixths, fixed_point_set(k)))
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
     def test_suite_check_passes(self, k):
@@ -164,11 +195,11 @@ class TestFixedPoints:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
     def test_added_non_fixed_point_fails(self, k, monkeypatch):
-        printed = fixed_point_set(k) + ((Fraction(1, 5), Fraction(0)),)
+        printed = fixed_point_set(k) + ((1, 0),)
         monkeypatch.setattr(wallpaper, "fixed_point_set", lambda k: printed)
         check = fixed_points_check(k)
         assert not check.passed
-        assert check.detail == "(1/5, 0) not fixed by any nontrivial power"
+        assert check.detail == "(1/6, 0/6) not fixed by any nontrivial power"
 
 
 class TestHMatrix:
@@ -228,12 +259,14 @@ class TestSuite:
         }
 
     def test_deterministic_sampling(self):
-        assert sample_points(7, seed=9) == sample_points(7, seed=9)
-        assert sample_points(7, seed=9) != sample_points(7, seed=10)
+        assert list(sample_points(7, seed=9)) == list(sample_points(7, seed=9))
+        assert list(sample_points(7, seed=9)) != list(sample_points(7, seed=10))
 
     def test_samples_avoid_fixed_point_coordinates(self):
-        for p in sample_points(200, seed=0):
-            assert p.s != 1 and p.t != 1
+        # in lowest terms, as Fraction would reduce them, and never 1
+        for a, b, c, d in sample_points(200, seed=0):
+            assert a != b and c != d
+            assert math.gcd(a, b) == 1 == math.gcd(c, d)
 
     def test_single_sample_at_specific_point(self):
         report = run_wallpaper_suite(3, samples=1, seed=2)
@@ -250,19 +283,36 @@ class TestSuite:
         with pytest.raises(BadK):
             run_wallpaper_suite(5, samples=1, seed=1)
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    def test_memory_flat_in_samples(self):
+        # the samples are drawn one at a time, so 30,000 of them cost no
+        # more memory than one
+        script = (
+            "import resource\n"
+            "from orbicurve import run_wallpaper_suite\n"
+            "run_wallpaper_suite(2, 1, 1)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "report = run_wallpaper_suite(2, 30000, 1)\n"
+            "growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+            "print(int(report.passed), growth)\n"
+        )
+        passed, growth_kb = map(int, _fresh_python(script).split())
+        assert passed
+        assert growth_kb < 2048
+
 
 # Failing reports under seams that replace h_matrix or sample_points, pinned
 # check by check (name and detail of every failing check; the rest pass), so
 # that a fast path cannot pass everything by default.  All at samples=5,
 # seed=3, whose first sample is 244/607, 279/67.
-P0 = "TorusPoint(s=244/607, t=279/67)"
+P0 = "(244/607, 279/67)"
 TRANSPOSED = {
     2: [],
     3: [("image_on_surface", f"image of {P0} off the surface"),
-        ("fixed_points_fixed", "(1/3, 2/3) not fixed by any nontrivial power")],
+        ("fixed_points_fixed", "(2/6, 4/6) not fixed by any nontrivial power")],
     4: [],
     6: [("image_on_surface", f"image of {P0} off the surface"),
-        ("fixed_points_fixed", "(1/3, 1/3) not fixed by any nontrivial power")],
+        ("fixed_points_fixed", "(2/6, 2/6) not fixed by any nontrivial power")],
 }
 OTHER_H = {
     (4, 6): [("sigma_order", f"sigma^4 moved {P0}"),
@@ -279,19 +329,19 @@ OTHER_H = {
     (3, 6): [("sigma_order", f"sigma^3 moved {P0}"),
              ("pibar_invariance", f"pibar not constant on orbit of {P0}"),
              ("image_on_surface", f"image of {P0} off the surface"),
-             ("fixed_points_fixed", "(1/3, 2/3) not fixed by any nontrivial power"),
+             ("fixed_points_fixed", "(2/6, 4/6) not fixed by any nontrivial power"),
              ("h_matrix_order", "expected order 3, got 6")],
     (2, 3): [("sigma_order", f"sigma^2 moved {P0}"),
              ("pibar_invariance", f"pibar not constant on orbit of {P0}"),
              ("image_on_surface", f"image of {P0} off the surface"),
-             ("fixed_points_fixed", "(0, 1/2) not fixed by any nontrivial power"),
+             ("fixed_points_fixed", "(0/6, 3/6) not fixed by any nontrivial power"),
              ("h_matrix_order", "expected order 2, got 3")],
 }
 UNIT_FIRST = [
-    ("generic_points_free", "nontrivial power fixes sample TorusPoint(s=1, t=1)"),
-    ("total_ramification_spot", "sample TorusPoint(s=1, t=1) maps to the image of (1,1)"),
+    ("generic_points_free", "nontrivial power fixes sample (1/1, 1/1)"),
+    ("total_ramification_spot", "sample (1/1, 1/1) maps to the image of (1,1)"),
 ]
-MINUS_FIRST = [("generic_points_free", "nontrivial power fixes sample TorusPoint(s=-1, t=-1)")]
+MINUS_FIRST = [("generic_points_free", "nontrivial power fixes sample (-1/1, -1/1)")]
 
 
 def failing_checks(k):
@@ -306,7 +356,7 @@ def with_first_sample(monkeypatch, s, t):
     monkeypatch.setattr(
         wallpaper,
         "sample_points",
-        lambda samples, seed: [TorusPoint.of(s, t)] + original(samples, seed)[1:],
+        lambda samples, seed: [(s, 1, t, 1)] + list(original(samples, seed))[1:],
     )
 
 
@@ -341,23 +391,23 @@ def test_mat_identity_order():
 
 
 # ---------------------------------------------------------------------------
-# reference transcription: sigma_k and pibar_k as hand-written formulas, to
-# check the monomial-map and orbit-sum forms against
+# reference transcription: sigma_k and pibar_k as hand-written formulas on a
+# point (s, t), to check the monomial-map and orbit-sum forms against
 
 
 def reference_sigma(k, p):
-    s, t = p.s, p.t
+    s, t = p
     if k == 2:
-        return TorusPoint(1 / s, 1 / t)
+        return 1 / s, 1 / t
     if k == 3:
-        return TorusPoint(1 / t, s / t)
+        return 1 / t, s / t
     if k == 4:
-        return TorusPoint(1 / t, s)
-    return TorusPoint(s * t, 1 / s)
+        return 1 / t, s
+    return s * t, 1 / s
 
 
 def reference_pibar(k, p):
-    s, t = p.s, p.t
+    s, t = p
     if k == 2:
         return (
             (s * s + 1) / s,
@@ -383,29 +433,35 @@ def reference_pibar(k, p):
     )
 
 
-SIGN_POINTS = [TorusPoint.of(a, b) for a in (1, -1) for b in (1, -1)]
+SIGNS = [(Fraction(a), Fraction(b)) for a in (1, -1) for b in (1, -1)]
+
+
+def matches_transcription(k, point):
+    """sigma and pibar at the rational point (s, t), in the suite's form,
+    are the transcribed formulas there."""
+    q = quad(*point)
+    return (is_point(sigma(k, q), reference_sigma(k, point))
+            and is_image(pibar(k, q), reference_pibar(k, point)))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 6])
 def test_closed_forms_match_transcription(k):
-    for p in sample_points(50, seed=k) + SIGN_POINTS:
-        assert apply_sigma(k, p) == reference_sigma(k, p), p
-        assert apply_pibar(k, p) == reference_pibar(k, p), p
+    samples = [(Fraction(a, b), Fraction(c, d)) for a, b, c, d in sample_points(50, seed=k)]
+    for point in samples + SIGNS:
+        assert matches_transcription(k, point), point
 
 
 def sign_examples(test):
-    for p in SIGN_POINTS:
-        test = example(p.s, p.t)(test)
+    for s, t in SIGNS:
+        test = example(s, t)(test)
     return test
 
 
 @given(nonzero_rationals, nonzero_rationals)
 @sign_examples
 def test_closed_forms_match_transcription_on_rationals(s, t):
-    p = TorusPoint(s, t)
     for k in (2, 3, 4, 6):
-        assert apply_sigma(k, p) == reference_sigma(k, p)
-        assert apply_pibar(k, p) == reference_pibar(k, p)
+        assert matches_transcription(k, (s, t))
 
 
 SURFACE_DEGREES = {2: 3, 3: 3, 4: 4, 6: 5}
@@ -414,19 +470,12 @@ SURFACE_DEGREES = {2: 3, 3: 3, 4: 4, 6: 5}
 @given(nonzero_rationals, nonzero_rationals)
 @sign_examples
 def test_integer_core_matches_fractions(s, t):
-    # the suite's integers against the transcription in Fractions: sigma as
-    # (a, b, c, d), pibar as (X, Y, Z)/L, and the homogenised residual as
-    # L^deg times the residual, at points with either sign
-    p = TorusPoint(s, t)
+    # the residual at pibar's (X, Y, Z, L) is L^deg times the residual at
+    # the transcribed image in Fractions, at points with either sign
     for k in (2, 3, 4, 6):
-        h = h_matrix(k)
-        a, b, c, d = wallpaper._sigma(h, wallpaper._quad(p))
-        assert TorusPoint(Fraction(a, b), Fraction(c, d)) == reference_sigma(k, p)
-        *xyz, scale = wallpaper._pibar(*wallpaper._pibar_orbits(k, h), wallpaper._quad(p))
-        image = reference_pibar(k, p)
-        assert tuple(Fraction(x, scale) for x in xyz) == image
-        residual = wallpaper._residual(k, *xyz, scale)
-        assert residual == scale ** SURFACE_DEGREES[k] * surface_residual(k, image) == 0
+        image = pibar(k, quad(s, t))
+        at_fractions = surface_residual(k, (*reference_pibar(k, (s, t)), 1))
+        assert surface_residual(k, image) == image[3] ** SURFACE_DEGREES[k] * at_fractions == 0
 
 
 matrices = st.tuples(*[st.integers(-2, 2)] * 4).map(lambda e: ((e[0], e[1]), (e[2], e[3])))
@@ -440,7 +489,7 @@ def test_sigma_power_is_monomial_map_of_h_power(s, t, h):
     # sigma^j is the monomial map of h^j, as the suite takes it, for any
     # integer h, including the infinite-order ones above, such as a
     # failure-path test may patch in: the same point as sigma applied j times
-    q = wallpaper._quad(TorusPoint(s, t))
+    q = quad(s, t)
     power, iterated = MAT_IDENTITY, q
     for j in range(7):
         assert wallpaper._same_point(wallpaper._sigma(power, q), iterated), j
@@ -450,10 +499,10 @@ def test_sigma_power_is_monomial_map_of_h_power(s, t, h):
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
        st.integers(-9, 9).filter(bool))
 def test_homogenised_residual_off_the_surface(x, y, z, w):
-    q = (Fraction(x, w), Fraction(y, w), Fraction(z, w))
+    q = (Fraction(x, w), Fraction(y, w), Fraction(z, w), 1)
     for k in (2, 3, 4, 6):
         expected = w ** SURFACE_DEGREES[k] * surface_residual(k, q)
-        assert wallpaper._residual(k, x, y, z, w) == expected
+        assert surface_residual(k, (x, y, z, w)) == expected
 
 
 @given(nonzero_rationals, nonzero_rationals)
@@ -462,7 +511,7 @@ def test_suite_verdicts_match_transcription(s, t):
     # a sample fails generic_points_free iff a nontrivial power of the
     # transcribed sigma fixes it, and total_ramification_spot iff the
     # transcribed pibar sends it where it sends (1, 1); nothing else fails
-    p = TorusPoint(s, t)
+    p = (s, t)
     for k in (2, 3, 4, 6):
         orbit = [reference_sigma(k, p)]
         while len(orbit) < k - 1:
@@ -470,9 +519,9 @@ def test_suite_verdicts_match_transcription(s, t):
         expected = set()
         if p in orbit:
             expected.add("generic_points_free")
-        if reference_pibar(k, p) == reference_pibar(k, TorusPoint.of(1, 1)):
+        if reference_pibar(k, p) == reference_pibar(k, (Fraction(1), Fraction(1))):
             expected.add("total_ramification_spot")
-        with mock.patch.object(wallpaper, "sample_points", lambda samples, seed: [p]):
+        with mock.patch.object(wallpaper, "sample_points", lambda samples, seed: [quad(s, t)]):
             report = run_wallpaper_suite(k, samples=1, seed=0)
         assert {c.name for c in report.checks if not c.passed} == expected, k
 
@@ -550,16 +599,17 @@ def test_laurent_arithmetic():
 @pytest.mark.parametrize("k", [2, 3, 4, 6])
 def test_symbolic_proof(k):
     # identities of Laurent polynomials, so they hold at every point of
-    # (C*)^2, not only at samples: sigma and the orbit sums are the
-    # transcribed formulas, each coordinate of pibar is sigma-invariant, and
-    # the printed surface vanishes on pibar
-    p = TorusPoint(S, T)
+    # (C*)^2, not only at samples: sigma and the orbit sums at the generic
+    # point (S, 1, T, 1) are the transcribed formulas, each coordinate of
+    # pibar is sigma-invariant, and the printed surface vanishes on pibar
+    q, p = (S, 1, T, 1), (S, T)
     image = reference_pibar(k, p)
-    assert apply_sigma(k, p) == reference_sigma(k, p)
-    assert apply_pibar(k, p) == image
+    assert is_point(sigma(k, q), reference_sigma(k, p))
+    assert is_image(pibar(k, q), image)
     moved = reference_pibar(k, reference_sigma(k, p))
     for coordinate, after in zip(image, moved):
         assert after == coordinate
-    assert surface_residual(k, image) == 0
+    assert surface_residual(k, pibar(k, q)) == 0
+    assert surface_residual(k, (*image, 1)) == 0
     # a residual that is not identically zero reads as nonzero
-    assert surface_residual(k, (S, T, S + T)) != 0
+    assert surface_residual(k, (S, T, S + T, 1)) != 0
