@@ -87,7 +87,6 @@ import math
 import re
 from dataclasses import dataclass
 
-from .abelian import abelianization_of_presentation
 from .errors import DEFAULT_MAX_COSETS, ArityMismatch
 from .presentations import FinitePresentation, Word, check_words, invert_word
 
@@ -126,23 +125,20 @@ def _root(word: Word) -> tuple[Word, int] | None:
     return None
 
 
-def _scan_word(word: Word) -> tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...] | None]:
-    """A word ready to scan: its letters, the inverse of each letter, its
-    last index and, when the word is a proper power w^n, the letters of
-    w^-1 for the skip in `enumerate` (else None)."""
-    letters = _letters(word)
-    root = _root(word)
-    back = None if root is None else tuple(x ^ 1 for x in reversed(_letters(root[0])))
-    return letters, tuple(x ^ 1 for x in letters), len(letters) - 1, back
-
-
 class _Enumerator:
+    """A scanned word is one tuple of letters.  A relator is (letters,
+    back), where back is the letters of w^-1 when the relator is a proper
+    power w^n, for the skip in `enumerate`, else None; a subgroup word is
+    its letters alone."""
+
     def __init__(self, presentation: FinitePresentation, subgroup_generators, max_cosets: int):
         if max_cosets < 1:
             raise ValueError("max_cosets must be >= 1")
         self.width = 2 * presentation.ngens
-        self.relators = [_scan_word(w) for w in presentation.relators]
-        self.subgens = [_scan_word(w) for w in subgroup_generators]
+        self.relators = [(_letters(w), None if (root := _root(w)) is None
+                          else _letters(invert_word(root[0])))
+                         for w in presentation.relators]
+        self.subgens = [_letters(w) for w in subgroup_generators]
         self.max_cosets = max_cosets
         self.holes = [-1] * (self.width + 1)  # a new row; its parent is set after
         self.table = self.holes[1:] + [0]  # coset 0, the subgroup's
@@ -199,15 +195,15 @@ class _Enumerator:
                     queue.append(b)
         self.live -= len(queue)
 
-    def scan_and_fill(self, alpha: int, word: tuple[int, ...],
-                      inverse: tuple[int, ...], last: int, cap: int) -> bool:
-        """Trace `word` from alpha forwards and backwards, deduce the one
-        missing edge or define cosets until the word closes.  Returns False
-        when a definition would pass `cap` live cosets (at cap 0, the
-        lookahead's, the scan only deduces and merges)."""
+    def scan_and_fill(self, alpha: int, word: tuple[int, ...], cap: int) -> bool:
+        """Trace the letters of `word` from alpha forwards and, through the
+        inverse letter word[j] ^ 1, backwards; deduce the one missing edge
+        or define cosets until the word closes.  Returns False when a
+        definition would pass `cap` live cosets (at cap 0, the lookahead's,
+        the scan only deduces and merges)."""
         table = self.table
         f, i = alpha, 0
-        b, j = alpha, last
+        b, j = alpha, len(word) - 1
         while True:
             while i <= j:
                 x = table[f + word[i]]
@@ -216,7 +212,7 @@ class _Enumerator:
                 f = x
                 i += 1
             while j >= i:
-                x = table[b + inverse[j]]
+                x = table[b + (word[j] ^ 1)]
                 if x < 0:
                     break
                 b = x
@@ -227,7 +223,7 @@ class _Enumerator:
                 return True
             if j == i:
                 table[f + word[i]] = b
-                table[b + inverse[i]] = f
+                table[b + (word[i] ^ 1)] = f
                 return True
             if self.live >= cap:
                 return False
@@ -236,7 +232,7 @@ class _Enumerator:
             table[new + self.width] = new
             self.live += 1
             table[f + word[i]] = new
-            table[new + inverse[i]] = f
+            table[new + (word[i] ^ 1)] = f
             f = new
             i += 1
 
@@ -268,10 +264,10 @@ class _Enumerator:
         few percent of its scans."""
         table, width = self.table, self.width
         for gamma in range(cursor, len(table), width + 1):
-            for word, inverse, last, _ in self.relators:
+            for word, _ in self.relators:
                 if table[gamma + width] != gamma:
                     break
-                self.scan_and_fill(gamma, word, inverse, last, 0)
+                self.scan_and_fill(gamma, word, 0)
 
     def enumerate(self) -> int | None:
         """Run HLT to the end: the number of live cosets, or None when a
@@ -279,8 +275,8 @@ class _Enumerator:
         the live count reaches a limit, LOOKAHEAD_LIVE at first and
         doubled after each pass."""
         width, stride = self.width, self.width + 1
-        for word, inverse, last, _ in self.subgens:
-            if not self.scan_and_fill(0, word, inverse, last, self.max_cosets):
+        for word in self.subgens:
+            if not self.scan_and_fill(0, word, self.max_cosets):
                 return None
         table, holes = self.table, self.holes
         alpha, limit = 0, LOOKAHEAD_LIVE
@@ -296,7 +292,7 @@ class _Enumerator:
             if table[alpha + width] != alpha:
                 alpha += stride
                 continue
-            for word, inverse, last, back in self.relators:
+            for word, back in self.relators:
                 if back is not None:
                     beta = alpha
                     for letter in back:
@@ -306,7 +302,7 @@ class _Enumerator:
                     else:
                         if beta < alpha:
                             continue  # alpha is on a closed w-cycle (module docstring)
-                if not self.scan_and_fill(alpha, word, inverse, last, self.max_cosets):
+                if not self.scan_and_fill(alpha, word, self.max_cosets):
                     return None
                 if table[alpha + width] != alpha:
                     break
@@ -412,6 +408,7 @@ def _abelian_order(p: FinitePresentation, w: Word) -> int:
     """The order of w's image in G^ab, when a relator w^n makes it a torsion
     element: G^ab = Z^r + T with the image in T, and adding the relator w
     divides T by the cyclic group it generates."""
+    from .abelian import abelianization_of_presentation  # stage 2 alone needs it
     quotient = FinitePresentation(p.generators, p.relators + (w,))
     return (abelianization_of_presentation(p).torsion_order()
             // abelianization_of_presentation(quotient).torsion_order())

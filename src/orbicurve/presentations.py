@@ -271,7 +271,8 @@ def parse_presentation(text: str) -> PresentationFile:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        keyword, _, rest = line.partition(" ")
+        keyword = line.split()[0]  # any whitespace ends it, as in a word
+        rest = line[len(keyword):]
         if keyword == "gens":
             if generators is not None:
                 raise UnknownGenerator("more than one gens line")

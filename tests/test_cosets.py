@@ -364,19 +364,19 @@ class TestGroupOrder:
         assert reference_coset_enumeration(p, (), 2 * 10**4) == Exceeded(2 * 10**4)
         assert coset_enumeration(p, (), 2 * 10**4) == reference_coset_enumeration(p, (), 10**6)
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_order_10752_memory(self):
         # HLT over the trivial subgroup holds 272,596 rows at its first
         # compaction and grows a fresh process by about 21 MB; the 1344
         # cosets of <[x,y]> need a fraction of that
         script = (
-            "import resource, sys\n"
+            "import sys\n"
             "from orbicurve import group_order\n"
             "from orbicurve.presentations import parse_presentation\n"
             "p = parse_presentation(sys.argv[1]).presentation\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak_kib()\n"
             "order = group_order(p)\n"
-            "growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+            "growth = peak_kib() - before\n"
             "print(order, growth // 1024)\n"
         )
         order, growth_mb = map(int, _fresh_python(script, G10752_TEXT).split())
@@ -456,24 +456,40 @@ class TestTableIdentity:
         p = _G10752_X.presentation
         assert coset_enumeration(p, (), 3000) == Exceeded(3000)
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_x_cosets_memory(self):
         # HLT alone holds 147,908 rows at its first compaction and grows a
         # fresh process by about 11 MB; the lookahead passes at 16384 and
         # 32768 live cosets merge back to near the index of 5376
         script = (
-            "import resource, sys\n"
+            "import sys\n"
             "from orbicurve import coset_enumeration\n"
             "from orbicurve.presentations import parse_presentation\n"
             "parsed = parse_presentation(sys.argv[1])\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak_kib()\n"
             "table = coset_enumeration(parsed.presentation, parsed.subgroup_generators)\n"
-            "growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+            "growth = peak_kib() - before\n"
             "print(table.rows, growth // 1024)\n"
         )
         rows, growth_mb = map(int, _fresh_python(script, G10752_TEXT + "sub x\n").split())
         assert rows == 5376
         assert growth_mb < 5
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_expanded_word_memory(self):
+        # a scanned word is one tuple of its 3,000,000 letters, about 24 MB;
+        # a second, inverse copy of each letter would double that
+        script = (
+            "from orbicurve import Exceeded, group_order\n"
+            "from orbicurve.presentations import FinitePresentation\n"
+            "before = peak_kib()\n"
+            "order = group_order(FinitePresentation(('x',), (((0, 3000000),),)), 10)\n"
+            "growth = peak_kib() - before\n"
+            "print(order == Exceeded(10), growth // 1024)\n"
+        )
+        exceeded, growth_mb = _fresh_python(script).split()
+        assert exceeded == "True"
+        assert int(growth_mb) < 36
 
 
 _D806 = presentation_of(OrbSignature(0, 0, (2, 2, 806)))
@@ -513,9 +529,9 @@ def test_power_relator_scans_skip_closed_cycles(monkeypatch, p, subgroup, rows, 
     counts = collections.Counter()
     scan = _Enumerator.scan_and_fill
 
-    def counting(self, alpha, word, inverse, last, cap):
+    def counting(self, alpha, word, cap):
         counts[word, cap > 0] += 1
-        return scan(self, alpha, word, inverse, last, cap)
+        return scan(self, alpha, word, cap)
 
     monkeypatch.setattr(_Enumerator, "scan_and_fill", counting)
     table = coset_enumeration(p, subgroup, 10**6)
@@ -785,22 +801,22 @@ class TestOrderRoutes:
         assert time.perf_counter() - start < 1.0
         assert permutation_group_order(table, 10751) == Exceeded(10751)
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_transitive_3584_action_memory(self):
         # the order-10752 group on the 3584 cosets of <y> is not regular, so
         # Schreier-Sims keeps a 3584-point orbit of 3584-point permutations:
         # about 93 MB with one permutation per orbit point, about 191 MB
-        # when each point also stored its representative.  ru_maxrss is the
-        # peak of the whole process, so the run gets a fresh one.
+        # when each point also stored its representative.  The peak is the
+        # whole process's, so the run gets a fresh one.
         script = (
-            "import resource, sys\n"
+            "import sys\n"
             "from orbicurve import coset_enumeration, permutation_group_order\n"
             "from orbicurve.presentations import parse_presentation\n"
             "pf = parse_presentation(sys.argv[1])\n"
             "perms = coset_enumeration(pf.presentation, pf.subgroup_generators, 10**6)\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak_kib()\n"
             "order = permutation_group_order(perms)\n"
-            "growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+            "growth = peak_kib() - before\n"
             "print(perms.degree, order, growth // 1024)\n"
         )
         degree, order, growth_mb = map(int, _fresh_python(script, G10752_TEXT + "sub y\n").split())
@@ -808,13 +824,23 @@ class TestOrderRoutes:
         assert growth_mb < 150
 
 
+# the peak resident size of the process's own memory, in KiB.  ru_maxrss
+# would start at the peak of the process that spawned it, which an exec
+# keeps, so a growth below that peak would not show
+PEAK_KIB = """
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+"""
+
+
 def _fresh_python(script: str, *args: str) -> str:
     """stdout of `script` run in a new interpreter that imports this
-    orbicurve, for measurements of a whole process."""
+    orbicurve and has `peak_kib()`, for measurements of a whole process."""
     src = os.path.dirname(os.path.dirname(orbicurve.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-c", script, *args],
+    return subprocess.run([sys.executable, "-c", PEAK_KIB + script, *args],
                           capture_output=True, text=True, check=True, env=env).stdout
 
 

@@ -82,8 +82,11 @@ with contextlib.redirect_stdout(io.StringIO()):
 BASE = ["orbicurve", "orbicurve.cli", "orbicurve.errors", "orbicurve.signature"]
 SIG = '{"g": 0, "r": 0, "m": [2, 3, 7]}'
 OPEN_SIG = '{"g": 0, "r": 1, "m": [2, 3]}'
-# the Todd-Coxeter stack: enumeration, and the modules it imports
-COSETS = ["orbicurve.abelian", "orbicurve.cosets", "orbicurve.presentations"]
+# the Todd-Coxeter stack: enumeration, and the module it imports; `abelian`
+# loads only when `group_order` reads an order in G^ab
+COSETS = ["orbicurve.cosets", "orbicurve.presentations"]
+# `fixtures` imports `abelian` for the named examples, `wallpaper` for `mat_mul`
+FIXTURES = COSETS + ["orbicurve.abelian", "orbicurve.fixtures", "orbicurve.wallpaper"]
 
 
 def _loaded(body: str, *argv: str, cwd=None) -> set[str]:
@@ -109,13 +112,12 @@ class TestModulesLoaded:
          ["orbicurve.abelian", "orbicurve.presentations"]),
         (("verify", "wallpaper", "--k", "2", "--samples", "3", "--seed", "1"),
          ["orbicurve.wallpaper"]),
-        (("verify", "example", "--name", "quartic-b3p1"),
-         COSETS + ["orbicurve.fixtures", "orbicurve.wallpaper"]),
+        (("verify", "example", "--name", "quartic-b3p1"), FIXTURES),
         (("cover", "--sig", OPEN_SIG, "--lcm"), COSETS + ["orbicurve.covers"]),
         (("cover", "--sig", OPEN_SIG, "--index", "6"), COSETS + ["orbicurve.covers"]),
         (("cover", "verify", "--sig", SIG, "--perms", "perms.txt"), COSETS + ["orbicurve.covers"]),
         (("todd-coxeter", "--presentation", "p.txt"), COSETS),
-        (("triangle-rep", "--m", "2,3,7"), COSETS + ["orbicurve.fixtures", "orbicurve.wallpaper"]),
+        (("triangle-rep", "--m", "2,3,7"), FIXTURES),
     ], ids=["chi", "kind", "order", "iso", "serre", "abelianize-presentation", "verify-wallpaper",
             "verify-example", "cover-lcm", "cover-index", "cover-verify", "todd-coxeter",
             "triangle-rep"])

@@ -102,11 +102,12 @@ rel x3^3
 rel x3^-1 x2^-1 x1^-1
 sub x1 x2
 """
-    pf = parse_presentation(text)
-    assert pf.presentation.generators == ("x1", "x2", "x3")
-    assert len(pf.presentation.relators) == 4
-    assert pf.presentation.relators[3] == ((2, -1), (1, -1), (0, -1))
-    assert pf.subgroup_generators == (((0, 1), (1, 1)),)
+    # words are whitespace-separated tokens, and so is the line keyword
+    for pf in (parse_presentation(text), parse_presentation(text.replace(" ", "\t"))):
+        assert pf.presentation.generators == ("x1", "x2", "x3")
+        assert len(pf.presentation.relators) == 4
+        assert pf.presentation.relators[3] == ((2, -1), (1, -1), (0, -1))
+        assert pf.subgroup_generators == (((0, 1), (1, 1)),)
 
 
 def test_presentation_file_errors():

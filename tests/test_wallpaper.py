@@ -283,17 +283,16 @@ class TestSuite:
         with pytest.raises(BadK):
             run_wallpaper_suite(5, samples=1, seed=1)
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_memory_flat_in_samples(self):
         # the samples are drawn one at a time, so 30,000 of them cost no
         # more memory than one
         script = (
-            "import resource\n"
             "from orbicurve import run_wallpaper_suite\n"
             "run_wallpaper_suite(2, 1, 1)\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak_kib()\n"
             "report = run_wallpaper_suite(2, 30000, 1)\n"
-            "growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+            "growth = peak_kib() - before\n"
             "print(int(report.passed), growth)\n"
         )
         passed, growth_kb = map(int, _fresh_python(script).split())
