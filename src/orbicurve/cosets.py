@@ -77,7 +77,11 @@ same integer and the same cap rule on both.  A regular group is certified
 by one centralizing permutation per generator, in O(degree x generators)
 each (`_is_regular`); any other group goes to Schreier-Sims, whose Schreier
 trees are extended rather than rebuilt and which tests each (orbit point,
-generator) pair of a level once (`_StabilizerChain`).
+generator) pair of a level once (`_StabilizerChain`).  A Schreier generator
+is sifted by its images of the base points, read off the two stored
+permutations it is the quotient of, and is built point by point only when
+its residue joins the chain; a product of two permutations is one C-level
+gather (`perm_mul`).
 """
 
 from __future__ import annotations
@@ -86,6 +90,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import DEFAULT_MAX_COSETS, ArityMismatch
 from .presentations import FinitePresentation, Word, check_words, invert_word
@@ -423,8 +428,11 @@ def identity_perm(degree: int) -> tuple[int, ...]:
 
 
 def perm_mul(p, q) -> tuple[int, ...]:
-    """Apply p, then q."""
-    return tuple([q[x] for x in p])
+    """Apply p, then q: one C-level gather of q's own items.  Below degree 2
+    `itemgetter` would not return a tuple, so those take the list form."""
+    if len(p) < 2:
+        return tuple([q[x] for x in p])
+    return itemgetter(*p)(q)
 
 
 def perm_inverse(p) -> tuple[int, ...]:
@@ -435,8 +443,18 @@ def perm_inverse(p) -> tuple[int, ...]:
 
 
 def perm_order(p) -> int:
-    """The lcm of the cycle lengths."""
-    return math.lcm(*(len(c) for c in cycles_of(p)))
+    """The lcm of the cycle lengths, from one walk over the points."""
+    seen = bytearray(len(p))
+    lengths = set()
+    for start in range(len(p)):
+        n, x = 0, start
+        while not seen[x]:
+            seen[x] = 1
+            x = p[x]
+            n += 1
+        lengths.add(n)
+    lengths.discard(0)
+    return math.lcm(*lengths)
 
 
 def perm_power(p, e: int) -> tuple[int, ...]:
@@ -479,6 +497,8 @@ class PermutationImages:
     images: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # tuple() returns a tuple argument itself, so tuple images are kept
+        object.__setattr__(self, "images", tuple(map(tuple, self.images)))
         for p in self.images:
             if sorted(p) != list(range(self.degree)):
                 raise ArityMismatch(f"not a permutation of degree {self.degree}: {p}")
@@ -509,7 +529,9 @@ class _StabilizerChain:
     when a generator joins its level, so a representative keeps its value
     once set.  `pending[i]` holds the (point, generator index) pairs of
     level i whose Schreier generator is still untested, and `sifted`
-    counts the pairs taken from those lists.
+    counts the pairs taken from those lists.  A Schreier generator is
+    sifted by its base images alone (`residue`): it becomes a permutation
+    only when its residue joins the chain as a strong generator.
     """
 
     def __init__(self, degree: int):
@@ -579,9 +601,11 @@ class _StabilizerChain:
         gens, invs = self.gens[level], self.invs[level]
         pending = self.pending[level]
         gens.append((y, y_inv))
-        new = []
-
-        def visit(beta, k, s, s_inv):
+        new = []  # read by `pairs` while it grows, so the walk is breadth-first
+        pairs = itertools.chain([(beta, len(gens) - 1) for beta in invs],
+                                ((gamma, k) for gamma in new for k in range(len(gens))))
+        for beta, k in pairs:
+            s, s_inv = gens[k]
             gamma = s[beta]
             if gamma in invs:
                 pending.append((beta, k))
@@ -589,41 +613,35 @@ class _StabilizerChain:
                 invs[gamma] = perm_mul(s_inv, invs[beta])
                 new.append(gamma)
 
-        for beta in list(invs):
-            visit(beta, len(gens) - 1, y, y_inv)
-        for gamma in new:
-            for k, (s, s_inv) in enumerate(gens):
-                visit(gamma, k, s, s_inv)
-
     def residue(self, level: int) -> tuple[int, ...] | None:
         """Test the level's pending Schreier generators g = u_beta s u_{beta s}^-1
         until one does not sift to the identity through the levels below;
         return it sifted, or None when the list runs out.  A tested
         generator stays in the group of the levels below, because trees
-        and generating sets only grow, so no pair is tested twice."""
-        pending, gens = self.pending[level], self.gens[level]
-        invs, ident = self.invs[level], self.ident
-        g = list(ident)
+        and generating sets only grow, so no pair is tested twice.
+
+        g is sifted by its base images alone.  With v = u_beta^-1, g is
+        v^-1 w for w = s u_{beta s}^-1, so g takes b to w[v.index(b)], and
+        sifting g by t is w -> w t.  g sifts to the identity iff the final
+        w equals v; only a residue that joins the chain is built, as
+        v^-1 w."""
+        pending, gens, invs = self.pending[level], self.gens[level], self.invs[level]
+        below = list(zip(self.base, self.invs))[level + 1:]
         while pending:
             beta, k = pending.pop()
             self.sifted += 1
             s = gens[k][0]
-            v, h = invs[beta], perm_mul(s, invs[s[beta]])
-            if h != v:  # g takes v[x] to h[x], so g = 1 iff h == v
-                for x, hx in zip(v, h):
-                    g[x] = hx
-                y = self._sift(tuple(g), level + 1)
-                if y != ident:
-                    return y
+            v, w = invs[beta], perm_mul(s, invs[s[beta]])
+            if w == v:
+                continue
+            for b, level_invs in below:
+                t = level_invs.get(w[v.index(b)])
+                if t is None:  # g moves b out of its orbit, so w != v
+                    break
+                w = perm_mul(w, t)
+            if w != v:
+                return perm_mul(perm_inverse(v), w)
         return None
-
-    def _sift(self, g, level: int) -> tuple[int, ...]:
-        for j in range(level, len(self.base)):
-            t = self.invs[j].get(g[self.base[j]])
-            if t is None:
-                return g
-            g = perm_mul(g, t)
-        return g
 
 
 def _is_regular(perms: PermutationImages) -> bool:

@@ -12,7 +12,7 @@ import enum
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import MalformedSignature
 
@@ -50,11 +50,11 @@ class OrbSignature:
 
 
 def euler_characteristic(sig: OrbSignature) -> Fraction:
-    """Orbifold Euler characteristic 2 - 2g - r - sum(1 - 1/m_i), exact."""
-    chi = Fraction(2 - 2 * sig.g - sig.r)
-    for e in sig.m:
-        chi -= 1 - Fraction(1, e)
-    return chi
+    """Orbifold Euler characteristic 2 - 2g - r - sum(1 - 1/m_i), exact:
+    one Fraction over den = lcm(m), whose numerator is
+    (2 - 2g - r - n) den + sum(den / m_i)."""
+    den = lcm(*sig.m)
+    return Fraction((2 - 2 * sig.g - sig.r - sig.n) * den + sum(den // e for e in sig.m), den)
 
 
 class Infinite:

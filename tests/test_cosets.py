@@ -99,6 +99,12 @@ def hurwitz_triple(q):
     raise AssertionError(f"no Hurwitz triple in PSL(2, {q})")
 
 
+def random_pair(n, seed):
+    """Two seeded random permutations of degree n."""
+    rng = random.Random(seed)
+    return PermutationImages(n, tuple(tuple(rng.sample(range(n), n)) for _ in range(2)))
+
+
 def symmetric_200():
     """<(0 1), (0 1 ... 199)>, the symmetric group of degree 200."""
     swap = (1, 0) + tuple(range(2, 200))
@@ -639,6 +645,18 @@ class TestPermutations:
         with pytest.raises(ArityMismatch):
             PermutationImages(2, ((0, 0),))
 
+    @pytest.mark.parametrize("degree, images, order", [
+        (3, ([0, 1, 2],), 1),
+        (4, ([1, 0, 2, 3], [0, 1, 2, 3]), 2),
+    ], ids=["identity", "transposition-and-identity"])
+    def test_list_images_become_tuples(self, degree, images, order):
+        # a list identity compared unequal to the tuple identity and reached
+        # `add`, which found no moved point and raised StopIteration
+        perms = PermutationImages(degree, images)
+        assert permutation_group_order(perms) == order
+        assert perms.images == tuple(map(tuple, images))
+        assert hash(perms) == hash(PermutationImages(degree, perms.images))
+
 
 class TestPermutationGroupOrder:
     def test_transposition(self):
@@ -784,12 +802,29 @@ class TestOrderRoutes:
         # the Schreier generators of a level are the pairs (orbit point,
         # generator), and none is taken twice, whatever number of strong
         # generators joins the level after it was tested
-        rng = random.Random(seed)
-        images = tuple(tuple(rng.sample(range(n), n)) for _ in range(2))
         chain = _StabilizerChain(n)
-        assert chain.schreier_sims(images, 10**80) == math.factorial(n)
+        assert chain.schreier_sims(random_pair(n, seed).images, 10**80) == math.factorial(n)
         pairs = sum(len(invs) * len(gens) for invs, gens in zip(chain.invs, chain.gens))
         assert 0 < chain.sifted <= pairs
+
+    @pytest.mark.parametrize("perms, base, orbits, gens, sifted, digest", [
+        (hurwitz_triple(29), [0, 1, 2], [30, 29, 14], [3, 3, 2], 135,
+         "a602a33fcc37d29b2e98aaaf23c1631f8fa2fffbb1ba4b51a42b04c1a7076cf1"),
+        (random_pair(20, 0), [0, 1, 2, 3, 4, 5, 6, 8, 10, 9, 11, 13, 17, 14, 16, 7, 12, 15, 18],
+         list(range(20, 1, -1)), [2, 2, 2, 2, 3, 4, 5, 5, 5, 5, 5, 6, 6, 5, 4, 3, 3, 2, 1], 562,
+         "453a3209fbad1a6c1d975f35d66b4d3a26760dadfc9b04defabc19c28b7c0871"),
+    ], ids=["psl2_29_triple", "s20_seed0"])
+    def test_pinned_chain(self, perms, base, orbits, gens, sifted, digest):
+        # the whole chain, not only its order: a different sift would give
+        # other residues, so other strong generators or another base
+        chain = _StabilizerChain(perms.degree)
+        assert chain.schreier_sims(perms.images, 10**80) == math.prod(orbits)
+        assert chain.base == base
+        assert [len(invs) for invs in chain.invs] == orbits
+        assert [len(level) for level in chain.gens] == gens
+        assert chain.sifted == sifted
+        strong = repr([[y for y, _ in level] for level in chain.gens])
+        assert hashlib.sha256(strong.encode()).hexdigest() == digest
 
     def test_regular_order_10752_action_within_budget(self):
         # with a base of length 1 the Schreier generators alone cost |G|^2
@@ -918,6 +953,23 @@ def reference_power(p, e):
     for _ in range(abs(e)):
         out = perm_mul(out, base)
     return out
+
+
+@pytest.mark.parametrize("p", [(), (0,), (1, 0), (0, 1), (1, 2, 0)])
+def test_perm_mul_gathers_q_own_items(p):
+    # below degree 2 the gather takes the list form; at any degree the
+    # product is a tuple of q's own objects, for a tuple or a list q
+    items = [object() for _ in p]
+    for q in (items, tuple(items)):
+        r = perm_mul(p, q)
+        assert type(r) is tuple
+        assert len(r) == len(p) and all(r[x] is q[p[x]] for x in range(len(p)))
+    assert perm_mul(p, list(p)) == tuple(p[p[x]] for x in range(len(p)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
+def test_identity_has_order_one(n):
+    assert perm_order(identity_perm(n)) == 1
 
 
 wide_perms_st = st.integers(1, 30).flatmap(

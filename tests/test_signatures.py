@@ -104,10 +104,12 @@ def test_euler_characteristic_values(sig, expected):
 @given(
     st.integers(0, 4),
     st.integers(0, 4),
-    st.lists(st.integers(2, 12), max_size=5),
+    st.lists(st.one_of(st.integers(2, 12), st.integers(10**1999, 10**2001)), max_size=5),
 )
 def test_euler_characteristic_permutation_invariant(g, r, m):
-    # the sorted signature stands for every arrangement of its multiplicities
+    # the sorted signature stands for every arrangement of its multiplicities,
+    # and its one Fraction over lcm(m) is the term-by-term sum, also for
+    # orders of 2000 or more digits
     sig = OrbSignature(g, r, tuple(sorted(m)))
     assert euler_characteristic(sig) == chi_by_hand(g, r, m)
 
