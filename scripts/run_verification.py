@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Run every verification suite in the package and print a summary.
 
-This drives the same oracles the test suite uses: finite-order table via
-coset enumeration, the abelianization table, the four exact quotient-surface
-suites, the named plane-curve examples, the torsion-free cover fixture, and
-a sweep of hyperbolic triangle representations.
+This drives the same oracles the test suite uses: finite orders via coset
+enumeration, the abelianization table, the NINF verdicts of the compact
+Euclidean groups against their rotation matrices, the four exact
+quotient-surface suites, the named plane-curve examples, the torsion-free
+cover fixture, and a sweep of hyperbolic triangle representations.
 """
 
 import sys
 import time
 from fractions import Fraction
+from math import lcm
 
 from orbicurve import (
     Exceeded,
@@ -20,11 +22,13 @@ from orbicurve import (
     coset_enumeration,
     finite_order,
     group_order,
+    h_matrix,
     parse_presentation,
     permutation_group_order,
     presentation_of,
     projective_triangle_fixture,
     run_wallpaper_suite,
+    satisfies_ninf,
     torsion_free_subgroup_rank,
     triangle_representation,
     verify_example,
@@ -72,6 +76,20 @@ def main() -> int:
                 failures += not ok
                 count += 1
     print(f"  {count} signatures compared")
+
+    banner("NINF on the compact Euclidean groups: fails iff h has eigenvalue +-1")
+    for sig in (OrbSignature(1, 0, ()), OrbSignature(0, 0, (2, 2, 2, 2)),
+                OrbSignature(0, 0, (3, 3, 3)), OrbSignature(0, 0, (2, 4, 4)),
+                OrbSignature(0, 0, (2, 3, 6))):
+        # G = Z^2 x|_h Z_k with k = lcm(m); h = I for the torus
+        k = lcm(*sig.m)
+        (a, b), (c, d) = h_matrix(k) if k > 1 else ((1, 0), (0, 1))
+        eigenvalue_pm1 = ((a - 1) * (d - 1) - b * c) * ((a + 1) * (d + 1) - b * c) == 0
+        verdict = satisfies_ninf(sig).verdict.value
+        ok = (verdict == "fails") == eigenvalue_pm1
+        failures += not ok
+        print(f"  g={sig.g}, m={sig.m}: k={k}, eigenvalue +-1: {eigenvalue_pm1}, "
+              f"ninf {verdict}: {'PASS' if ok else 'FAIL'}")
 
     banner("quotient-surface suites (exact)")
     for k in (2, 3, 4, 6):

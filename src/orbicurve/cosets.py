@@ -352,7 +352,8 @@ def coset_enumeration(
     bound tripped.  Above LOOKAHEAD_LIVE the lookahead passes keep the count
     lower than HLT's, so a run may complete where HLT alone passes the bound
     (module docstring).  A subgroup word over a generator that p lacks is
-    refused with UnknownGenerator.
+    refused with UnknownGenerator, and one with a letter that is not a pair
+    of ints with TypeError.
     """
     check_words(subgroup_generators, p.generators)
     enumerator = _Enumerator(p, subgroup_generators, max_cosets)

@@ -18,18 +18,19 @@ Word = tuple[tuple[int, int], ...]
 
 def free_reduce(pairs) -> Word:
     """Merge adjacent powers of the same generator and drop zero exponents."""
-    out: list[list[int]] = []
+    out: list[tuple[int, int]] = []
     for gen, exp in pairs:
-        exp = int(exp)
         if exp == 0:
             continue
         if out and out[-1][0] == gen:
-            out[-1][1] += exp
-            if out[-1][1] == 0:
+            exp += out[-1][1]
+            if exp:
+                out[-1] = (gen, exp)
+            else:
                 out.pop()
         else:
-            out.append([gen, exp])
-    return tuple((g, e) for g, e in out)
+            out.append((gen, exp))
+    return tuple(out)
 
 
 def invert_word(word: Word) -> Word:
@@ -76,9 +77,13 @@ def check_generator_names(generators: tuple[str, ...]) -> None:
 
 
 def check_words(words, generators: tuple[str, ...]) -> None:
-    """Refuse a word over a generator index that `generators` lacks."""
+    """Refuse a letter whose generator index or exponent is not an int, or
+    is a bool, with TypeError, and an index that `generators` lacks with
+    UnknownGenerator."""
     for word in words:
-        for g, _ in word:
+        for g, e in word:
+            if type(g) is not int or type(e) is not int:
+                raise TypeError(f"letter ({g!r}, {e!r}): index and exponent must be ints")
             if not 0 <= g < len(generators):
                 raise UnknownGenerator(f"generator index {g} out of range for {generators}")
 

@@ -86,22 +86,24 @@ def is_finite_cyclic(sig: OrbSignature) -> bool:
     return 2 * sig.g + sig.r - 1 == 0 and sig.n <= 1
 
 
-def finite_order(sig: OrbSignature) -> int | Infinite:
-    """Order of the group, or INFINITE.
+def finite_order(sig: OrbSignature, chi: Fraction | None = None) -> int | Infinite:
+    """Order of the group, or INFINITE; `chi`, if given, is
+    euler_characteristic(sig).
 
-    Finite cases: the finite cyclic groups (`is_finite_cyclic`) and the
-    spherical triangle groups, dihedral (2,2,n) of order 2n and the three
-    platonic ones; (2,3,5) has order 60, as coset enumeration certifies.
+    G is finite exactly when chi > 0.  chi > 0 leaves g = 0 with r = 1 and
+    n <= 1, or r = 0 and n <= 3, so apart from the finite cyclic groups
+    (`is_finite_cyclic`) these are the spherical triangle groups.  Such a G
+    acts on the sphere with quotient orbifold of Euler characteristic chi,
+    so |G| chi = chi(S^2) = 2: order 2n for (2,2,n), and 12, 24 and 60 for
+    (2,3,3), (2,3,4) and (2,3,5).
     """
     if is_finite_cyclic(sig):
         if sig.r >= 1:
             return sig.m[0] if sig.m else 1
         return gcd(*sig.m) if sig.n == 2 else 1
-    if sig.r == sig.g == 0 and sig.n == 3:
-        if sig.m[:2] == (2, 2):
-            return 2 * sig.m[2]
-        return {(2, 3, 3): 12, (2, 3, 4): 24, (2, 3, 5): 60}.get(sig.m, INFINITE)
-    return INFINITE
+    if chi is None:
+        chi = euler_characteristic(sig)
+    return 2 * chi.denominator // chi.numerator if chi > 0 else INFINITE  # 2 / chi
 
 
 class KindName(enum.Enum):
@@ -135,14 +137,13 @@ def classify_kind(sig: OrbSignature) -> Kind:
         name = KindName.EUCLIDEAN
     else:
         name = KindName.HYPERBOLIC
-    order = finite_order(sig)
+    order = finite_order(sig, chi)
     return Kind(name, None if order is INFINITE else order)
 
 
 class NinfVerdict(enum.Enum):
     SATISFIES = "satisfies"
     FAILS = "fails"
-    UNDETERMINED = "undetermined"
 
 
 @dataclass(frozen=True)
@@ -154,29 +155,44 @@ class NinfStatus:
     witness: str | None = None
 
 
-# Euclidean compact signatures whose translation subgroups give an explicit
-# failure witness (rotations have order <= 2, so a single translation
-# generates a normal copy of Z).
-_NINF_FAILS = {
-    OrbSignature(1, 0, ()),
-    OrbSignature(0, 0, (2, 2, 2, 2)),
-}
-_NINF_UNDETERMINED = {
-    OrbSignature(0, 0, (3, 3, 3)),
-    OrbSignature(0, 0, (2, 4, 4)),
-    OrbSignature(0, 0, (2, 3, 6)),
-}
-
 _NINF_WITNESS = "<translation> ~ Z normal, f.g., infinite index"
 
 
 def satisfies_ninf(sig: OrbSignature) -> NinfStatus:
-    """NINF status: satisfied by every curve orbifold group that is not a
-    Euclidean compact one; the torus and (2,2,2,2) groups fail with an
-    explicit witness; the remaining three wallpaper triangle groups are left
-    undetermined."""
-    if sig in _NINF_FAILS:
+    """NINF fails exactly when r = 0, chi = 0 and lcm(m) <= 2: for the
+    torus and (2,2,2,2).  Every other group satisfies it.
+
+    - chi > 0: G is finite, so every subgroup has finite index.
+    - r >= 1, chi = 0: G is Z (r = 2) or D_inf = Z_2 * Z_2 (m = (2,2)).
+      A nontrivial subgroup of Z has finite index; a nontrivial normal
+      subgroup of D_inf holds a nontrivial translation (the product of a
+      reflection and its conjugate by a translation), so it too has finite
+      index.
+    - chi < 0: G is a finitely generated Fuchsian group of the first kind,
+      with a cusp per puncture, and a nontrivial finitely generated normal
+      subgroup of such a group has finite index (Greenberg, "Discrete
+      groups of motions", Canad. J. Math. 12 (1960)).
+    - r = 0, chi = 0: G = Z^2 x|_h Z_k, translations by the lattice Z^2
+      and a rotation acting on it by h, with k = lcm(m): h = I for the
+      torus and h = `wallpaper.h_matrix(k)` for (2,2,2,2), (3,3,3), (2,4,4)
+      and (2,3,6).  When h has an eigenvalue +-1, which is k <= 2 (h = I or
+      -I), each translation t spans an h-invariant line, so <t> ~ Z is
+      normal and finitely generated of infinite index: the witness.  For
+      k = 3, 4, 6 let N be a normal subgroup of infinite index.
+      1. N n Z^2 is normal, so h-invariant, and has rank below 2, else N
+         has finite index.
+      2. An h-invariant subgroup of rank 1 is spanned by an eigenvector of
+         h with eigenvalue +-1.  The characteristic polynomials
+         x^2 + x + 1, x^2 + 1 and x^2 - x + 1 of h for k = 3, 4, 6 have no
+         root +-1, so N n Z^2 = 1.
+      3. N then embeds in G / Z^2 = Z_k, so N is finite.
+      4. A nontrivial finite group of orientation-preserving plane
+         isometries fixes exactly one point (the centroid of an orbit).
+         Conjugating N by a translation moves that point, yet leaves N
+         unchanged, so N = 1.
+      So G has no nontrivial normal subgroup of infinite index, and NINF
+      holds vacuously.
+    """
+    if sig.r == 0 and lcm(*sig.m) <= 2 and euler_characteristic(sig) == 0:
         return NinfStatus(NinfVerdict.FAILS, _NINF_WITNESS)
-    if sig in _NINF_UNDETERMINED:
-        return NinfStatus(NinfVerdict.UNDETERMINED)
     return NinfStatus(NinfVerdict.SATISFIES)

@@ -109,6 +109,9 @@ CASES = [
     *_one("chi-long-result", "chi", "--sig", '{"g":0,"r":0,"m":[' + HUGE_ORDERS + ']}'),
     *_both("kind", "kind", "--sig", '{"g":0,"r":0,"m":[2,2,5]}'),
     *_both("kind-witness", "kind", "--sig", '{"g":1,"r":0,"m":[]}'),
+    *(case for m in ("3,3,3", "2,4,4", "2,3,6", "2,2,2,2")
+      for case in _both(f"kind-{m.replace(',', '')}", "kind", "--sig",
+                        f'{{"g":0,"r":0,"m":[{m}]}}')),
     *_both("order-finite", "order", "--sig", '{"g":0,"r":1,"m":[9]}'),
     *_both("order-infinite", "order", "--sig", '{"g":1,"r":0,"m":[]}'),
     *_both("abelianize-sig", "abelianize", "--sig", '{"g":0,"r":0,"m":[2,4,4]}'),

@@ -184,6 +184,12 @@ class TestCosetEnumeration:
         with pytest.raises(UnknownGenerator):
             coset_enumeration(p, (((-1, 1),),), 10**4)
 
+    @pytest.mark.parametrize("letter", [(0, 1.0), (False, 1), (0, True)])
+    def test_subgroup_word_with_non_int_letter_refused(self, letter):
+        p = presentation_of(OrbSignature(0, 0, (2, 3, 3)))
+        with pytest.raises(TypeError, match="must be ints"):
+            coset_enumeration(p, ((letter,),), 10**4)
+
     def test_exceeded_on_small_bound(self):
         result = coset_enumeration(presentation_of(OrbSignature(0, 0, (2, 3, 3))), (), 10)
         assert isinstance(result, Exceeded)

@@ -77,6 +77,13 @@ def test_out_of_range_relator_rejected():
         FinitePresentation(("x",), (((1, 2),),))
 
 
+@pytest.mark.parametrize("letter", [(0, 2.5), (0, 0.9), (0.0, 2), (0, True)])
+def test_non_int_letters_refused(letter):
+    # int() would store x^2.5 as x^2 and drop x^0.9, leaving a free group
+    with pytest.raises(TypeError, match="must be ints"):
+        FinitePresentation(("x",), ((letter,),))
+
+
 def test_duplicate_generators_rejected():
     with pytest.raises(UnknownGenerator):
         FinitePresentation(("x", "x"), ())

@@ -1,18 +1,22 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from orbicurve import (
     INFINITE,
     KindName,
     MalformedSignature,
+    NinfStatus,
     NinfVerdict,
     OrbSignature,
     classify_kind,
     euler_characteristic,
     finite_order,
+    h_matrix,
     is_finite_cyclic,
     satisfies_ninf,
 )
@@ -147,6 +151,9 @@ def test_classify_kind(sig, name, finite, order):
         (OrbSignature(0, 2, ()), INFINITE),
         (OrbSignature(0, 1, (2, 2)), INFINITE),
         (OrbSignature(0, 0, (3, 3, 3)), INFINITE),
+        # 2 / chi on the spherical triangles, and infinite past them
+        *((OrbSignature(0, 0, (2, 2, n)), 2 * n) for n in range(3, 13)),
+        (OrbSignature(0, 0, (2, 3, 7)), INFINITE),
     ],
 )
 def test_finite_order(sig, order):
@@ -181,6 +188,16 @@ def test_finite_cyclic_predicate():
     assert not is_finite_cyclic(OrbSignature(1, 0, ()))
 
 
+COMPACT_EUCLIDEAN = [
+    OrbSignature(1, 0, ()),
+    OrbSignature(0, 0, (2, 2, 2, 2)),
+    OrbSignature(0, 0, (3, 3, 3)),
+    OrbSignature(0, 0, (2, 4, 4)),
+    OrbSignature(0, 0, (2, 3, 6)),
+]
+WITNESS = "<translation> ~ Z normal, f.g., infinite index"
+
+
 class TestNinf:
     def test_hyperbolic_satisfies(self):
         assert satisfies_ninf(OrbSignature(0, 0, (2, 3, 7))).verdict is NinfVerdict.SATISFIES
@@ -194,14 +211,36 @@ class TestNinf:
         assert satisfies_ninf(OrbSignature(0, 0, (2, 2, 2, 2))).verdict is NinfVerdict.FAILS
 
     @pytest.mark.parametrize("m", [(3, 3, 3), (2, 4, 4), (2, 3, 6)])
-    def test_euclidean_triangles_undetermined(self, m):
-        assert satisfies_ninf(OrbSignature(0, 0, m)).verdict is NinfVerdict.UNDETERMINED
+    def test_euclidean_triangles_satisfy(self, m):
+        # Z^2 x|_h Z_k for k = 3, 4, 6 has no nontrivial normal subgroup of
+        # infinite index, so NINF holds vacuously
+        assert satisfies_ninf(OrbSignature(0, 0, m)) == NinfStatus(NinfVerdict.SATISFIES)
+
+    def test_compact_euclidean_signatures_are_the_five(self):
+        sigs = (OrbSignature(g, 0, m)
+                for g in range(3)
+                for n in range(5)
+                for m in combinations_with_replacement(range(2, 13), n))
+        assert {sig for sig in sigs if euler_characteristic(sig) == 0} == set(COMPACT_EUCLIDEAN)
+
+    @pytest.mark.parametrize("k, eigenvalue_pm1", [(2, True), (3, False), (4, False), (6, False)])
+    def test_rotation_eigenvalue_pm1_only_for_k2(self, k, eigenvalue_pm1):
+        # the rotation h of Z^2 x|_h Z_k fixes or reverses a translation line
+        # exactly when det(h - I) det(h + I) = 0
+        (a, b), (c, d) = h_matrix(k)
+        product = ((a - 1) * (d - 1) - b * c) * ((a + 1) * (d + 1) - b * c)
+        assert (product == 0) == eigenvalue_pm1
 
     @given(small_sigs)
-    def test_satisfies_only_outside_euclidean_compact(self, sig):
+    @example(OrbSignature(1, 0, ()))
+    @example(OrbSignature(0, 0, (2, 2, 2, 2)))
+    @example(OrbSignature(0, 0, (3, 3, 3)))
+    @example(OrbSignature(0, 0, (2, 4, 4)))
+    @example(OrbSignature(0, 0, (2, 3, 6)))
+    @example(OrbSignature(0, 1, (2, 2)))
+    def test_fails_iff_compact_euclidean_with_lcm_at_most_2(self, sig):
         status = satisfies_ninf(sig)
-        euclidean_compact = sig.r == 0 and euler_characteristic(sig) == 0
-        if status.verdict is NinfVerdict.SATISFIES:
-            assert not euclidean_compact
+        if sig.r == 0 and euler_characteristic(sig) == 0 and lcm(*sig.m) <= 2:
+            assert status == NinfStatus(NinfVerdict.FAILS, WITNESS)
         else:
-            assert euclidean_compact
+            assert status == NinfStatus(NinfVerdict.SATISFIES)
