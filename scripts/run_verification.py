@@ -4,22 +4,27 @@
 This drives the same oracles the test suite uses: finite orders via coset
 enumeration, the abelianization table, the NINF verdicts of the compact
 Euclidean groups against their rotation matrices, the four exact
-quotient-surface suites, the named plane-curve examples, the torsion-free
-cover fixture, and a sweep of hyperbolic triangle representations.
+quotient-surface suites, the named plane-curve examples, forged word-map
+certificates that must be rejected, the torsion-free cover fixture, and a
+sweep of hyperbolic triangle representations.
 """
 
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
 from orbicurve import (
     Exceeded,
     OrbSignature,
+    WordMaps,
     abelianization,
     abelianization_of_presentation,
     check_triangle_rep,
+    check_word_maps,
     coset_enumeration,
+    example_presentation,
     finite_order,
     group_order,
     h_matrix,
@@ -27,6 +32,7 @@ from orbicurve import (
     permutation_group_order,
     presentation_of,
     projective_triangle_fixture,
+    quotient_by_relators,
     run_wallpaper_suite,
     satisfies_ninf,
     torsion_free_subgroup_rank,
@@ -34,6 +40,7 @@ from orbicurve import (
     verify_example,
     verify_torsion_free_kernel,
 )
+from orbicurve.fixtures import QuotientPresentationFact
 
 
 def banner(title):
@@ -98,11 +105,61 @@ def main() -> int:
         print(f"  k={k}: {'PASS' if report.passed else 'FAIL'}")
 
     banner("named examples")
-    for name in ("quartic-b3p1", "sextic-b4p1", "quintic-237",
-                 "artal(4,1,1)", "artal(5,2,1)", "artal(7,4,1)", "artal(10,7,1)"):
+    names = ("quartic-b3p1", "sextic-b4p1", "quintic-237",
+             "artal(4,1,1)", "artal(5,2,1)", "artal(7,4,1)", "artal(10,7,1)")
+    for name in names:
         report = verify_example(name)
         failures += not report.passed
         print(f"  {name}: {'PASS' if report.passed else 'FAIL'}")
+
+    banner("forged word-map certificates: each rejected with a message")
+    # phi(x) = y^2 and psi(y) = x^0.5 would "prove" <x | x^2> = <y | y^4>
+    z2 = parse_presentation("gens x\nrel x^2\n").presentation
+    z4 = parse_presentation("gens y\nrel y^4\n").presentation
+    forgeries = [("Z2 = Z4", z2, z4, WordMaps(
+        (((0, 2),),), (((0, 0.5),),), ([((), 0, 1)], [((), 0, 1)], [], [])))]
+    genuine = 0
+    for name in names:
+        example = example_presentation(name)
+        for fact in example.facts:
+            if not isinstance(fact, QuotientPresentationFact):
+                continue
+            p = quotient_by_relators(example.presentation, fact.extra)
+            q = presentation_of(fact.signature)
+            maps = fact.maps
+            ok = check_word_maps(p, q, maps) is None
+            failures += not ok
+            genuine += ok
+            if not ok:
+                print(f"  FAIL {name}: its own word maps rejected")
+            # the first image letter's exponent as a float
+            g = next(g for g, image in enumerate(maps.phi) if image)
+            (x, e), *letters = maps.phi[g]
+            phi = maps.phi[:g] + (((x, float(e)), *letters),) + maps.phi[g + 1:]
+            # the first conjugate, over a generator neither side has, or
+            # with a float relator index
+            k = next(k for k, proof in enumerate(maps.proofs) if proof)
+            (u, i, e), *rest = maps.proofs[k]
+            for label, conjugate in (
+                ("foreign conjugator", (((max(p.ngens, q.ngens), 1), *u), i, e)),
+                ("float relator index", (u, float(i), e)),
+            ):
+                proofs = maps.proofs[:k] + ((conjugate, *rest),) + maps.proofs[k + 1:]
+                forgeries.append((f"{name}, {label}", p, q, replace(maps, proofs=proofs)))
+            forgeries.append((f"{name}, float image exponent", p, q, replace(maps, phi=phi)))
+    rejected = 0
+    for label, p, q, maps in forgeries:
+        try:
+            verdict = check_word_maps(p, q, maps)
+        except Exception as error:  # a forgery must be answered, not raised on
+            verdict = error
+        ok = isinstance(verdict, str)
+        failures += not ok
+        rejected += ok
+        if not ok:
+            print(f"  FAIL {label}: {verdict!r}")
+    print(f"  {genuine} genuine word maps accepted, "
+          f"{rejected} of {len(forgeries)} forgeries rejected")
 
     banner("torsion-free cover certification")
     fixture = projective_triangle_fixture()

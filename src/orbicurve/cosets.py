@@ -501,6 +501,8 @@ class PermutationImages:
         # tuple() returns a tuple argument itself, so tuple images are kept
         object.__setattr__(self, "images", tuple(map(tuple, self.images)))
         for p in self.images:
+            if set(map(type, p)) - {int}:
+                raise TypeError(f"permutation points must be ints, bools excluded: {p}")
             if sorted(p) != list(range(self.degree)):
                 raise ArityMismatch(f"not a permutation of degree {self.degree}: {p}")
 

@@ -25,12 +25,7 @@ from .cosets import (
 )
 from .errors import LcmNotDividing, NonIntegralRank, NotOpenGroup, UnsupportedKind
 from .presentations import presentation_of
-from .signature import (
-    KindName,
-    OrbSignature,
-    classify_kind,
-    euler_characteristic,
-)
+from .signature import OrbSignature, euler_characteristic
 
 
 @dataclass(frozen=True)
@@ -52,7 +47,7 @@ def torsion_free_subgroup_rank(sig: OrbSignature, d: int) -> CoverReport:
     """
     if d < 1:
         raise ValueError("index must be >= 1")
-    torsion_lcm = lcm(*sig.m) if sig.m else 1
+    torsion_lcm = lcm(*sig.m)
     if d % torsion_lcm:
         raise LcmNotDividing(
             f"index {d} is not a multiple of lcm{sig.m} = {torsion_lcm}"
@@ -78,7 +73,7 @@ def lcm_cover_for_free_product(sig: OrbSignature) -> CoverReport:
     """
     if sig.r == 0:
         raise NotOpenGroup("the lcm cover construction needs r >= 1")
-    d = lcm(*sig.m) if sig.m else 1
+    d = lcm(*sig.m)
     return torsion_free_subgroup_rank(sig, d)
 
 
@@ -112,7 +107,7 @@ def verify_torsion_free_kernel(
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    if sig.r == 0 and classify_kind(sig).name is KindName.SPHERICAL:
+    if sig.r == 0 and euler_characteristic(sig) > 0:
         raise UnsupportedKind(
             "torsion classification unavailable for spherical compact groups"
         )

@@ -122,7 +122,7 @@ class FinitePresentation:
 # transformations (Magnus-Karrass-Solitar, Combinatorial Group Theory,
 # section 1.5; Lyndon-Schupp, chapter II)
 
-Conjugate = tuple[Word, int, int]  # (u, i, e) stands for u r_i^e u^-1, e = +-1
+Conjugate = tuple[Word, int, int]  # (u, i, e) stands for u r_i^e u^-1: ints, e = +-1
 
 
 @dataclass(frozen=True)
@@ -144,10 +144,6 @@ class WordMaps:
     proofs: tuple[tuple[Conjugate, ...], ...]
 
 
-def _over(word: Word, p: FinitePresentation) -> bool:
-    return all(0 <= g < p.ngens for g, _ in word)
-
-
 def word_map_claims(
     p: FinitePresentation, q: FinitePresentation, phi, psi
 ) -> list[tuple[str, Word, FinitePresentation]]:
@@ -164,28 +160,32 @@ def word_map_claims(
 
 
 def check_word_maps(p: FinitePresentation, q: FinitePresentation, maps: WordMaps) -> str | None:
-    """None when `maps` proves that p and q present isomorphic groups,
-    otherwise the first claim of `word_map_claims` that fails.  Free
-    reduction is the only operation, so the time is linear in the size of
-    the maps, the proofs and the substituted relators."""
+    """None when `maps` proves that p and q present isomorphic groups, else why
+    the first image, or claim of `word_map_claims`, fails `check_words` over its
+    side or its proof: free reduction, linear in maps, proofs and substituted relators."""
     if len(maps.phi) != p.ngens or len(maps.psi) != q.ngens:
         return f"{len(maps.phi)} + {len(maps.psi)} images for {p.ngens} + {q.ngens} generators"
-    if not (all(_over(w, q) for w in maps.phi) and all(_over(w, p) for w in maps.psi)):
-        return "an image uses an unknown generator"
+    for name, images, side in (("phi", maps.phi, q), ("psi", maps.psi, p)):
+        for g, image in enumerate(images):
+            try:
+                check_words((image,), side.generators)
+            except (TypeError, ValueError, UnknownGenerator) as error:
+                return f"{name}(generator {g}): {error}"
     claims = word_map_claims(p, q, maps.phi, maps.psi)
     if len(maps.proofs) != len(claims):
         return f"{len(maps.proofs)} proofs for {len(claims)} words"
-    # a conjugator may use any generator symbol: the proof then holds in a
-    # larger free group, and sending the extra symbols to 1 retracts it to
-    # a proof in this one
     for (claim, word, side), proof in zip(claims, maps.proofs):
         pairs = []
-        for u, i, e in proof:
-            if not (0 <= i < len(side.relators) and e in (1, -1)):
-                return f"{claim}: no relator conjugate ({i}, {e})"
-            pairs += u
-            pairs += side.relators[i] if e == 1 else invert_word(side.relators[i])
-            pairs += invert_word(u)
+        try:
+            for u, i, e in proof:
+                if not (type(i) is type(e) is int and 0 <= i < len(side.relators) and e in (1, -1)):
+                    return f"{claim}: no relator conjugate ({i!r}, {e!r})"
+                check_words((u,), side.generators)
+                pairs += u
+                pairs += side.relators[i] if e == 1 else invert_word(side.relators[i])
+                pairs += invert_word(u)
+        except (TypeError, ValueError, UnknownGenerator) as error:
+            return f"{claim}: {error}"
         if free_reduce(pairs) != word:
             return f"{claim}: its proof multiplies out to another word"
     return None

@@ -651,6 +651,16 @@ class TestPermutations:
         with pytest.raises(ArityMismatch):
             PermutationImages(2, ((0, 0),))
 
+    @pytest.mark.parametrize("degree, images", [
+        (3, ((1.0, 0, 2),)),
+        (2, ((True, False),)),
+    ], ids=["float-point", "bool-points"])
+    def test_non_int_points_refused(self, degree, images):
+        # sorted() compares 1.0 and True equal to 1, so the permutation
+        # test alone would pass both
+        with pytest.raises(TypeError, match="points must be ints"):
+            PermutationImages(degree, images)
+
     @pytest.mark.parametrize("degree, images, order", [
         (3, ([0, 1, 2],), 1),
         (4, ([1, 0, 2, 3], [0, 1, 2, 3]), 2),

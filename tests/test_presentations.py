@@ -1,10 +1,12 @@
 import ast
+import functools
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_fixtures import PINNED_EXAMPLES
 
 from orbicurve import FinitePresentation, OrbSignature, UnknownGenerator, presentation_of
 from orbicurve.presentations import (
@@ -217,6 +219,46 @@ NAMED = ["quartic-b3p1", "sextic-b4p1", "quintic-237", "artal(4,1,1)", "artal(7,
          "artal(10,7,1)"]
 
 
+@functools.cache
+def _pinned_quotient_names():
+    from orbicurve.fixtures import QuotientPresentationFact, example_presentation
+
+    return [name for name in PINNED_EXAMPLES if any(
+        isinstance(f, QuotientPresentationFact) for f in example_presentation(name).facts)]
+
+
+def _with_proof(maps, k, proof):
+    return replace(maps, proofs=maps.proofs[:k] + (proof,) + maps.proofs[k + 1:])
+
+
+def _float_letter(word, s, c):
+    """`word` with component c (0 the index, 1 the exponent) of letter s a float."""
+    letter = list(word[s])
+    letter[c] = float(letter[c])
+    return word[:s] + (tuple(letter),) + word[s + 1:]
+
+
+# one malformed field of _z2_maps each, and the image or claim its rejection
+# names
+MALFORMED = {
+    "bool-image-letter": (lambda m: replace(m, phi=(((0, True),),)), "phi(generator 0): "),
+    "float-image-letter": (lambda m: replace(m, phi=(((0, 1.0),),)), "phi(generator 0): "),
+    "float-index": (lambda m: _with_proof(m, 5, (((), 1.0, -1),)), "phi(psi(generator 1)): "),
+    "bool-index": (lambda m: _with_proof(m, 5, (((), True, -1),)), "phi(psi(generator 1)): "),
+    "float-sign": (lambda m: _with_proof(m, 5, (((), 1, -1.0),)), "phi(psi(generator 1)): "),
+    "bool-sign": (lambda m: _with_proof(m, 0, (((), 0, True),)), "phi(relator 0): "),
+    # a^0.5 a^2 a^-0.5 reduces to a^2.0, which equals a^2
+    "fractional-conjugator": (lambda m: _with_proof(m, 0, ((((0, 0.5),), 0, 1),)),
+                              "phi(relator 0): "),
+    # p has no generator 5, and the two conjugates cancel to the empty claim
+    "cancelling-foreign-conjugator": (
+        lambda m: _with_proof(m, 3, ((((5, 1),), 0, 1), (((5, 1),), 0, -1))),
+        "psi(phi(generator 0)): "),
+    "letter-not-a-pair": (lambda m: replace(m, psi=(((0, 1, 2),), ((0, 1),))),
+                          "psi(generator 0): "),
+}
+
+
 class TestWordMaps:
     def test_small_certificate_checks(self):
         assert check_word_maps(*_z2_maps()) is None
@@ -286,6 +328,41 @@ class TestWordMaps:
         proofs = maps.proofs[:5] + ((((), 1, sign),),)
         failure = check_word_maps(p, q, replace(maps, proofs=proofs))
         assert failure == f"phi(psi(generator 1)): no relator conjugate (1, {sign})"
+
+    @pytest.mark.parametrize("mutate, where", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_field_rejected(self, mutate, where):
+        p, q, maps = _z2_maps()
+        failure = check_word_maps(p, q, mutate(maps))
+        assert isinstance(failure, str) and failure.startswith(where)
+
+    def test_z2_is_not_z4(self):
+        # psi(y) = x^0.5 gives psi(y^4) = x^2.0, which equals the relator x^2
+        p = FinitePresentation(("x",), (((0, 2),),))
+        q = FinitePresentation(("y",), (((0, 4),),))
+        maps = WordMaps((((0, 2),),), (((0, 0.5),),), ([((), 0, 1)], [((), 0, 1)], [], []))
+        assert check_word_maps(p, q, maps) == (
+            "psi(generator 0): letter (0, 0.5): index and exponent must be ints")
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_float_letter_in_named_certificate_rejected(self, data):
+        p, q, maps = _named_maps(data.draw(st.sampled_from(_pinned_quotient_names())))
+        where = data.draw(st.sampled_from(("phi", "psi", "conjugator")))
+        c = data.draw(st.sampled_from((0, 1)))
+        if where == "conjugator":
+            k, j, s = data.draw(st.sampled_from([
+                (k, j, s) for k, proof in enumerate(maps.proofs)
+                for j, (u, _, _) in enumerate(proof) for s in range(len(u))]))
+            u, i, e = maps.proofs[k][j]
+            proof = maps.proofs[k]
+            bad = _with_proof(maps, k, proof[:j] + ((_float_letter(u, s, c), i, e),) + proof[j + 1:])
+        else:
+            images = getattr(maps, where)
+            g, s = data.draw(st.sampled_from(
+                [(g, s) for g, w in enumerate(images) for s in range(len(w))]))
+            changed = images[:g] + (_float_letter(images[g], s, c),) + images[g + 1:]
+            bad = replace(maps, **{where: changed})
+        assert isinstance(check_word_maps(p, q, bad), str)
 
     def test_images_must_use_known_generators(self):
         p, q, maps = _z2_maps()
