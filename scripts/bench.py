@@ -19,8 +19,10 @@ and tree the JSON file gets the median scaled wall time, certificates/s
 derived from it, the raw median and per-run wall times, the median probe
 ratio, the largest peak RSS of the runs (`resource.getrusage` of the
 process that ran them; for the CLI layer, of the largest CLI process) and
-failed checks.  No layer reports a rate of group elements or cosets: an
-order is certified without enumerating that many of either.
+failed checks.  The wallpaper layer also gives, as `k2_scaled_s` ...
+`k6_scaled_s`, the median over runs of its certificates' scaled time for
+each k.  No layer reports a rate of group elements or cosets: an order is
+certified without enumerating that many of either.
 Standard library only; certbench is imported, never changed.
 """
 
@@ -132,9 +134,15 @@ def run_layer(name: str) -> dict:
         count, rss, total = len(certs), resource.RUSAGE_SELF, sum
     probe.sample()
     wall = total(t1 - t0 for t0, t1 in intervals)
-    scaled = total((t1 - t0) * probe.scale(t0, t1) for t0, t1 in intervals)
-    return {"wall_s": wall, "scaled_wall_s": scaled, "certs": count, "failed": failed,
-            "peak_rss_mb": resource.getrusage(rss).ru_maxrss / 1024, "probe_ratio": wall / scaled}
+    each = [(t1 - t0) * probe.scale(t0, t1) for t0, t1 in intervals]
+    scaled = total(each)
+    record = {"wall_s": wall, "scaled_wall_s": scaled, "certs": count, "failed": failed,
+              "peak_rss_mb": resource.getrusage(rss).ru_maxrss / 1024, "probe_ratio": wall / scaled}
+    if name == "wallpaper":  # the cost of each k, which the summed layer hides
+        for report, t in zip(results, each):
+            key = f"k{report.k}_scaled_s"
+            record[key] = record.get(key, 0.0) + t
+    return record
 
 
 def child(src: str, name: str) -> dict:
@@ -146,6 +154,8 @@ def child(src: str, name: str) -> dict:
 
 def summarize(runs: list[dict]) -> dict:
     scaled = statistics.median(r["scaled_wall_s"] for r in runs)
+    per_k = {key: statistics.median(r[key] for r in runs)
+             for key in runs[0] if key.endswith("_scaled_s")}
     return {
         "scaled_wall_s": scaled,
         "scaled_walls_s": [r["scaled_wall_s"] for r in runs],
@@ -156,6 +166,7 @@ def summarize(runs: list[dict]) -> dict:
         "peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
         "probe_ratio": statistics.median(r["probe_ratio"] for r in runs),
         "failed": sum(r["failed"] for r in runs),
+        **per_k,
     }
 
 
@@ -195,6 +206,10 @@ def main(argv) -> int:
                   f" ({row['wall_s']:.4f} s raw, probe x{row['probe_ratio']:.2f})"
                   f" {row['certs_per_s']:10.1f} certs/s {row['peak_rss_mb']:7.1f} MB"
                   f" failed {row['failed']}")
+            per_k = [f"{key.removesuffix('_scaled_s')} {t:.4f} s"
+                     for key, t in row.items() if key.endswith("_scaled_s")]
+            if per_k:
+                print(f"{'':28s}" + ", ".join(per_k))
     return 0
 
 

@@ -498,6 +498,8 @@ class PermutationImages:
     images: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if type(self.degree) is not int:
+            raise TypeError(f"permutation degree must be an int, bools excluded: {self.degree!r}")
         # tuple() returns a tuple argument itself, so tuple images are kept
         object.__setattr__(self, "images", tuple(map(tuple, self.images)))
         for p in self.images:

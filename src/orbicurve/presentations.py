@@ -162,7 +162,16 @@ def word_map_claims(
 def check_word_maps(p: FinitePresentation, q: FinitePresentation, maps: WordMaps) -> str | None:
     """None when `maps` proves that p and q present isomorphic groups, else why
     the first image, or claim of `word_map_claims`, fails `check_words` over its
-    side or its proof: free reduction, linear in maps, proofs and substituted relators."""
+    side or its proof: free reduction, linear in maps, proofs and substituted relators.
+    A field, image or proof that is not a tuple or a list is refused first."""
+    for name in ("phi", "psi", "proofs"):
+        field = getattr(maps, name)
+        if not isinstance(field, (tuple, list)):
+            return f"{name}: a {type(field).__name__}, not a tuple or list"
+        for i, item in enumerate(field):
+            if not isinstance(item, (tuple, list)):
+                where = f"proof {i}" if name == "proofs" else f"{name}(generator {i})"
+                return f"{where}: a {type(item).__name__}, not a tuple or list"
     if len(maps.phi) != p.ngens or len(maps.psi) != q.ngens:
         return f"{len(maps.phi)} + {len(maps.psi)} images for {p.ngens} + {q.ngens} generators"
     for name, images, side in (("phi", maps.phi, q), ("psi", maps.psi, p)):

@@ -14,7 +14,8 @@ tolerance test.  A point is a quadruple (a, b, c, d), s = a/b and t = c/d;
 sigma^j raises numerators and denominators to the exponents of h^j,
 swapping the two for a negative exponent.  pibar is (X, Y, Z)/L with
 L = (abcd)^E, E the largest |exponent| of the seed orbits, so s^i t^j
-becomes a^(E+i) b^(E-i) c^(E+j) d^(E-j), and the surface polynomial is
+becomes a^(E+i) b^(E-i) times c^(E+j) d^(E-j); these separable factors are
+tabulated once per point, for |i|, |j| <= E, and the surface polynomial is
 evaluated homogenised by L.  Points and images are compared by
 cross-multiplying, so no sign needs normalising.  The formulas take entries
 from any ring: (S, 1, T, 1), for Laurent polynomials S and T, is the
@@ -71,26 +72,29 @@ _PIBAR_SEEDS = {
 
 
 def _pibar_orbits(k: int, h: Mat2) -> tuple[list, int]:
-    """The exponents of each seed's sigma-orbit, and the largest |exponent|
-    among them: composing with sigma sends the row (i, j) to (i, j) h."""
+    """Each seed's sigma-orbit, an exponent pair (i, j) given as the table
+    indices (e + i, e + j) of `_pibar`, and e, the largest |exponent|:
+    composing with sigma sends the row (i, j) to (i, j) h."""
     (a, b), (c, d) = h
     orbits = [[seed] for seed in _PIBAR_SEEDS[k]]
     for orbit in orbits:
         while len(orbit) < k:
             i, j = orbit[-1]
             orbit.append((i * a + j * c, i * b + j * d))
-    return orbits, max(abs(e) for orbit in orbits for pair in orbit for e in pair)
+    e = max(abs(x) for orbit in orbits for pair in orbit for x in pair)
+    return [[(e + i, e + j) for i, j in orbit] for orbit in orbits], e
 
 
 def _pibar(orbits: list, e: int, q: tuple) -> tuple:
     """pibar at q as (X, Y, Z, L) with pibar = (X, Y, Z)/L: the orbit sums
-    times L = (abcd)^e, which makes every exponent nonnegative."""
+    times L = (abcd)^e, which makes every exponent nonnegative.  The term
+    s^i t^j L is s[e + i] t[e + j], with s[e + i] = a^(e+i) b^(e-i) and
+    t[e + j] = c^(e+j) d^(e-j) for -e <= i, j <= e."""
     a, b, c, d = q
-    sums = (
-        sum(a**(e + i) * b**(e - i) * c**(e + j) * d**(e - j) for i, j in orbit)
-        for orbit in orbits
-    )
-    return (*sums, (a * b * c * d)**e)
+    n = 2 * e
+    s = [a**m * b**(n - m) for m in range(n + 1)]
+    t = [c**m * d**(n - m) for m in range(n + 1)]
+    return (*[sum([s[i] * t[j] for i, j in orbit]) for orbit in orbits], s[e] * t[e])
 
 
 def _same_image(u: tuple, v: tuple) -> bool:
@@ -211,8 +215,8 @@ def sample_points(samples: int, seed: int):
 
     def coordinate() -> tuple[int, int]:
         while True:
-            num = rng.randint(1, 1000)
-            den = rng.randint(1, 1000)
+            num = rng.randrange(1, 1001)
+            den = rng.randrange(1, 1001)
             if num != den:
                 g = math.gcd(num, den)
                 return num // g, den // g

@@ -661,6 +661,12 @@ class TestPermutations:
         with pytest.raises(TypeError, match="points must be ints"):
             PermutationImages(degree, images)
 
+    @pytest.mark.parametrize("degree", [True, 1.0], ids=["bool-degree", "float-degree"])
+    def test_non_int_degree_refused(self, degree):
+        # a bool degree passed as 1, and a float one failed only inside range()
+        with pytest.raises(TypeError, match=f"degree must be an int, bools excluded: {degree}"):
+            PermutationImages(degree, ((0,),))
+
     @pytest.mark.parametrize("degree, images, order", [
         (3, ([0, 1, 2],), 1),
         (4, ([1, 0, 2, 3], [0, 1, 2, 3]), 2),

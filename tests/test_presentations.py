@@ -256,6 +256,12 @@ MALFORMED = {
         "psi(phi(generator 0)): "),
     "letter-not-a-pair": (lambda m: replace(m, psi=(((0, 1, 2),), ((0, 1),))),
                           "psi(generator 0): "),
+    # check_words would consume an iterator before the substitution reads it
+    "iterator-image": (lambda m: replace(m, phi=(iter(((0, 1),)),)), "phi(generator 0): "),
+    "phi-none": (lambda m: replace(m, phi=None), "phi: "),
+    "proofs-none": (lambda m: replace(m, proofs=None), "proofs: "),
+    "proofs-generator": (lambda m: replace(m, proofs=(proof for proof in m.proofs)),
+                         "proofs: "),
 }
 
 

@@ -262,6 +262,16 @@ class TestSuite:
         assert list(sample_points(7, seed=9)) == list(sample_points(7, seed=9))
         assert list(sample_points(7, seed=9)) != list(sample_points(7, seed=10))
 
+    @pytest.mark.parametrize("seed, points", [
+        (0, [(173, 79, 259, 304), (431, 42, 266, 989), (262, 249, 415, 941),
+             (803, 850, 311, 992), (489, 367, 299, 457)]),
+        (2026, [(61, 164, 103, 195), (175, 221, 881, 976), (53, 453, 229, 917),
+                (88, 91, 570, 431), (803, 587, 561, 863)]),
+    ])
+    def test_sample_points_pinned(self, seed, points):
+        # the points every pinned report and digest rests on
+        assert list(sample_points(5, seed=seed)) == points
+
     def test_samples_avoid_fixed_point_coordinates(self):
         # in lowest terms, as Fraction would reduce them, and never 1
         for a, b, c, d in sample_points(200, seed=0):
