@@ -7,9 +7,12 @@
 Each layer runs its certificates (from `certbench/inputs.py`) in a fresh
 process, REPEATS times; with several --src trees the trees alternate
 within each repeat.  The speed probe of `certbench/speed.py` is sampled
-between certificates (at most every 50 ms), and each certificate's time
-is scaled by `SpeedProbe.scale` over the probes around it, as certbench
+END_PROBES times before the first certificate and after the last, and
+between certificates at most every 50 ms; each certificate's time is
+scaled by `SpeedProbe.scale` over the probes around it, as certbench
 does: the time it would take where the probe takes its reference time.
+The probes at the ends keep a layer of a few tens of milliseconds, which
+sees one or two probes between its certificates, from resting on one.
 A run's `scaled_wall_s` is the sum of those, and its probe ratio is raw
 over scaled wall time (above 1 on a host slower than the reference).  The
 CLI layer runs the four commands of certbench's CLI certificates (chi,
@@ -17,9 +20,9 @@ iso, serre, abelianize --presentation), compares each stdout with its
 certificate's answer, scales each process the same way and takes medians.  Per layer
 and tree the JSON file gets the median scaled wall time, certificates/s
 derived from it, the raw median and per-run wall times, the median probe
-ratio, the largest peak RSS of the runs (`resource.getrusage` of the
-process that ran them; for the CLI layer, of the largest CLI process) and
-failed checks.  The wallpaper layer also gives, as `k2_scaled_s` ...
+ratio, each run's probe count, the largest peak RSS of the runs
+(`resource.getrusage` of the process that ran them; for the CLI layer, of
+the largest CLI process) and failed checks.  The wallpaper layer also gives, as `k2_scaled_s` ...
 `k6_scaled_s`, the median over runs of its certificates' scaled time for
 each k.  No layer reports a rate of group elements or cosets: an order is
 certified without enumerating that many of either.
@@ -45,6 +48,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CERTBENCH = ROOT / "certbench"
 CLI_PROCESSES = 8  # chi, iso, serre and abelianize --presentation, twice each
 REPEATS = 3
+END_PROBES = 3  # speed probes before the first certificate and after the last
 HURWITZ_Q = (43, 71, 83, 97, 113)  # q = +-1 mod 7, |PSL(2, q)| below the 10^6 cap
 
 
@@ -107,6 +111,9 @@ def run_layer(name: str) -> dict:
     intervals = []
 
     def timed(fn):
+        if not intervals:
+            for _ in range(END_PROBES):
+                probe.sample()
         probe.maybe_sample()
         t0 = time.perf_counter()
         result = fn()
@@ -132,12 +139,14 @@ def run_layer(name: str) -> dict:
         results = [timed(cert.run) for cert in certs]
         failed = sum(cert.check(r) is not None for cert, r in zip(certs, results))
         count, rss, total = len(certs), resource.RUSAGE_SELF, sum
-    probe.sample()
+    for _ in range(END_PROBES):
+        probe.sample()
     wall = total(t1 - t0 for t0, t1 in intervals)
     each = [(t1 - t0) * probe.scale(t0, t1) for t0, t1 in intervals]
     scaled = total(each)
     record = {"wall_s": wall, "scaled_wall_s": scaled, "certs": count, "failed": failed,
-              "peak_rss_mb": resource.getrusage(rss).ru_maxrss / 1024, "probe_ratio": wall / scaled}
+              "peak_rss_mb": resource.getrusage(rss).ru_maxrss / 1024, "probe_ratio": wall / scaled,
+              "probes": len(probe.at)}
     if name == "wallpaper":  # the cost of each k, which the summed layer hides
         for report, t in zip(results, each):
             key = f"k{report.k}_scaled_s"
@@ -165,6 +174,7 @@ def summarize(runs: list[dict]) -> dict:
         "certs_per_s": runs[0]["certs"] / scaled,
         "peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
         "probe_ratio": statistics.median(r["probe_ratio"] for r in runs),
+        "probes": [r["probes"] for r in runs],
         "failed": sum(r["failed"] for r in runs),
         **per_k,
     }

@@ -318,6 +318,16 @@ class TestIntMatrixEntries:
         with pytest.raises(TypeError):
             IntMatrix.from_rows(rows)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: IntMatrix(-1, 0, ()), "negative dimensions"),
+        (lambda: IntMatrix(2, 2, (1, 2, 3)), "rows\\*cols"),
+        (lambda: IntMatrix.from_rows([[1, 2], [3]]), "ragged rows"),
+        (lambda: IntMatrix(1, 2, (1, 2)).mul(IntMatrix(1, 2, (1, 2))), "dimension mismatch"),
+    ], ids=["negative-dimensions", "entry-count", "ragged-rows", "mul-mismatch"])
+    def test_bad_shapes_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_index_types_become_ints(self):
         class Three:
             def __index__(self):
@@ -334,6 +344,12 @@ class TestAbelianGroup:
             AbelianGroup(0, (4, 2))
         with pytest.raises(ValueError):
             AbelianGroup(0, (1,))
+
+    def test_negative_rank_and_infinite_order_rejected(self):
+        with pytest.raises(ValueError, match="negative rank"):
+            AbelianGroup(-1)
+        with pytest.raises(ValueError, match="finite orders"):
+            divisor_chain((2, 0))
 
     def test_divisor_chain_normalization(self):
         assert divisor_chain((2, 3)) == (6,)

@@ -743,7 +743,7 @@ def _orbit_of_0(perms):
     return len(orbit)
 
 
-# the 102 finite signatures of scripts/run_verification.py
+# the 102 finite signatures of test_acceptance.finite_signatures()
 FINITE_GRID = (
     [OrbSignature(0, 0, ()), OrbSignature(0, 1, ())]
     + [OrbSignature(0, r, (m,)) for r in (0, 1) for m in range(2, 13)]
@@ -1253,3 +1253,14 @@ def test_enumerator_matches_reference_on_word_power_grid(w):
     # them, are where a wrong closed-cycle test for w^c changes the table
     for a, b, c in itertools.product(range(2, 5), range(2, 5), range(2, 7)):
         _assert_matches_reference(2, [[(0, a)], [(1, b)], w * c], [], 3000)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: coset_enumeration(presentation_of(OrbSignature(0, 0, (2, 3, 3))), (), 0),
+     "max_cosets must be >= 1"),
+    (lambda: permutation_group_order(projective_triangle_fixture(), 0), "cap must be >= 1"),
+], ids=["coset-enumeration", "permutation-group-order"])
+def test_zero_bound_refused_by_the_library(call, message):
+    # the CLI refuses a zero bound before the library sees it
+    with pytest.raises(ValueError, match=message):
+        call()

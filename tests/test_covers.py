@@ -18,6 +18,7 @@ from orbicurve import (
     verify_torsion_free_kernel,
 )
 from orbicurve.cosets import identity_perm, parse_cycles, perm_inverse
+from orbicurve.covers import _mobius_perm
 
 
 def rho_by_hand(sig, d):
@@ -172,6 +173,11 @@ class TestVerifyTorsionFreeKernel:
         # whatever the images, not only when the closure is reached
         with pytest.raises(ValueError, match="cap must be >= 1"):
             verify_torsion_free_kernel(OrbSignature(0, 0, (2, 3, 7)), images, cap=cap)
+
+    def test_singular_mobius_matrix_refused(self):
+        # det 1*4 - 2*2 = 0: no permutation of the projective line
+        with pytest.raises(ValueError, match="singular mod p"):
+            _mobius_perm(((1, 2), (2, 4)), 7)
 
     def test_certified_index_passes_rank_arithmetic(self):
         # Riemann-Hurwitz consistency between the two operations

@@ -110,6 +110,11 @@ class TestQuinticExample:
             assert not result.passed
             assert result.detail.startswith("word maps rejected: ")
 
+    def test_unknown_fact_type_raises(self):
+        ex = example_presentation("quintic-237")
+        with pytest.raises(TypeError, match="unknown fact type"):
+            _check_fact(ex.presentation, object())
+
 
 class TestArtalFamily:
     def test_parameter_validation(self):
@@ -459,6 +464,15 @@ class TestTriangleRepresentation:
             x1, x2, _ = triangle_representation(2, 3, m).matrices
             checks = check_triangle_rep(TriangleRep((2, 3, m), (x1, x2, parabolic), 1e-9))
             assert not checks.passed and checks.order_deviations[2] > 1e-9, m
+
+    def test_generator_of_nonpositive_determinant_rejected(self):
+        # neither a reflection (det -1) nor the zero matrix is a rotation
+        x1, x2, _ = triangle_representation(2, 3, 7).matrices
+        for x3 in (((1.0, 0.0), (0.0, -1.0)), ((0.0, 0.0), (0.0, 0.0))):
+            checks = check_triangle_rep(TriangleRep((2, 3, 7), (x1, x2, x3), 1e-9))
+            assert not checks.passed
+            assert checks.order_deviations[2] == math.pi / 7
+            assert checks.premature_closeness[2] == 0.0
 
     def test_perturbed_generator_rejected(self):
         rep = triangle_representation(2, 3, 7)

@@ -95,6 +95,8 @@ def test_word_parsing():
     p = FinitePresentation(("x", "y"), ())
     assert p.word("x y^-2 x") == ((0, 1), (1, -2), (0, 1))
     assert p.word("x x") == ((0, 2),)
+    with pytest.raises(UnknownGenerator, match="no generator named 'z'"):
+        p.index_of("z")
     with pytest.raises(UnknownGenerator):
         p.word("z")
     with pytest.raises(UnknownGenerator):

@@ -17,6 +17,7 @@ from orbicurve.serre import (
     RULE_HYPERBOLIC_OPEN,
     RULE_OPEN_COPRIME,
     RULE_TWO_TORUS,
+    SerreVerdict,
     open_cell_degrees,
 )
 
@@ -45,6 +46,11 @@ def test_smooth_curve_degrees():
     assert v.degree == 1  # line complement, trivial group
     v = plane_curve_realizability(OrbSignature(0, 1, (7,)))
     assert v.outcome == REALIZABLE and v.rule == RULE_OPEN_COPRIME
+
+
+def test_open_verdict_only_from_the_triangle_cell():
+    with pytest.raises(ValueError, match="only from the triangle cell"):
+        SerreVerdict(OPEN_PROBLEM, RULE_HYPERBOLIC)
 
 
 def test_two_torus_rule():

@@ -160,6 +160,11 @@ def test_finite_order(sig, order):
     assert finite_order(sig) == order
 
 
+def test_infinite_is_a_named_singleton():
+    assert type(INFINITE)() is INFINITE
+    assert repr(INFINITE) == "Infinite"
+
+
 @given(small_sigs)
 def test_finiteness_dichotomy(sig):
     # infinite exactly when chi <= 0, across compact and open signatures

@@ -399,6 +399,11 @@ def test_mat_identity_order():
     assert mat_order(MAT_IDENTITY) == 1
 
 
+def test_mat_order_of_a_shear_is_none():
+    # ((1, 1), (0, 1)) has infinite order, so no power up to 24 is I
+    assert mat_order(((1, 1), (0, 1))) is None
+
+
 # ---------------------------------------------------------------------------
 # reference transcription: sigma_k and pibar_k as hand-written formulas on a
 # point (s, t), to check the monomial-map and orbit-sum forms against
