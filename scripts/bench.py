@@ -76,6 +76,9 @@ def layer_certs(name: str):
     if name == "group-order":
         return [c for q in HURWITZ_Q for c in inputs.hurwitz_certs(q, 10, rng)
                 if c.group == "kernel"]
+    if name == "rejections":  # no closure: 100 certificates take ~3 ms, so 16 rounds
+        return [c for q in HURWITZ_Q for c in inputs.hurwitz_certs(q, 10, rng)
+                if c.group == "rejection"] * 16
     if name == "transitive-action":  # not regular: a 3584-point orbit in Schreier-Sims
         from orbicurve import coset_enumeration, permutation_group_order
         from orbicurve.presentations import parse_presentation
@@ -99,7 +102,7 @@ def layer_certs(name: str):
 
 
 LAYERS = ("closed-forms", "dense-snf", "signature-snf", "todd-coxeter", "group-order",
-          "transitive-action", "wallpaper", "triangle", "examples", "cli")
+          "rejections", "transitive-action", "wallpaper", "triangle", "examples", "cli")
 
 
 def run_layer(name: str) -> dict:

@@ -82,6 +82,14 @@ is sifted by its images of the base points, read off the two stored
 permutations it is the quotient of, and is built point by point only when
 its residue joins the chain; a product of two permutations is one C-level
 gather (`perm_mul`).
+
+The rest of the permutation arithmetic is walks and gathers.  An order is
+one walk over each cycle (`perm_order`).  A word is evaluated from one
+identity: a syllable g^e is |e| gathers of g's image while |e| is at most
+GATHER_POWER, and `perm_power`'s squaring above that; a syllable with
+e < 0 first inverts the image (`evaluate_word`).  A relator w holds iff
+w^-1 does, so `verify_homomorphism` evaluates whichever of the two has
+fewer inverse letters.
 """
 
 from __future__ import annotations
@@ -101,6 +109,9 @@ SMALL_TABLE = 256
 # live cosets at which HLT first pauses for a lookahead pass; the limit
 # doubles after each pass
 LOOKAHEAD_LIVE = 16384
+# the largest |e| for which `evaluate_word` applies g^e as |e| gathers; from
+# |e| = 4 on, `perm_power`'s squaring takes fewer
+GATHER_POWER = 3
 
 
 @dataclass(frozen=True)
@@ -444,17 +455,22 @@ def perm_inverse(p) -> tuple[int, ...]:
 
 
 def perm_order(p) -> int:
-    """The lcm of the cycle lengths, from one walk over the points."""
-    seen = bytearray(len(p))
+    """The lcm of the cycle lengths, from one walk over each cycle.  A walk
+    ends at a point it has seen, not at its start, so it ends on any tuple
+    of in-range points, a permutation or not.  `seen` is a list of bools,
+    which reads and writes faster than a bytearray."""
+    seen = [False] * len(p)
     lengths = set()
     for start in range(len(p)):
-        n, x = 0, start
+        if seen[start]:
+            continue
+        seen[start] = True
+        n, x = 1, p[start]
         while not seen[x]:
-            seen[x] = 1
+            seen[x] = True
             x = p[x]
             n += 1
         lengths.add(n)
-    lengths.discard(0)
     return math.lcm(*lengths)
 
 
@@ -709,20 +725,31 @@ def permutation_group_order(perms: PermutationImages, cap: int = DEFAULT_MAX_COS
 
 
 def evaluate_word(word: Word, perms: PermutationImages) -> tuple[int, ...]:
+    """The image of the word, by gathers (module docstring)."""
     out = identity_perm(perms.degree)
     for g, e in word:
-        out = perm_mul(out, perm_power(perms.images[g], e))
+        p = perms.images[g]
+        if e < 0:
+            p, e = perm_inverse(p), -e
+        if e > GATHER_POWER:
+            out = perm_mul(out, perm_power(p, e))
+        else:
+            for _ in range(e):
+                out = perm_mul(out, p)
     return out
 
 
 def verify_homomorphism(p: FinitePresentation, images: PermutationImages) -> bool:
-    """True iff sending each generator to its image kills every relator."""
+    """True iff sending each generator to its image kills every relator.
+    w = 1 iff w^-1 = 1, so of the two the one with fewer inverse letters
+    (exponent sum >= 0) is evaluated."""
     if len(images.images) != p.ngens:
         raise ArityMismatch(
             f"{p.ngens} generators but {len(images.images)} images"
         )
     ident = identity_perm(images.degree)
-    return all(evaluate_word(w, images) == ident for w in p.relators)
+    return all(evaluate_word(w if sum(e for _, e in w) >= 0 else invert_word(w), images)
+               == ident for w in p.relators)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .cosets import (
     verify_homomorphism,
 )
 from .errors import LcmNotDividing, NonIntegralRank, NotOpenGroup, UnsupportedKind
-from .presentations import presentation_of
+from .presentations import FinitePresentation, presentation_of
 from .signature import OrbSignature, euler_characteristic
 
 
@@ -94,7 +94,12 @@ def verify_torsion_free_kernel(
     """Certify that the kernel of the permutation quotient is torsion-free.
 
     Checks that the images satisfy the relators, then that the image of each
-    torsion generator has its full order; every finite-order element is
+    torsion generator has its full order.  The long relator goes first,
+    through `verify_homomorphism`, whose products are C-level gathers.  Then
+    one cycle walk (`perm_order`) per torsion generator decides both its
+    relator x_j^m_j (the order divides m_j) and whether the order is m_j.
+    A failed relator, of either kind, makes the verdict not_homomorphism
+    before any torsion generator is blamed.  Every finite-order element is
     conjugate to a power of a torsion generator for hyperbolic and Euclidean
     compact groups and for all open groups, so that condition is exactly
     kernel torsion-freeness there.  Spherical compact groups are refused:
@@ -112,11 +117,16 @@ def verify_torsion_free_kernel(
             "torsion classification unavailable for spherical compact groups"
         )
     p = presentation_of(sig)
-    if not verify_homomorphism(p, images):
+    # the long relator; the relators x_j^m_j follow from the orders below
+    if not verify_homomorphism(FinitePresentation(p.generators, p.relators[len(sig.m):]),
+                               images):
         return KernelCheck("not_homomorphism")
     x0 = 2 * sig.g
-    for j, mj in enumerate(sig.m):
-        if perm_order(images.images[x0 + j]) != mj:
+    orders = list(map(perm_order, images.images[x0:x0 + len(sig.m)]))
+    if any(mj % k for mj, k in zip(sig.m, orders)):
+        return KernelCheck("not_homomorphism")
+    for j, (mj, k) in enumerate(zip(sig.m, orders)):
+        if k != mj:
             return KernelCheck("torsion_in_kernel", generator=j + 1)
     order = permutation_group_order(images, cap)
     if isinstance(order, Exceeded):

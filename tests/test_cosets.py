@@ -994,16 +994,38 @@ def test_identity_has_order_one(n):
     assert perm_order(identity_perm(n)) == 1
 
 
-wide_perms_st = st.integers(1, 30).flatmap(
+wide_perms_st = st.integers(0, 60).flatmap(
     lambda n: st.permutations(list(range(n)))
 ).map(tuple)
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(wide_perms_st, st.integers(-50, 50))
 def test_order_and_power_match_repeated_products(p, e):
     assert perm_order(p) == reference_order(p)
     assert perm_power(p, e) == reference_power(p, e)
+
+
+@st.composite
+def images_and_word(draw):
+    """Images of 1-3 generators on 0-40 points and a word over them, which
+    may be empty, with exponents -50..50 (0 and inverse letters included)."""
+    degree = draw(st.integers(0, 40))
+    ngens = draw(st.integers(1, 3))
+    images = tuple(draw(st.permutations(list(range(degree)))) for _ in range(ngens))
+    word = draw(st.lists(st.tuples(st.integers(0, ngens - 1), st.integers(-50, 50)),
+                         max_size=8))
+    return PermutationImages(degree, images), tuple(word)
+
+
+@settings(max_examples=100, deadline=None)
+@given(images_and_word())
+def test_evaluate_word_matches_reference_powers(case):
+    perms, word = case
+    expected = identity_perm(perms.degree)
+    for g, e in word:
+        expected = perm_mul(expected, reference_power(perms.images[g], e))
+    assert evaluate_word(word, perms) == expected
 
 
 @settings(max_examples=30)

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cli_cases import PSL27
 from orbicurve import (
+    ArityMismatch,
     Exceeded,
     LcmNotDividing,
     NonIntegralRank,
@@ -13,12 +16,15 @@ from orbicurve import (
     UnsupportedKind,
     euler_characteristic,
     lcm_cover_for_free_product,
+    permutation_group_order,
+    presentation_of,
     projective_triangle_fixture,
     torsion_free_subgroup_rank,
     verify_torsion_free_kernel,
 )
-from orbicurve.cosets import identity_perm, parse_cycles, perm_inverse
-from orbicurve.covers import _mobius_perm
+from orbicurve.cosets import identity_perm, parse_cycles, perm_inverse, perm_mul
+from orbicurve.covers import KernelCheck, _mobius_perm
+from test_cosets import reference_order, reference_power
 
 
 def rho_by_hand(sig, d):
@@ -191,6 +197,67 @@ class TestVerifyTorsionFreeKernel:
         result = verify_torsion_free_kernel(sig, regular_z6_images())
         report = torsion_free_subgroup_rank(sig, result.index)
         assert report.rho == 2
+
+
+def reference_kernel_check(sig, images):
+    """Every relator by repeated products, then the first torsion generator
+    whose image has too small an order, then the order of the group."""
+    for w in presentation_of(sig).relators:
+        value = identity_perm(images.degree)
+        for g, e in w:
+            value = perm_mul(value, reference_power(images.images[g], e))
+        if value != identity_perm(images.degree):
+            return KernelCheck("not_homomorphism")
+    for j, mj in enumerate(sig.m):
+        if reference_order(images.images[2 * sig.g + j]) != mj:
+            return KernelCheck("torsion_in_kernel", generator=j + 1)
+    order = permutation_group_order(images)
+    return order if isinstance(order, Exceeded) else KernelCheck("torsion_free_kernel",
+                                                                 index=order)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A signature with g, r <= 1 and orders 2..8 (not spherical when
+    compact), images on at most 12 points that satisfy the long relator,
+    and the same images with one of them perturbed."""
+    sig = draw(st.builds(OrbSignature, st.integers(0, 1), st.integers(0, 1),
+                         st.lists(st.integers(2, 8), max_size=4).map(sorted).map(tuple))
+               .filter(lambda s: s.r or euler_characteristic(s) <= 0))
+    degree = draw(st.integers(1, 12))
+    ngens = 2 * sig.g + len(sig.m) + sig.r
+    images = [tuple(draw(st.permutations(list(range(degree))))) for _ in range(ngens)]
+    long = presentation_of(sig).relators[-1]
+    if sig.g == 1 and ngens == 2:  # the torus: b commutes with a, as a power of it
+        images[1] = reference_power(images[0], draw(st.integers(0, 12)))
+    else:
+        # the last generator is one letter L^-1 of the long relator C L^-1 R,
+        # which holds when L = R C
+        at = [s for s, _ in long].index(ngens - 1)
+        value = identity_perm(degree)
+        for s, e in long[at + 1:] + long[:at]:
+            value = perm_mul(value, reference_power(images[s], e))
+        images[-1] = value
+    # the same images with one of them followed by a transposition
+    broken = list(images)
+    if degree > 1:
+        k = draw(st.integers(0, ngens - 1))
+        i, j = draw(st.lists(st.integers(0, degree - 1), min_size=2, max_size=2, unique=True))
+        swap = list(range(degree))
+        swap[i], swap[j] = j, i
+        broken[k] = perm_mul(broken[k], swap)
+    return sig, PermutationImages(degree, images), PermutationImages(degree, broken)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_kernel_check_matches_reference(case):
+    sig, images, broken = case
+    for perms in (images, broken):
+        assert verify_torsion_free_kernel(sig, perms) == reference_kernel_check(sig, perms)
+    for wrong in (images.images[:-1], images.images + (identity_perm(images.degree),)):
+        with pytest.raises(ArityMismatch, match="generators but"):
+            verify_torsion_free_kernel(sig, PermutationImages(images.degree, wrong))
 
 
 def test_sign_law_over_produced_reports():
