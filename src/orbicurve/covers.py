@@ -118,8 +118,8 @@ def verify_torsion_free_kernel(
         )
     p = presentation_of(sig)
     # the long relator; the relators x_j^m_j follow from the orders below
-    if not verify_homomorphism(FinitePresentation(p.generators, p.relators[len(sig.m):]),
-                               images):
+    if not verify_homomorphism(
+            FinitePresentation._from_reduced(p.generators, p.relators[len(sig.m):]), images):
         return KernelCheck("not_homomorphism")
     x0 = 2 * sig.g
     orders = list(map(perm_order, images.images[x0:x0 + len(sig.m)]))

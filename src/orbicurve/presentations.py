@@ -2,7 +2,8 @@
 
 A word is a tuple of (generator index, nonzero exponent) pairs, stored in
 merged form: no two consecutive pairs share a generator index and no pair
-has exponent 0.  Presentations normalize their relators on construction.
+has exponent 0.  A presentation's words are checked once, where they enter
+the program (see `FinitePresentation`).
 """
 
 from __future__ import annotations
@@ -90,7 +91,16 @@ def check_words(words, generators: tuple[str, ...]) -> None:
 
 @dataclass(frozen=True)
 class FinitePresentation:
-    """Generators by name plus relator words over their indices."""
+    """Generators by name plus relator words over their indices.
+
+    Invariant: the generator names are distinct and free of '^', and each
+    relator is a reduced tuple of (index, exponent) pairs of ints, with every
+    index in range(ngens).  `FinitePresentation(...)` establishes it for any
+    words: it refuses a bad name or letter (`check_generator_names`,
+    `check_words`) and stores each relator free-reduced.  Words from outside
+    the program (`parse_presentation`, user code) always enter this way.
+    `_from_reduced` trusts its caller to hold the invariant already.
+    """
 
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
@@ -101,6 +111,16 @@ class FinitePresentation:
         check_generator_names(self.generators)
         check_words(self.relators, self.generators)
         object.__setattr__(self, "relators", tuple(map(free_reduce, self.relators)))
+
+    @classmethod
+    def _from_reduced(cls, generators: tuple[str, ...], relators: tuple[Word, ...]):
+        """The presentation of words that hold the invariant by construction,
+        without checking them again.  Only the program's own derivations call
+        this; tests/test_presentations.py lists them."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "generators", generators)
+        object.__setattr__(p, "relators", relators)
+        return p
 
     @property
     def ngens(self) -> int:
@@ -222,6 +242,7 @@ def presentation_of(sig: OrbSignature) -> FinitePresentation:
     for j, mj in enumerate(m):
         relators.append(((x0 + j, mj),))
 
+    # no two adjacent letters share a generator, so the word is reduced
     long_pairs: list[tuple[int, int]] = []
     for i in range(g):
         a, b = 2 * i, 2 * i + 1
@@ -230,10 +251,9 @@ def presentation_of(sig: OrbSignature) -> FinitePresentation:
         long_pairs.append((y0 + k, -1))
     for j in reversed(range(len(m))):
         long_pairs.append((x0 + j, -1))
-    long = free_reduce(long_pairs)
-    if long:
-        relators.append(long)
-    return FinitePresentation(tuple(names), tuple(relators))
+    if long_pairs:
+        relators.append(tuple(long_pairs))
+    return FinitePresentation._from_reduced(tuple(names), tuple(relators))
 
 
 # ---------------------------------------------------------------------------

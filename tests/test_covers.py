@@ -169,6 +169,16 @@ class TestVerifyTorsionFreeKernel:
         )
         assert isinstance(result, Exceeded)
 
+    def test_cap_one_boundary(self):
+        # cap = 1 is the smallest cap allowed: index 1 fits it, index 2 does not
+        torus = OrbSignature(1, 0, ())
+        result = verify_torsion_free_kernel(torus, PermutationImages(1, ((0,), (0,))), cap=1)
+        assert result == KernelCheck("torsion_free_kernel", index=1)
+        swap = PermutationImages(2, (parse_cycles("(1 2)", 2), identity_perm(2)))
+        assert verify_torsion_free_kernel(torus, swap, cap=1) == Exceeded(1)
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            verify_torsion_free_kernel(torus, swap, cap=0)
+
     @pytest.mark.parametrize("cap", [0, -5])
     @pytest.mark.parametrize("images", [
         projective_triangle_fixture(),

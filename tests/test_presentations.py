@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_fixtures import PINNED_EXAMPLES
 
-from orbicurve import FinitePresentation, OrbSignature, UnknownGenerator, presentation_of
+from orbicurve import (
+    FinitePresentation,
+    OrbSignature,
+    UnknownGenerator,
+    presentation_of,
+    quotient_by_relators,
+)
 from orbicurve.presentations import (
     WordMaps,
     check_word_maps,
@@ -66,6 +72,84 @@ def test_presentation_of_generic_shape():
     assert long[:4] == ((0, 1), (1, 1), (0, -1), (1, -1))
     assert long[4:8] == ((2, 1), (3, 1), (2, -1), (3, -1))
     assert long[8:] == ((8, -1), (7, -1), (6, -1), (5, -1), (4, -1))
+
+
+signatures = st.builds(OrbSignature, st.integers(0, 2), st.integers(0, 2),
+                       st.lists(st.integers(2, 12), max_size=4).map(lambda m: tuple(sorted(m))))
+
+
+def _holds_invariant(p):
+    """Every relator a reduced tuple of (int, int) tuples, the form the
+    checking constructor stores."""
+    return all(type(w) is tuple and free_reduce(w) == w
+               and all(type(letter) is tuple and len(letter) == 2
+                       and type(letter[0]) is type(letter[1]) is int for letter in w)
+               for w in p.relators)
+
+
+@given(signatures)
+def test_presentation_of_matches_checked_constructor(sig):
+    # presentation_of skips the checks; the checking constructor must agree
+    p = presentation_of(sig)
+    assert p == FinitePresentation(p.generators, p.relators)
+    assert _holds_invariant(p)
+
+
+@given(signatures, st.data())
+def test_quotient_by_relators_matches_checked_constructor(sig, data):
+    # list-typed letters and words, zero exponents and cancelling neighbours
+    p = presentation_of(sig)
+    letter = st.tuples(st.integers(0, max(p.ngens - 1, 0)), st.integers(-3, 3)).map(list)
+    extra = data.draw(st.lists(st.lists(letter, max_size=6 if p.ngens else 0), max_size=3))
+    q = quotient_by_relators(p, extra)
+    assert q == FinitePresentation(p.generators, p.relators + tuple(extra))
+    assert _holds_invariant(q)
+
+
+@pytest.mark.parametrize("word, error", [
+    ([(0, 2), (1, 1.0)], TypeError),
+    ([(0, 2), (4, 1)], UnknownGenerator),
+], ids=["float-letter", "out-of-range"])
+def test_quotient_by_relators_checks_extra(word, error):
+    p = presentation_of(OrbSignature(0, 0, (2, 3, 7)))
+    with pytest.raises(error):
+        quotient_by_relators(p, [((0, 1),), word])
+    with pytest.raises(error):
+        FinitePresentation(p.generators, p.relators + (word,))
+
+
+# the derivations whose words are reduced by construction: (module, function)
+UNCHECKED_CALLERS = {
+    ("presentations", "presentation_of"),
+    ("covers", "verify_torsion_free_kernel"),
+    ("fixtures", "quotient_by_relators"),
+    ("cosets", "_abelian_order"),
+}
+
+
+def _unchecked_callers(node, module, function="<module>"):
+    """(module, innermost enclosing function) of each use of `_from_reduced`,
+    as an attribute or as a string for getattr."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if (isinstance(node, ast.Attribute) and node.attr == "_from_reduced"
+            or isinstance(node, ast.Constant) and node.value == "_from_reduced"):
+        yield module, function
+    for child in ast.iter_child_nodes(node):
+        yield from _unchecked_callers(child, module, function)
+
+
+def test_only_internal_derivations_skip_the_check():
+    # parse_presentation, cli.py and the scripts are absent from the list, so
+    # words from outside the program are always checked
+    import orbicurve
+
+    root = Path(orbicurve.__file__).parent
+    callers = set()
+    for path in [*root.glob("*.py"), *(root.parents[1] / "scripts").glob("*.py")]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers.update(_unchecked_callers(tree, path.stem))
+    assert callers == UNCHECKED_CALLERS
 
 
 def test_trivial_compact_presentation_has_no_generators():
