@@ -426,7 +426,7 @@ def _abelian_order(p: FinitePresentation, w: Word) -> int:
     element: G^ab = Z^r + T with the image in T, and adding the relator w
     divides T by the cyclic group it generates."""
     from .abelian import abelianization_of_presentation  # stage 2 alone needs it
-    quotient = FinitePresentation._from_reduced(p.generators, p.relators + (w,))
+    quotient = FinitePresentation(p.generators, p.relators + (w,))
     return (abelianization_of_presentation(p).torsion_order()
             // abelianization_of_presentation(quotient).torsion_order())
 

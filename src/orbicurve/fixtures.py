@@ -27,7 +27,6 @@ from .presentations import (
     Word,
     WordMaps,
     check_word_maps,
-    check_words,
     concat_words,
     free_reduce,
     parse_presentation,
@@ -79,12 +78,8 @@ class NamedExample:
 
 
 def quotient_by_relators(p: FinitePresentation, extra) -> FinitePresentation:
-    """Append relators, each free-reduced; the presentation is not simplified.
-    Only the extra words are checked: p's relators already were."""
-    extra = tuple(extra)
-    check_words(extra, p.generators)
-    return FinitePresentation._from_reduced(
-        p.generators, p.relators + tuple(map(free_reduce, extra)))
+    """Append relators; the presentation is not simplified."""
+    return FinitePresentation(p.generators, p.relators + tuple(extra))
 
 
 # ---------------------------------------------------------------------------

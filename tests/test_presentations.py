@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_fixtures import PINNED_EXAMPLES
 
-from orbicurve import (
-    FinitePresentation,
-    OrbSignature,
-    UnknownGenerator,
-    presentation_of,
-    quotient_by_relators,
-)
+from orbicurve import FinitePresentation, OrbSignature, UnknownGenerator, presentation_of
 from orbicurve.presentations import (
     WordMaps,
     check_word_maps,
@@ -95,35 +89,10 @@ def test_presentation_of_matches_checked_constructor(sig):
     assert _holds_invariant(p)
 
 
-@given(signatures, st.data())
-def test_quotient_by_relators_matches_checked_constructor(sig, data):
-    # list-typed letters and words, zero exponents and cancelling neighbours
-    p = presentation_of(sig)
-    letter = st.tuples(st.integers(0, max(p.ngens - 1, 0)), st.integers(-3, 3)).map(list)
-    extra = data.draw(st.lists(st.lists(letter, max_size=6 if p.ngens else 0), max_size=3))
-    q = quotient_by_relators(p, extra)
-    assert q == FinitePresentation(p.generators, p.relators + tuple(extra))
-    assert _holds_invariant(q)
-
-
-@pytest.mark.parametrize("word, error", [
-    ([(0, 2), (1, 1.0)], TypeError),
-    ([(0, 2), (4, 1)], UnknownGenerator),
-], ids=["float-letter", "out-of-range"])
-def test_quotient_by_relators_checks_extra(word, error):
-    p = presentation_of(OrbSignature(0, 0, (2, 3, 7)))
-    with pytest.raises(error):
-        quotient_by_relators(p, [((0, 1),), word])
-    with pytest.raises(error):
-        FinitePresentation(p.generators, p.relators + (word,))
-
-
 # the derivations whose words are reduced by construction: (module, function)
 UNCHECKED_CALLERS = {
     ("presentations", "presentation_of"),
     ("covers", "verify_torsion_free_kernel"),
-    ("fixtures", "quotient_by_relators"),
-    ("cosets", "_abelian_order"),
 }
 
 
