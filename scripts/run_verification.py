@@ -18,7 +18,6 @@ import importlib.util
 import sys
 import time
 import traceback
-from dataclasses import replace
 from math import lcm
 from pathlib import Path
 
@@ -135,8 +134,9 @@ def main() -> int:
                 ("float relator index", (u, float(i), e)),
             ):
                 proofs = maps.proofs[:k] + ((conjugate, *rest),) + maps.proofs[k + 1:]
-                forgeries.append((f"{name}, {label}", p, q, replace(maps, proofs=proofs)))
-            forgeries.append((f"{name}, float image exponent", p, q, replace(maps, phi=phi)))
+                forgeries.append((f"{name}, {label}", p, q, WordMaps(maps.phi, maps.psi, proofs)))
+            forgeries.append((f"{name}, float image exponent", p, q,
+                              WordMaps(phi, maps.psi, maps.proofs)))
     rejected = 0
     for label, p, q, maps in forgeries:
         try:

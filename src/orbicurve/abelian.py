@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
+from .errors import frozen
 from .presentations import FinitePresentation, word_exponent_sums
 from .signature import OrbSignature
 
 
-@dataclass(frozen=True)
+@frozen
 class IntMatrix:
     """Immutable integer matrix, row-major entries; an entry that is not an
     integer (`operator.index`), or is a bool, raises TypeError."""
@@ -201,7 +201,7 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class AbelianGroup:
     """Finitely generated abelian group in divisor-chain normal form.
 

@@ -97,10 +97,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import DEFAULT_MAX_COSETS, ArityMismatch
+from .errors import DEFAULT_MAX_COSETS, ArityMismatch, frozen
 from .presentations import FinitePresentation, Word, check_words, invert_word
 
 # live cosets below which a table is never compacted, and the cap of
@@ -114,7 +113,7 @@ LOOKAHEAD_LIVE = 16384
 GATHER_POWER = 3
 
 
-@dataclass(frozen=True)
+@frozen
 class Exceeded:
     """Bounded-resource outcome: the computation hit its configured cap."""
 
@@ -506,7 +505,7 @@ def cycles_of(p) -> list[tuple[int, ...]]:
     return cycles
 
 
-@dataclass(frozen=True)
+@frozen
 class PermutationImages:
     """One permutation per presentation generator, all of the same degree."""
 

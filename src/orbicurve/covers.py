@@ -10,7 +10,6 @@ permutation data by `verify_torsion_free_kernel`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .cosets import (
@@ -23,12 +22,12 @@ from .cosets import (
     permutation_group_order,
     verify_homomorphism,
 )
-from .errors import LcmNotDividing, NonIntegralRank, NotOpenGroup, UnsupportedKind
+from .errors import LcmNotDividing, NonIntegralRank, NotOpenGroup, frozen
 from .presentations import FinitePresentation, presentation_of
-from .signature import OrbSignature, euler_characteristic
+from .signature import OrbSignature, euler_characteristic, finite_order
 
 
-@dataclass(frozen=True)
+@frozen
 class CoverReport:
     """Index d cover data: rho is the cover genus when compact, the free
     rank of its fundamental group otherwise."""
@@ -77,7 +76,7 @@ def lcm_cover_for_free_product(sig: OrbSignature) -> CoverReport:
     return torsion_free_subgroup_rank(sig, d)
 
 
-@dataclass(frozen=True)
+@frozen
 class KernelCheck:
     """Outcome of certifying a permutation quotient's kernel."""
 
@@ -102,8 +101,11 @@ def verify_torsion_free_kernel(
     before any torsion generator is blamed.  Every finite-order element is
     conjugate to a power of a torsion generator for hyperbolic and Euclidean
     compact groups and for all open groups, so that condition is exactly
-    kernel torsion-freeness there.  Spherical compact groups are refused:
-    the conjugacy classification is not available.
+    kernel torsion-freeness there.  A spherical compact group is finite, so
+    its kernel is torsion-free exactly when it is trivial: every relator is
+    checked by `verify_homomorphism`, and the verdict is torsion_free_kernel
+    exactly when the image has the group's order (`finite_order`), else
+    torsion_in_kernel, with no generator to blame.
 
     The index is the order of the image group, by Schreier-Sims
     (`permutation_group_order`).  Exceeded(cap) is returned when that order
@@ -112,25 +114,28 @@ def verify_torsion_free_kernel(
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    if sig.r == 0 and euler_characteristic(sig) > 0:
-        raise UnsupportedKind(
-            "torsion classification unavailable for spherical compact groups"
-        )
     p = presentation_of(sig)
-    # the long relator; the relators x_j^m_j follow from the orders below
-    if not verify_homomorphism(
-            FinitePresentation._from_reduced(p.generators, p.relators[len(sig.m):]), images):
-        return KernelCheck("not_homomorphism")
-    x0 = 2 * sig.g
-    orders = list(map(perm_order, images.images[x0:x0 + len(sig.m)]))
-    if any(mj % k for mj, k in zip(sig.m, orders)):
-        return KernelCheck("not_homomorphism")
-    for j, (mj, k) in enumerate(zip(sig.m, orders)):
-        if k != mj:
-            return KernelCheck("torsion_in_kernel", generator=j + 1)
+    spherical = sig.r == 0 and euler_characteristic(sig) > 0
+    if spherical:
+        if not verify_homomorphism(p, images):
+            return KernelCheck("not_homomorphism")
+    else:
+        # the long relator; the relators x_j^m_j follow from the orders below
+        if not verify_homomorphism(
+                FinitePresentation._from_reduced(p.generators, p.relators[len(sig.m):]), images):
+            return KernelCheck("not_homomorphism")
+        x0 = 2 * sig.g
+        orders = list(map(perm_order, images.images[x0:x0 + len(sig.m)]))
+        if any(mj % k for mj, k in zip(sig.m, orders)):
+            return KernelCheck("not_homomorphism")
+        for j, (mj, k) in enumerate(zip(sig.m, orders)):
+            if k != mj:
+                return KernelCheck("torsion_in_kernel", generator=j + 1)
     order = permutation_group_order(images, cap)
     if isinstance(order, Exceeded):
         return order
+    if spherical and order != finite_order(sig):
+        return KernelCheck("torsion_in_kernel")
     return KernelCheck("torsion_free_kernel", index=order)
 
 

@@ -14,13 +14,12 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
 from .abelian import AbelianGroup, abelianization_of_presentation
 from .cosets import DEFAULT_MAX_COSETS, Exceeded, group_order
-from .errors import BadParameters, NotHyperbolic, UnknownExample
+from .errors import BadParameters, NotHyperbolic, UnknownExample, frozen
 from .presentations import (
     Conjugate,
     FinitePresentation,
@@ -37,7 +36,7 @@ from .signature import OrbSignature
 from .wallpaper import mat_mul
 
 
-@dataclass(frozen=True)
+@frozen
 class OrderFact:
     """Adding the extra relators (none by default) yields a group of exactly
     this order (certified by enumeration)."""
@@ -46,7 +45,7 @@ class OrderFact:
     extra: tuple[Word, ...] = ()
 
 
-@dataclass(frozen=True)
+@frozen
 class AbelianizationFact:
     """The (possibly quotiented) presentation has this abelianization."""
 
@@ -54,7 +53,7 @@ class AbelianizationFact:
     expected: AbelianGroup
 
 
-@dataclass(frozen=True)
+@frozen
 class QuotientPresentationFact:
     """Adding the extra relators gives a group isomorphic to the standard
     presentation of the signature: `maps` are word maps between the two
@@ -69,7 +68,7 @@ class QuotientPresentationFact:
 Fact = OrderFact | AbelianizationFact | QuotientPresentationFact
 
 
-@dataclass(frozen=True)
+@frozen
 class NamedExample:
     name: str
     presentation: FinitePresentation
@@ -371,14 +370,14 @@ def example_presentation(name: str) -> NamedExample:
     raise UnknownExample(f"no example named {name!r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class FactResult:
     fact: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
+@frozen
 class ExampleReport:
     name: str
     passed: bool
@@ -436,7 +435,7 @@ def verify_example(name: str) -> ExampleReport:
 Mat2f = tuple[tuple[float, float], tuple[float, float]]
 
 
-@dataclass(frozen=True)
+@frozen
 class TriangleRep:
     """Unit-determinant 2x2 rotation matrices for a hyperbolic triangle
     group, one per torsion generator, with x1*x2*x3 = identity."""
@@ -511,7 +510,7 @@ def triangle_representation(
     return TriangleRep((m1, m2, m3), (x1, x2, x3), tolerance)
 
 
-@dataclass(frozen=True)
+@frozen
 class TriangleRepChecks:
     product_deviation: float
     det_deviations: tuple[float, float, float]

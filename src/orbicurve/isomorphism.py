@@ -8,8 +8,7 @@ their order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .errors import frozen
 from .signature import OrbSignature, finite_order, is_finite_cyclic
 
 REASON_BOTH_TRIVIAL = "both_trivial"
@@ -27,7 +26,7 @@ _ISOMORPHIC_REASONS = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class IsoVerdict:
     reason: str
     detail: str | None = None  # mismatched invariant, for invariant_mismatch

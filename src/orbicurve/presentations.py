@@ -8,10 +8,9 @@ the program (see `FinitePresentation`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 
-from .errors import UnknownGenerator
+from .errors import UnknownGenerator, frozen
 from .signature import OrbSignature
 
 Word = tuple[tuple[int, int], ...]
@@ -89,7 +88,7 @@ def check_words(words, generators: tuple[str, ...]) -> None:
                 raise UnknownGenerator(f"generator index {g} out of range for {generators}")
 
 
-@dataclass(frozen=True)
+@frozen
 class FinitePresentation:
     """Generators by name plus relator words over their indices.
 
@@ -145,7 +144,7 @@ class FinitePresentation:
 Conjugate = tuple[Word, int, int]  # (u, i, e) stands for u r_i^e u^-1: ints, e = +-1
 
 
-@dataclass(frozen=True)
+@frozen
 class WordMaps:
     """Generator maps phi: P -> Q and psi: Q -> P, as words, with proofs.
 
@@ -289,7 +288,7 @@ def parse_word(text: str, generators: tuple[str, ...]) -> Word:
     return free_reduce(_letters(text, index))
 
 
-@dataclass(frozen=True)
+@frozen
 class PresentationFile:
     """Parse result of the line-oriented presentation format."""
 

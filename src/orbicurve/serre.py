@@ -11,9 +11,9 @@ question is open, the shared factor being the only possible curve degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from .errors import frozen
 from .signature import (
     KindName,
     OrbSignature,
@@ -35,7 +35,7 @@ RULE_HYPERBOLIC = "hyperbolic_excluded"
 RULE_HYPERBOLIC_OPEN = "hyperbolic_triangle_open"
 
 
-@dataclass(frozen=True)
+@frozen
 class SerreVerdict:
     outcome: str  # realizable | not_realizable | open
     rule: str

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import MalformedSignature
+from .errors import MalformedSignature, frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class OrbSignature:
     """Signature (g, r, m): genus, punctures, multiplicities (each >= 2)."""
 
@@ -112,7 +111,7 @@ class KindName(enum.Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-@dataclass(frozen=True)
+@frozen
 class Kind:
     """Sign class of the Euler characteristic plus finiteness data."""
 
@@ -146,7 +145,7 @@ class NinfVerdict(enum.Enum):
     FAILS = "fails"
 
 
-@dataclass(frozen=True)
+@frozen
 class NinfStatus:
     """Whether every nontrivial normal subgroup of infinite index is
     infinitely generated."""

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
-from .errors import BadK
+from .errors import BadK, frozen
 
 VALID_K = (2, 3, 4, 6)
 
@@ -190,14 +189,14 @@ def _act_mod6(m: Mat2, r: tuple[int, int]) -> tuple[int, int]:
     return (a * u + b * v) % 6, (c * u + d * v) % 6
 
 
-@dataclass(frozen=True)
+@frozen
 class CheckResult:
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
+@frozen
 class WallpaperReport:
     k: int
     samples: int

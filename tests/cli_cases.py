@@ -20,6 +20,7 @@ import tempfile
 from pathlib import Path
 
 SIG237 = '{"g":0,"r":0,"m":[2,3,7]}'
+SIG235 = '{"g":0,"r":0,"m":[2,3,5]}'
 A4 = ("# the (2,3,3) triangle presentation\ngens x1 x2 x3\nrel x1^2\nrel x2^3\n"
       "rel x3^3\nrel x3^-1 x2^-1 x1^-1\n")
 PSL27 = "degree 8\nx1 = (1 8)(2 7)(3 4)(5 6)\nx2 = (1 8 2)(3 5 7)\nx3 = (1 7 6 5 4 3 2)\n"
@@ -55,6 +56,8 @@ FILES = {
     "caret-name.txt": "gens x^2 y\nrel y\n",
     "psl27.txt": PSL27,
     "trivial.txt": "degree 8\nx1 = ()\nx2 = ()\nx3 = ()\n",
+    # a faithful action of the (2,3,5) triangle group, which is A5
+    "a5.txt": "degree 5\nx1 = (1 2)(3 4)\nx2 = (1 3 5)\nx3 = (1 5 4 3 2)\n",
     "nonhom.txt": "degree 8\nx1 = ()\nx2 = ()\nx3 = (1,2)\n",
     "s200.txt": _s200(),
     "twice.txt": "degree 8\nx1 = (1,2)\nx2 = ()\nx3 = ()\nx1 = ()\n",
@@ -140,6 +143,10 @@ CASES = [
     *_one("verify-perms-no-degree", "cover", "verify", "--sig", SIG237, "--perms",
           "no-degree.txt"),
     *_both("verify-perms-torsion", "cover", "verify", "--sig", SIG237, "--perms", "trivial.txt"),
+    # spherical: the kernel of a finite group is torsion-free when trivial
+    *_both("verify-perms-spherical", "cover", "verify", "--sig", SIG235, "--perms", "a5.txt"),
+    *_one("verify-perms-spherical-torsion", "cover", "verify", "--sig", SIG235, "--perms",
+          "trivial.txt"),
     *_both("verify-perms-not-hom", "cover", "verify", "--sig", SIG237, "--perms", "nonhom.txt"),
     *_both("verify-perms-exceeded", "cover", "verify", "--sig", '{"g":0,"r":2,"m":[2]}',
            "--perms", "s200.txt"),

@@ -13,7 +13,6 @@ from orbicurve import (
     NotOpenGroup,
     OrbSignature,
     PermutationImages,
-    UnsupportedKind,
     euler_characteristic,
     lcm_cover_for_free_product,
     permutation_group_order,
@@ -25,6 +24,12 @@ from orbicurve import (
 from orbicurve.cosets import identity_perm, parse_cycles, perm_inverse, perm_mul
 from orbicurve.covers import KernelCheck, _mobius_perm
 from test_cosets import reference_order, reference_power
+
+
+def a5_images(x3="(1 5 4 3 2)"):
+    # x1 x2 x3 = 1 with x1, x2, x3 of orders 2, 3, 5: a faithful A5 action
+    return PermutationImages(5, tuple(
+        parse_cycles(cycles, 5) for cycles in ("(1 2)(3 4)", "(1 3 5)", x3)))
 
 
 def rho_by_hand(sig, d):
@@ -141,10 +146,40 @@ class TestVerifyTorsionFreeKernel:
         result = verify_torsion_free_kernel(OrbSignature(0, 0, (2, 3, 7)), images)
         assert result.verdict == "not_homomorphism"
 
-    def test_spherical_refused(self):
+    def test_spherical_long_relator_checked(self):
+        # x1 x2 x3 is the swap, not the identity
         images = PermutationImages(2, ((1, 0), (1, 0), (1, 0)))
-        with pytest.raises(UnsupportedKind):
-            verify_torsion_free_kernel(OrbSignature(0, 0, (2, 2, 2)), images)
+        result = verify_torsion_free_kernel(OrbSignature(0, 0, (2, 2, 2)), images)
+        assert result == KernelCheck("not_homomorphism")
+
+    def test_spherical_faithful_a5(self):
+        # (2,3,5) is A5, of order 60: a faithful action has a trivial kernel
+        result = verify_torsion_free_kernel(OrbSignature(0, 0, (2, 3, 5)), a5_images())
+        assert result == KernelCheck("torsion_free_kernel", index=60)
+        assert verify_torsion_free_kernel(
+            OrbSignature(0, 0, (2, 3, 5)), a5_images(), cap=59) == Exceeded(59)
+
+    def test_spherical_wrong_image_not_homomorphism(self):
+        # x1 x2 x3 = 1 fails, though each image has the order of its generator
+        images = a5_images("(1 2 3 4 5)")
+        result = verify_torsion_free_kernel(OrbSignature(0, 0, (2, 3, 5)), images)
+        assert result == KernelCheck("not_homomorphism")
+
+    def test_spherical_cyclic_pair(self):
+        # (2,4) presents Z2 (x2 = x1^-1 and x1^2 = 1), which the swap
+        # represents faithfully
+        swap = parse_cycles("(1 2)", 2)
+        result = verify_torsion_free_kernel(
+            OrbSignature(0, 0, (2, 4)), PermutationImages(2, (swap, swap)))
+        assert result == KernelCheck("torsion_free_kernel", index=2)
+
+    def test_spherical_torsion_in_kernel(self):
+        # (2,2,3) is S3, of order 6, and the sign map onto Z2 keeps every
+        # generator's relator but kills x3, of order 3
+        swap = parse_cycles("(1 2)", 2)
+        images = PermutationImages(2, (swap, swap, identity_perm(2)))
+        result = verify_torsion_free_kernel(OrbSignature(0, 0, (2, 2, 3)), images)
+        assert result == KernelCheck("torsion_in_kernel")
 
     def test_open_spherical_allowed(self):
         # Z3 mapping faithfully onto its regular representation: the kernel

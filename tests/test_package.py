@@ -1,16 +1,28 @@
-"""The package surface: every exported name, and which submodules a process
-loads.  `import orbicurve` loads no submodule, and a CLI command loads only
-the modules it runs."""
+"""The package surface: every exported name, which submodules a process
+loads, and the `frozen` value classes.  `import orbicurve` loads no
+submodule, and a CLI command loads only the modules it runs."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import orbicurve
 from cli_cases import PSL27
+from orbicurve import (
+    CosetTable,
+    Exceeded,
+    MalformedSignature,
+    OrbSignature,
+    PermutationImages,
+)
+from orbicurve.errors import frozen
+from orbicurve.fixtures import FactResult
+from orbicurve.wallpaper import CheckResult
 
 # the public names, by the submodule that defines them
 EXPORTS = {
@@ -127,3 +139,90 @@ class TestModulesLoaded:
                                         encoding="utf-8")
         (tmp_path / "perms.txt").write_text(PSL27, encoding="utf-8")
         assert _loaded(RUN, *argv, cwd=tmp_path) == set(BASE + extra)
+
+
+# the standard-library modules that `dataclass` would load: no process that
+# runs orbicurve should pay for them (see `orbicurve.errors.frozen`)
+NEVER = ("dataclasses", "inspect")
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    src = Path(orbicurve.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for a in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert not {name.split(".")[0] for name in imported if name} & set(NEVER), path.name
+
+
+@pytest.mark.parametrize("argv", [
+    ("chi", "--sig", SIG),
+    ("iso", "--a", SIG, "--b", OPEN_SIG),
+    ("serre", "--sig", SIG),
+    ("abelianize", "--presentation", "p.txt"),
+], ids=["chi", "iso", "serre", "abelianize-presentation"])
+def test_command_loads_neither_dataclasses_nor_inspect(tmp_path, argv):
+    # -S: no site module, so another package's .pth imports cannot add them
+    (tmp_path / "p.txt").write_text("gens x y\nrel x^2\nrel y^3\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(orbicurve.__file__))
+    script = RUN + f"print(json.dumps([m for m in {NEVER!r} if m in sys.modules]))\n"
+    done = subprocess.run([sys.executable, "-S", "-c", "import contextlib, io, json, sys\n" + script,
+                           *argv], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(done.stdout) == []
+
+
+@frozen
+class _Pair:
+    a: int
+    b: int = 2
+
+
+class TestFrozen:
+    def test_equal_fields_of_two_classes_differ(self):
+        assert CheckResult("x", True, "d") != FactResult("x", True, "d")
+        images = ((1, 0),)
+        assert CosetTable(2, images) != PermutationImages(2, images)
+        assert _Pair(1, 2) != (1, 2)
+
+    def test_equal_values_hash_equal(self):
+        # __post_init__ stores m as a tuple, so a list gives an equal value
+        a, b = OrbSignature(0, 0, (2, 3, 7)), OrbSignature(0, 0, [2, 3, 7])
+        assert a == b and hash(a) == hash(b)
+        assert len({Exceeded(5), Exceeded(5), Exceeded(6)}) == 2
+
+    def test_repr_names_every_field(self):
+        assert repr(OrbSignature(0, 0, (2, 3, 8))) == "OrbSignature(g=0, r=0, m=(2, 3, 8))"
+        assert repr(CosetTable(1, ((0,),))) == "CosetTable(degree=1, images=((0,),))"
+        assert repr(_Pair("x")) == "_Pair(a='x', b=2)"
+
+    def test_assignment_and_deletion_refused(self):
+        sig = OrbSignature(0, 0, (2, 3, 7))
+        with pytest.raises(AttributeError, match="cannot assign to field 'g'"):
+            sig.g = 1
+        with pytest.raises(AttributeError, match="cannot delete field 'g'"):
+            del sig.g
+        with pytest.raises(AttributeError):
+            sig.new = 1
+        assert sig == OrbSignature(0, 0, (2, 3, 7))
+
+    def test_missing_or_extra_argument_refused(self):
+        with pytest.raises(TypeError):
+            OrbSignature(0)
+        with pytest.raises(TypeError):
+            OrbSignature(0, 0, (2,), 5)
+        with pytest.raises(TypeError):
+            _Pair(1, c=3)
+        assert _Pair(b=3, a=1) == _Pair(1, 3)
+
+    def test_post_init_still_refuses(self):
+        with pytest.raises(MalformedSignature, match=r"OrbSignature\(g=0, r=0, m=\(1, 2\)\)"):
+            OrbSignature(0, 0, (1, 2))
+
+    def test_default_before_a_field_without_one_refused(self):
+        with pytest.raises(TypeError, match="follows a default"):
+            @frozen
+            class _Bad:
+                a: int = 1
+                b: int

@@ -1,6 +1,5 @@
 import ast
 import functools
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -283,7 +282,7 @@ def _pinned_quotient_names():
 
 
 def _with_proof(maps, k, proof):
-    return replace(maps, proofs=maps.proofs[:k] + (proof,) + maps.proofs[k + 1:])
+    return WordMaps(maps.phi, maps.psi, maps.proofs[:k] + (proof,) + maps.proofs[k + 1:])
 
 
 def _float_letter(word, s, c):
@@ -296,8 +295,10 @@ def _float_letter(word, s, c):
 # one malformed field of _z2_maps each, and the image or claim its rejection
 # names
 MALFORMED = {
-    "bool-image-letter": (lambda m: replace(m, phi=(((0, True),),)), "phi(generator 0): "),
-    "float-image-letter": (lambda m: replace(m, phi=(((0, 1.0),),)), "phi(generator 0): "),
+    "bool-image-letter": (lambda m: WordMaps((((0, True),),), m.psi, m.proofs),
+                          "phi(generator 0): "),
+    "float-image-letter": (lambda m: WordMaps((((0, 1.0),),), m.psi, m.proofs),
+                           "phi(generator 0): "),
     "float-index": (lambda m: _with_proof(m, 5, (((), 1.0, -1),)), "phi(psi(generator 1)): "),
     "bool-index": (lambda m: _with_proof(m, 5, (((), True, -1),)), "phi(psi(generator 1)): "),
     "float-sign": (lambda m: _with_proof(m, 5, (((), 1, -1.0),)), "phi(psi(generator 1)): "),
@@ -309,13 +310,14 @@ MALFORMED = {
     "cancelling-foreign-conjugator": (
         lambda m: _with_proof(m, 3, ((((5, 1),), 0, 1), (((5, 1),), 0, -1))),
         "psi(phi(generator 0)): "),
-    "letter-not-a-pair": (lambda m: replace(m, psi=(((0, 1, 2),), ((0, 1),))),
+    "letter-not-a-pair": (lambda m: WordMaps(m.phi, (((0, 1, 2),), ((0, 1),)), m.proofs),
                           "psi(generator 0): "),
     # check_words would consume an iterator before the substitution reads it
-    "iterator-image": (lambda m: replace(m, phi=(iter(((0, 1),)),)), "phi(generator 0): "),
-    "phi-none": (lambda m: replace(m, phi=None), "phi: "),
-    "proofs-none": (lambda m: replace(m, proofs=None), "proofs: "),
-    "proofs-generator": (lambda m: replace(m, proofs=(proof for proof in m.proofs)),
+    "iterator-image": (lambda m: WordMaps((iter(((0, 1),)),), m.psi, m.proofs),
+                       "phi(generator 0): "),
+    "phi-none": (lambda m: WordMaps(None, m.psi, m.proofs), "phi: "),
+    "proofs-none": (lambda m: WordMaps(m.phi, m.psi, None), "proofs: "),
+    "proofs-generator": (lambda m: WordMaps(m.phi, m.psi, (proof for proof in m.proofs)),
                          "proofs: "),
 }
 
@@ -345,7 +347,7 @@ class TestWordMaps:
                     letter = ((g + 1) % sides[k].ngens, x)
                     bad = proof[:j] + ((u[:s] + (letter,) + u[s + 1:], i, e),) + proof[j + 1:]
                     proofs = maps.proofs[:k] + (bad,) + maps.proofs[k + 1:]
-                    assert check_word_maps(p, q, replace(maps, proofs=proofs)) is not None
+                    assert check_word_maps(p, q, WordMaps(maps.phi, maps.psi, proofs)) is not None
                     mutated += 1
         assert mutated > 0
 
@@ -356,8 +358,9 @@ class TestWordMaps:
             images = getattr(maps, field)
             for g in range(len(images)):
                 for other in range(target.ngens):
-                    changed = images[g] + ((other, 1),)
-                    bad = replace(maps, **{field: images[:g] + (changed,) + images[g + 1:]})
+                    changed = images[:g] + (images[g] + ((other, 1),),) + images[g + 1:]
+                    bad = (WordMaps(changed, maps.psi, maps.proofs) if field == "phi"
+                           else WordMaps(maps.phi, changed, maps.proofs))
                     assert check_word_maps(p, q, bad) is not None
 
     @pytest.mark.parametrize("name", NAMED)
@@ -365,13 +368,13 @@ class TestWordMaps:
         p, q, maps = _named_maps(name)
         claims = word_map_claims(p, q, maps.phi, maps.psi)
         for k, proof in enumerate(maps.proofs):
-            dropped = replace(maps, proofs=maps.proofs[:k] + maps.proofs[k + 1:])
+            dropped = WordMaps(maps.phi, maps.psi, maps.proofs[:k] + maps.proofs[k + 1:])
             assert "proofs for" in check_word_maps(p, q, dropped)
             for j in range(len(proof)):
                 bad = proof[:j] + proof[j + 1:]
                 proofs = maps.proofs[:k] + (bad,) + maps.proofs[k + 1:]
                 # reported under the name of the claim whose proof lost it
-                assert check_word_maps(p, q, replace(maps, proofs=proofs)) == (
+                assert check_word_maps(p, q, WordMaps(maps.phi, maps.psi, proofs)) == (
                     f"{claims[k][0]}: its proof multiplies out to another word"
                 )
 
@@ -379,7 +382,7 @@ class TestWordMaps:
     def test_relator_index_out_of_range_rejected(self, index):
         p, q, maps = _z2_maps()
         proofs = maps.proofs[:5] + ((((), index, -1),),)
-        failure = check_word_maps(p, q, replace(maps, proofs=proofs))
+        failure = check_word_maps(p, q, WordMaps(maps.phi, maps.psi, proofs))
         assert failure == f"phi(psi(generator 1)): no relator conjugate ({index}, -1)"
 
     @pytest.mark.parametrize("sign", [-2, 0, 2])
@@ -387,7 +390,7 @@ class TestWordMaps:
         # -2 in place of the valid -1 would still multiply out to the word
         p, q, maps = _z2_maps()
         proofs = maps.proofs[:5] + ((((), 1, sign),),)
-        failure = check_word_maps(p, q, replace(maps, proofs=proofs))
+        failure = check_word_maps(p, q, WordMaps(maps.phi, maps.psi, proofs))
         assert failure == f"phi(psi(generator 1)): no relator conjugate (1, {sign})"
 
     @pytest.mark.parametrize("mutate, where", MALFORMED.values(), ids=MALFORMED.keys())
@@ -422,13 +425,15 @@ class TestWordMaps:
             g, s = data.draw(st.sampled_from(
                 [(g, s) for g, w in enumerate(images) for s in range(len(w))]))
             changed = images[:g] + (_float_letter(images[g], s, c),) + images[g + 1:]
-            bad = replace(maps, **{where: changed})
+            bad = (WordMaps(changed, maps.psi, maps.proofs) if where == "phi"
+                   else WordMaps(maps.phi, changed, maps.proofs))
         assert isinstance(check_word_maps(p, q, bad), str)
 
     def test_images_must_use_known_generators(self):
         p, q, maps = _z2_maps()
-        for bad in (replace(maps, phi=(((2, 1),),)), replace(maps, psi=(((0, 1),), ((-1, 1),))),
-                    replace(maps, phi=())):
+        for bad in (WordMaps((((2, 1),),), maps.psi, maps.proofs),
+                    WordMaps(maps.phi, (((0, 1),), ((-1, 1),)), maps.proofs),
+                    WordMaps((), maps.psi, maps.proofs)):
             assert check_word_maps(p, q, bad) is not None
 
     def test_checker_imports_no_oracle(self):
@@ -440,7 +445,7 @@ class TestWordMaps:
         imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
         imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                      for a in node.names}
-        assert imported == {"__future__", "dataclasses", "decimal", "errors", "signature"}
+        assert imported == {"__future__", "decimal", "errors", "signature"}
 
 
 def test_substitute_powers_conjugates_without_repeating():
